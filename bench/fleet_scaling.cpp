@@ -1,29 +1,22 @@
-// Fleet scaling: single- vs multi-thread throughput (users/sec), the
-// determinism invariant, and the streaming engine's memory profile.
+// Fleet thread scaling: single- vs multi-thread throughput (users/sec)
+// and the determinism invariant.
 //
 // The fleet's correctness bar is that a report is a pure function of
-// (users, seed, strategy) — never of the thread count or the arena size —
-// so this bench both measures the worker pool's speedup and asserts
-// byte-identical serialized reports across thread counts AND across the
-// legacy / streaming engines (exit 1 on any mismatch).
+// (users, seed, strategy) — never of the thread count — so this bench both
+// measures the worker pool's speedup and asserts byte-identical serialized
+// reports across thread counts (exit 1 on any mismatch).
 //
 // Speedup is bounded by the physical core count: on >= 8 cores the 8-thread
 // row should clear 3x; on smaller machines the extra threads time-slice
 // and the row reports honestly whatever the hardware gives.
 //
-// The second table sweeps fleet size against a bounded live-user arena
-// (fleet/shard streaming engine): each row parks users to compact blobs
-// between visits and reports the peak live-testbed count and peak parked
-// bytes — the numbers that make million-user fleets fit in RAM.
-//
-// --smoke shrinks both sweeps to seconds-scale fleets.
-// CATALYST_FLEET_USERS overrides the thread-sweep fleet size.
+// --smoke shrinks the sweep to a seconds-scale fleet.
+// CATALYST_FLEET_USERS overrides the fleet size.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "fleet/runner.h"
 #include "util/strings.h"
@@ -55,58 +48,6 @@ TimedRun timed_run(const fleet::FleetParams& params, std::uint64_t users,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return out;
-}
-
-/// Cheap per-user knobs for the memory sweep: a single Catalyst arm with
-/// short timelines, so rows stay seconds-scale while the park/revive
-/// machinery still cycles every user through the arena.
-fleet::FleetParams sweep_params(std::uint64_t max_live_users) {
-  fleet::FleetParams params;
-  params.user_model.max_visits = 3;
-  params.user_model.mean_visit_gap = hours(48);
-  params.user_model.site_catalog_size = 4;
-  params.strategy = core::StrategyKind::Catalyst;
-  params.baseline = core::StrategyKind::Catalyst;  // single arm: cost
-  params.max_live_users = max_live_users;
-  return params;
-}
-
-bool run_memory_sweep(bool smoke) {
-  const std::vector<std::uint64_t> sweep =
-      smoke ? std::vector<std::uint64_t>{400, 1600}
-            : std::vector<std::uint64_t>{4000, 16000};
-  const std::uint64_t arena = smoke ? 96 : 512;
-
-  Table table("streaming memory: bounded arena vs materialise-everything");
-  table.set_header({"users", "max-live", "wall (s)", "users/sec",
-                    "live peak", "parked MiB peak", "report"});
-
-  bool ok = true;
-  for (const std::uint64_t users : sweep) {
-    const TimedRun legacy = timed_run(sweep_params(0), users, 2);
-    const std::string reference = legacy.report.serialize();
-    table.add_row({std::to_string(users), "off",
-                   str_format("%.2f", legacy.secs),
-                   str_format("%.1f", static_cast<double>(users) /
-                                          legacy.secs),
-                   "-", "-", "reference"});
-
-    const TimedRun streamed = timed_run(sweep_params(arena), users, 2);
-    const bool identical = streamed.report.serialize() == reference;
-    ok = ok && identical;
-    const fleet::ParkStats& parking = streamed.report.parking;
-    table.add_row(
-        {std::to_string(users), std::to_string(arena),
-         str_format("%.2f", streamed.secs),
-         str_format("%.1f", static_cast<double>(users) / streamed.secs),
-         std::to_string(parking.live_users_peak),
-         str_format("%.2f",
-                    static_cast<double>(parking.parked_bytes_peak) /
-                        (1024.0 * 1024.0)),
-         identical ? "identical" : "MISMATCH"});
-  }
-  table.print();
-  return ok;
 }
 
 }  // namespace
@@ -144,20 +85,12 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  const bool streaming_ok = run_memory_sweep(smoke);
-
   if (!deterministic) {
     std::fprintf(stderr,
                  "fleet_scaling: FAIL — report depends on thread count\n");
     return 1;
   }
-  if (!streaming_ok) {
-    std::fprintf(stderr,
-                 "fleet_scaling: FAIL — streaming engine diverged from the "
-                 "materialise-everything report\n");
-    return 1;
-  }
-  std::printf("determinism: all thread counts and both engines produced "
-              "byte-identical reports\n");
+  std::printf("determinism: all thread counts produced byte-identical "
+              "reports\n");
   return 0;
 }

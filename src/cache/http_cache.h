@@ -64,9 +64,6 @@ class HttpCache {
   bool contains(const std::string& url) const {
     return store_.peek(url) != nullptr;
   }
-  const CacheEntry* peek(const std::string& url) const {
-    return store_.peek(url);
-  }
   void remove(const std::string& url) { store_.erase(url); }
   void clear() { store_.clear(); }
 
@@ -82,23 +79,6 @@ class HttpCache {
   /// All stored URLs (MRU first). Used to build cache digests.
   std::vector<std::string> stored_urls() const {
     return store_.keys_mru_order();
-  }
-
-  /// Parked-state revival (fleet/parked): raw insert bypassing storage
-  /// policy and store-counting — the entry was admitted by the live cache
-  /// before parking, so re-admission checks would double-count. Entries
-  /// must be restored LRU-first so recency order survives the round trip.
-  void restore_entry(const std::string& url, CacheEntry entry) {
-    store_.put(url, std::move(entry));
-  }
-
-  /// Parked-state revival: seeds counters with a stats() snapshot taken
-  /// at park time. The snapshot's folded eviction count goes back to the
-  /// storage engine so stats() keeps folding it from there.
-  void restore_stats(const HttpCacheStats& snapshot) {
-    stats_ = snapshot;
-    stats_.evictions = 0;
-    store_.set_evictions(snapshot.evictions);
   }
 
  private:

@@ -56,12 +56,6 @@ class LruStore {
   ByteCount capacity() const { return capacity_; }
   std::size_t evictions() const { return evictions_; }
 
-  /// Restore hook for parked-state revival (fleet/parked): a revived
-  /// store starts empty, so its eviction counter must be seeded with the
-  /// count folded into the parked snapshot for stats() to keep reading
-  /// the same totals the live store reported.
-  void set_evictions(std::size_t n) { evictions_ = n; }
-
   /// Keys in most-recently-used order (for inspection/tests).
   std::vector<std::string> keys_mru_order() const;
 

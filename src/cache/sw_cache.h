@@ -50,32 +50,8 @@ class SwCache {
   bool contains(const std::string& url) const {
     return store_.peek(url) != nullptr;
   }
-  const CacheEntry* peek(const std::string& url) const {
-    return store_.peek(url);
-  }
   void remove(const std::string& url) { store_.erase(url); }
   void clear() { store_.clear(); }
-
-  /// All stored URLs (MRU first). Parked-state snapshots walk these.
-  std::vector<std::string> stored_urls() const {
-    return store_.keys_mru_order();
-  }
-
-  /// Parked-state revival (fleet/parked): raw insert bypassing the put()
-  /// policy and store-counting. The caller restores the entry's explicit
-  /// body_digest too — it may legitimately disagree with the body (a
-  /// corrupt()-ed entry must stay corrupt across a park/revive cycle).
-  void restore_entry(const std::string& url, CacheEntry entry) {
-    store_.put(url, std::move(entry));
-  }
-
-  /// Parked-state revival: seeds counters with a stats() snapshot taken
-  /// at park time (folded evictions go back to the storage engine).
-  void restore_stats(const SwCacheStats& snapshot) {
-    stats_ = snapshot;
-    stats_.evictions = 0;
-    store_.set_evictions(snapshot.evictions);
-  }
 
   /// Snapshot with the storage engine's eviction count folded in.
   SwCacheStats stats() const {

@@ -104,16 +104,6 @@ class Browser {
   CatalystServiceWorker& service_worker(const std::string& host);
   bool sw_registered(const std::string& host);
 
-  /// Hosts with an instantiated service worker, in map (ascending host)
-  /// order. Parked-state snapshots serialize workers in this order so the
-  /// blob bytes are canonical.
-  std::vector<std::string> service_worker_hosts() const {
-    std::vector<std::string> hosts;
-    hosts.reserve(workers_.size());
-    for (const auto& [host, worker] : workers_) hosts.push_back(host);
-    return hosts;
-  }
-
   void set_oracle(OracleValidator oracle) { oracle_ = std::move(oracle); }
 
   /// Measurement-only staleness audit: when set, every response served

@@ -102,16 +102,6 @@ class Fetcher {
 
   const FetcherStats& stats() const { return stats_; }
 
-  /// Origins whose DNS lookup cost has been paid. Unlike connections and
-  /// per-visit stats this set persists across visits (a user does not
-  /// re-resolve a host they visited yesterday), so parked-state snapshots
-  /// must carry it: a revived user skipping/paying the wrong DNS delay
-  /// would shift every subsequent fetch time. std::set — canonical order.
-  const std::set<std::string>& dns_resolved() const { return dns_resolved_; }
-  void restore_dns_resolved(const std::string& origin_host) {
-    dns_resolved_.insert(origin_host);
-  }
-
  private:
   struct PendingFetch;
 

@@ -113,29 +113,6 @@ class CatalystServiceWorker {
   cache::SwCache& cache() { return cache_; }
   const ServiceWorkerStats& stats() const { return stats_; }
 
-  /// Negative entries (read by parked-state snapshots; std::map, so the
-  /// iteration order is canonical).
-  const std::map<std::string, cache::CacheEntry>& negative_entries() const {
-    return negative_entries_;
-  }
-
-  /// Parked-state revival (fleet/parked): reinstates the registration
-  /// lifecycle flags and the installed map exactly as parked — including
-  /// the registered-but-degraded and registered-without-map states that
-  /// set_registered()/install_map_from() cannot reproduce directly.
-  void restore_lifecycle(bool registered, bool degraded,
-                         std::optional<http::EtagConfig> map) {
-    registered_ = registered;
-    degraded_ = degraded;
-    map_ = std::move(map);
-  }
-  void restore_negative_entry(std::string path, cache::CacheEntry entry) {
-    negative_entries_.insert_or_assign(std::move(path), std::move(entry));
-  }
-  void restore_stats(const ServiceWorkerStats& snapshot) {
-    stats_ = snapshot;
-  }
-
  private:
   bool registered_ = false;
   bool degraded_ = false;

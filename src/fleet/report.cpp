@@ -1,7 +1,5 @@
 #include "fleet/report.h"
 
-#include <algorithm>
-
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -94,14 +92,6 @@ void EdgePopReport::merge(const EdgePopReport& other) {
                           : other.aio_peak_inflight;
 }
 
-void ParkStats::merge(const ParkStats& other) {
-  parks += other.parks;
-  revives += other.revives;
-  corrupt_revivals += other.corrupt_revivals;
-  live_users_peak = std::max(live_users_peak, other.live_users_peak);
-  parked_bytes_peak = std::max(parked_bytes_peak, other.parked_bytes_peak);
-}
-
 void FleetReport::merge(const FleetReport& other) {
   users += other.users;
   visits += other.visits;
@@ -120,7 +110,6 @@ void FleetReport::merge(const FleetReport& other) {
   phases.merge(other.phases);
   baseline_phases.merge(other.baseline_phases);
   prof.merge(other.prof);
-  parking.merge(other.parking);
   bytes_on_wire += other.bytes_on_wire;
   baseline_bytes_on_wire += other.baseline_bytes_on_wire;
   rtts += other.rtts;

@@ -77,23 +77,6 @@ struct EdgePopReport {
   void merge(const EdgePopReport& other);
 };
 
-/// Streaming-engine telemetry: how often users were parked to blobs and
-/// revived, and the resident high-water marks. Counts merge as sums,
-/// peaks as maxes — both associative, so partial merges compose.
-struct ParkStats {
-  std::uint64_t parks = 0;
-  std::uint64_t revives = 0;
-  /// Revive attempts whose blob failed validation (the user restarted
-  /// cold). Always zero outside corruption-injection tests.
-  std::uint64_t corrupt_revivals = 0;
-  std::uint64_t live_users_peak = 0;    // max concurrently live per shard
-  std::uint64_t parked_bytes_peak = 0;  // max resident parked-blob bytes
-
-  void merge(const ParkStats& other);
-
-  bool any() const { return parks != 0 || revives != 0; }
-};
-
 struct FleetReport {
   std::uint64_t users = 0;
   std::uint64_t visits = 0;    // all measured page loads (treatment)
@@ -150,13 +133,6 @@ struct FleetReport {
   /// serialized — wall-clock numbers must never touch byte-stable
   /// reports; fleetsim --self-profile prints them to stderr.
   obs::ProfCounters prof;
-
-  /// Streaming-engine park/revive telemetry. Merged, but deliberately NOT
-  /// serialized (like prof/events_executed): parking is an execution
-  /// detail, and streaming reports must stay byte-identical to the
-  /// materialize-everything engine for any --max-live-users. fleetsim
-  /// prints these to stderr; tests read the struct directly.
-  ParkStats parking;
 
   /// Wire totals across all treatment visits, and the same users replayed
   /// under the baseline strategy (zero when no baseline was run).

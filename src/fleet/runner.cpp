@@ -40,19 +40,12 @@ FleetRunner::FleetRunner(FleetParams params, std::uint64_t num_users,
     shard_count_ = static_cast<std::size_t>(params_.edge.pops);
     return;
   }
-  std::uint64_t shard_size = std::max<std::uint64_t>(params_.shard_size, 1);
-  if (params_.max_live_users > 0) {
-    // Streaming mode: oversubscribe each shard's arena 16x so parking
-    // actually happens (a shard no larger than its arena never parks).
-    // A pure function of max_live_users — never of the thread count — so
-    // the shard geometry, and with it the report, is thread-independent;
-    // report bytes are identical for any shard_size anyway (canonical
-    // merge), so widening shards only changes scheduling granularity.
-    shard_size = std::max(shard_size, 16 * params_.max_live_users);
-    params_.shard_size = shard_size;
-  }
-  shard_count_ = static_cast<std::size_t>(
-      (num_users_ + shard_size - 1) / shard_size);
+  const std::uint64_t shard_size =
+      std::max<std::uint64_t>(params_.shard_size, 1);
+  // Ceiling division without `num_users_ + shard_size - 1`, which wraps
+  // for a shard_size near the type's maximum.
+  shard_count_ = static_cast<std::size_t>(num_users_ / shard_size +
+                                          (num_users_ % shard_size != 0));
 }
 
 FleetReport FleetRunner::run() {

@@ -45,20 +45,6 @@ struct FleetParams {
   /// self-contained and merging is canonicalized.
   std::uint64_t shard_size = 256;
 
-  /// Streaming shard engine: cap on concurrently materialized (live)
-  /// users per shard. 0 (the default) selects the legacy engine, which
-  /// replays each user's whole timeline in one testbed before moving on.
-  /// > 0 switches the shard to time-ordered visit processing: a
-  /// fixed-size arena holds at most this many live users, and between
-  /// visits the least-soon-needed user is serialized to a compact
-  /// ParkedUser blob (fleet/parked) and revived on its next arrival, so
-  /// resident testbed state is O(max_live_users), not O(shard users).
-  /// Reports are bit-identical to the legacy engine for any value.
-  /// Incompatible with edge PoPs, the adversary, and cross-visit
-  /// server-learned strategies (CatalystLearned/PushLearned/RdrProxy),
-  /// whose state lives outside the parked client snapshot.
-  std::uint64_t max_live_users = 0;
-
   /// Edge tier (pops == 0: no edge anywhere, identical to pre-edge runs).
   /// When enabled, sharding switches from contiguous user ranges to
   /// one-shard-per-PoP so cache sharing never crosses a thread boundary.
@@ -75,26 +61,6 @@ struct FleetParams {
   /// leaves the loop's recorder null and reports byte-identical to
   /// pre-obs builds.
   bool breakdown = false;
-
-  /// True when the streaming engine reproduces this configuration
-  /// bit-identically: every piece of cross-visit state lives inside the
-  /// parked client snapshot. Shared edge PoPs, the scripted adversary,
-  /// and server/proxy-learned strategies keep state outside it, so
-  /// Shard::run falls back to the legacy engine for those even when
-  /// max_live_users is set. fleetsim rejects the same combinations
-  /// loudly at argument parse time; this predicate is the safety net
-  /// for library callers (tests, benches, future tools).
-  bool streaming_compatible() const {
-    if (edge.enabled() || options.adversary.enabled) return false;
-    for (const core::StrategyKind k : {strategy, baseline}) {
-      if (k == core::StrategyKind::CatalystLearned ||
-          k == core::StrategyKind::PushLearned ||
-          k == core::StrategyKind::RdrProxy) {
-        return false;
-      }
-    }
-    return true;
-  }
 };
 
 /// Contiguous user-id range [first_user, first_user + user_count). In
@@ -120,9 +86,6 @@ class Shard {
  private:
   std::shared_ptr<server::Site> site_for(int site_index);
   void replay_user(const UserProfile& profile, FleetReport& report);
-  /// Streaming engine (params_.max_live_users > 0): time-ordered visit
-  /// processing over a bounded live-user arena with park/revive.
-  FleetReport run_streaming();
 
   const FleetParams& params_;
   ShardTask task_;

@@ -102,15 +102,6 @@ class FaultPlan {
   std::uint64_t blackholed() const { return blackholed_; }
   void note_blackholed() { ++blackholed_; }
 
-  /// Parked-state revival (fleet/parked): fast-forwards a fresh plan to a
-  /// parked plan's position. Decisions are pure in (seed, stream, ordinal),
-  /// so restoring the ordinal alone makes the revived stream continue
-  /// exactly where the parked one stopped.
-  void restore_progress(std::uint64_t ordinal, std::uint64_t blackholed) {
-    ordinal_ = ordinal;
-    blackholed_ = blackholed;
-  }
-
  private:
   FaultSpec spec_;
   std::uint64_t ordinal_ = 0;

@@ -89,18 +89,6 @@ class CatalystModule {
   const CatalystModuleStats& stats() const { return stats_; }
   const CatalystConfig& config() const { return config_; }
 
-  /// Park/revive support (fleet/parked): the scan memo is the module's
-  /// only cross-visit state with timing impact — repeat serves of an
-  /// already-scanned (resource, version) skip the modeled scan cost — so
-  /// a revived user's origin must remember what it has scanned.
-  const std::unordered_map<std::string, std::vector<std::string>>&
-  scan_memo() const {
-    return scan_memo_;
-  }
-  void restore_scan_memo(std::string key, std::vector<std::string> links) {
-    scan_memo_[std::move(key)] = std::move(links);
-  }
-
  private:
   /// Extraction of one resource's same-origin links, memoized by version.
   const std::vector<std::string>& extract_links(const Resource& resource,

@@ -70,10 +70,6 @@ class Server {
     return push_ ? push_->bytes_pushed() : 0;
   }
   SessionStore& sessions() { return sessions_; }
-  /// Catalyst module (null when neither catalyst nor push/hints need the
-  /// linker). Mutable access exists for fleet park/revive, which must
-  /// carry the scan memo across a user's testbed teardown.
-  CatalystModule* catalyst_module() { return catalyst_.get(); }
 
  private:
   void handle(const http::Request& request,

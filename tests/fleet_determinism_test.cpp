@@ -3,6 +3,8 @@
 // users are batched into shards.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fleet/runner.h"
 #include "netsim/transport.h"
 
@@ -38,10 +40,14 @@ TEST(FleetDeterminismTest, ShardBoundariesDoNotChangeReportBytes) {
   one_each.shard_size = 1;
   FleetParams all_in_one = small_fleet();
   all_in_one.shard_size = kUsers;
+  // A shard size near the type's maximum must still make one shard.
+  FleetParams huge = small_fleet();
+  huge.shard_size = std::numeric_limits<std::uint64_t>::max();
 
   const std::string split = run_fleet(one_each, 8);
   const std::string whole = run_fleet(all_in_one, 1);
   EXPECT_EQ(split, whole);
+  EXPECT_EQ(run_fleet(huge, 4), whole);
 }
 
 TEST(FleetDeterminismTest, H2TransportIsThreadInvariant) {

@@ -51,14 +51,11 @@ TEST(FleetReportTest, MergeOfSplitsEqualsSingleAccumulation) {
 
 TEST(FleetReportTest, MergeIsAssociative) {
   // The runner folds shard reports incrementally as they complete:
-  // ((a+b)+c) must equal (a+(b+c)) byte-for-byte, or the streaming merge
-  // would leak scheduling into the report.
+  // ((a+b)+c) must equal (a+(b+c)) byte-for-byte, or the incremental
+  // merge would leak scheduling into the report.
   FleetReport a = sample_report(100.0);
   FleetReport b = sample_report(200.0);
   FleetReport c = sample_report(300.0);
-  a.parking = ParkStats{3, 2, 1, 40, 1000};
-  b.parking = ParkStats{5, 5, 0, 10, 9000};
-  c.parking = ParkStats{0, 1, 0, 60, 500};
 
   FleetReport left = a;  // ((a+b)+c)
   left.merge(b);
@@ -72,31 +69,6 @@ TEST(FleetReportTest, MergeIsAssociative) {
   EXPECT_EQ(left.serialize(), right.serialize());
   EXPECT_EQ(left.users, right.users);
   EXPECT_EQ(left.plt_ms.count(), right.plt_ms.count());
-  EXPECT_EQ(left.parking.parks, right.parking.parks);
-  EXPECT_EQ(left.parking.live_users_peak, right.parking.live_users_peak);
-  EXPECT_EQ(left.parking.parked_bytes_peak, right.parking.parked_bytes_peak);
-}
-
-TEST(FleetReportTest, ParkStatsMergeSumsCountsAndMaxesPeaks) {
-  ParkStats a{3, 2, 1, 40, 1000};
-  a.merge(ParkStats{5, 5, 0, 10, 9000});
-  EXPECT_EQ(a.parks, 8u);
-  EXPECT_EQ(a.revives, 7u);
-  EXPECT_EQ(a.corrupt_revivals, 1u);
-  EXPECT_EQ(a.live_users_peak, 40u);   // max, not sum: peaks are per-shard
-  EXPECT_EQ(a.parked_bytes_peak, 9000u);
-  EXPECT_TRUE(a.any());
-  EXPECT_FALSE(ParkStats{}.any());
-}
-
-TEST(FleetReportTest, ParkStatsNeverSerialized) {
-  // Streaming report bytes must be identical to the legacy engine's for
-  // any arena size, so parking telemetry (like prof/events_executed)
-  // stays out of serialize() — fleetsim prints it to stderr instead.
-  FleetReport plain = sample_report(100.0);
-  FleetReport parked = sample_report(100.0);
-  parked.parking = ParkStats{100, 100, 2, 512, 1 << 20};
-  EXPECT_EQ(plain.serialize(), parked.serialize());
 }
 
 TEST(FleetReportTest, MergeIsOrderSensitiveInSampleOrderOnly) {

@@ -35,12 +35,6 @@
 // reflects that header, and a scripted adversary strikes before every
 // visit. The run passes only when the oracle flags a poisoned-serve or
 // cross-user-leak violation.
-// --mutate parked-corrupt targets the streaming shard engine's blob
-// codec: each round parks users between visits, corrupts the blob
-// (truncation, bit flips, a version patch with a re-sealed checksum),
-// and passes only if every corrupted revive fails closed
-// (ReviveStatus::Corrupt) while the pristine blob still revives Ok and
-// replays the remaining visits.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -49,17 +43,14 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cache/freshness.h"
 #include "core/experiment.h"
 #include "core/testbed.h"
 #include "edge/pop.h"
-#include "fleet/parked.h"
 #include "fleet/user_model.h"
 #include "obs/recorder.h"
-#include "util/hash.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "workload/sitegen.h"
@@ -104,8 +95,6 @@ enum class Mutation {
   UnkeyedHeader,  // edge cache key ignores X-Forwarded-Host while the
                   // origin reflects it (classic cache poisoning); the
                   // scripted adversary supplies the poison
-  ParkedCorrupt,  // corrupts parked-user blobs between visits; the fleet
-                  // codec must reject every one of them fail-closed
 };
 
 /// One user's place in a round: access tier + absolute visit times.
@@ -580,148 +569,11 @@ void apply_overrides(RoundConfig& cfg, const Args& args) {
   }
 }
 
-/// Builds the single-arm testbed used by the parked-corrupt mutation:
-/// Catalyst without an edge PoP (parking snapshots client + origin state;
-/// the PoP is shard-shared and never parked).
-core::Testbed parked_testbed(const RoundConfig& cfg,
-                             const workload::SiteBundle& bundle,
-                             std::size_t u) {
-  const DiffUser& du = cfg.users[u];
-  core::StrategyOptions opts;
-  opts.mobile_client = du.mobile;
-  if (cfg.h2) opts.browser_protocol = netsim::Protocol::H2;
-  if (cfg.negative) {
-    opts.negative_cache.enabled = true;
-    opts.negative_cache.default_ttl = cfg.negative_ttl;
-    if (opts.negative_cache.default_ttl > opts.negative_cache.max_ttl) {
-      opts.negative_cache.max_ttl = opts.negative_cache.default_ttl;
-    }
-  }
-  netsim::NetworkConditions cond = fleet::conditions_for(du.tier);
-  if (cfg.faults) {
-    cond.faults.loss_rate = cfg.loss_rate;
-    cond.faults.stall_rate = cfg.loss_rate / 4.0;
-    cond.faults.outage_fraction = cfg.outage_fraction;
-    cond.faults.fault_seed = cfg.round_seed;
-    cond.faults.stream = u;
-  }
-  return core::make_testbed(bundle, cond, core::StrategyKind::Catalyst,
-                            opts);
-}
-
-/// --mutate parked-corrupt: parks each user after their first visit, then
-/// feeds the codec three corruptions of the blob — a truncation, a single
-/// bit flip, and a version patch with the trailing checksum re-sealed so
-/// only the version check can reject it. Inverted pass criterion: the run
-/// passes (exit 0) only if every corrupted revive returns Corrupt AND the
-/// pristine blob still revives Ok and replays the remaining visits (so a
-/// codec that rejects everything cannot pass vacuously).
-int run_parked_corrupt(int rounds, std::uint64_t seed, bool verbose) {
-  std::uint64_t attempts = 0;
-  std::uint64_t survivors = 0;
-  for (int r = 0; r < rounds; ++r) {
-    const std::uint64_t round_seed = seed + static_cast<std::uint64_t>(r);
-    const RoundConfig cfg = draw_round(round_seed);
-    workload::SitegenParams sp;
-    sp.seed = cfg.round_seed;
-    sp.site_index = 0;
-    sp.ttl_profile = cfg.ttl;
-    sp.clone_static_snapshot = cfg.static_site;
-    sp.third_party_fraction = cfg.third_party_fraction;
-    sp.errors.dead_link_fraction = cfg.dead_links;
-    sp.errors.gone_link_fraction = cfg.dead_links / 2.0;
-    sp.errors.soft404_fraction = cfg.dead_links / 4.0;
-    const workload::SiteBundle bundle = workload::generate_site_bundle(sp);
-    Rng rng = Rng(round_seed).fork(0x9c0442);
-    for (std::size_t u = 0; u < cfg.users.size(); ++u) {
-      const std::uint64_t uid = u + 1;
-      core::Testbed tb = parked_testbed(cfg, bundle, u);
-      core::run_visit(tb, cfg.users[u].visits.front());
-      const std::uint64_t stragglers = tb.loop->run();
-      const std::string blob =
-          fleet::park_user(uid, tb, stragglers, nullptr, 0);
-
-      for (int mode = 0; mode < 3; ++mode) {
-        std::string bad = blob;
-        const char* what = "";
-        if (mode == 0) {
-          what = "truncated";
-          bad.resize(static_cast<std::size_t>(rng.next_u64() % bad.size()));
-        } else if (mode == 1) {
-          what = "bit-flipped";
-          const std::size_t pos =
-              static_cast<std::size_t>(rng.next_u64() % bad.size());
-          bad[pos] = static_cast<char>(
-              bad[pos] ^ static_cast<char>(1u << (rng.next_u64() % 8)));
-        } else {
-          // Version patch with a valid checksum: bytes 4..5 hold the
-          // little-endian format version; re-seal the trailing fnv1a64 so
-          // only the version check stands between the blob and the arena.
-          what = "wrong-version";
-          bad[4] = static_cast<char>(fleet::kParkedFormatVersion + 1);
-          const std::uint64_t sum =
-              fnv1a64(std::string_view(bad.data(), bad.size() - 8));
-          for (int b = 0; b < 8; ++b) {
-            bad[bad.size() - 8 + static_cast<std::size_t>(b)] =
-                static_cast<char>((sum >> (8 * b)) & 0xff);
-          }
-        }
-        core::Testbed victim = parked_testbed(cfg, bundle, u);
-        ++attempts;
-        if (fleet::revive_user(bad, uid, victim, nullptr).status !=
-            fleet::ReviveStatus::Corrupt) {
-          ++survivors;
-          std::fprintf(stderr,
-                       "round %d (seed %llu): %s blob for user %zu revived "
-                       "without a Corrupt verdict\n",
-                       r, static_cast<unsigned long long>(round_seed), what,
-                       u);
-        }
-      }
-
-      // The pristine blob must still work — revive and replay the rest of
-      // the schedule (sanitizers watch the revived state get exercised).
-      core::Testbed revived = parked_testbed(cfg, bundle, u);
-      const fleet::ReviveResult rv =
-          fleet::revive_user(blob, uid, revived, nullptr);
-      if (rv.status != fleet::ReviveStatus::Ok) {
-        std::printf("MUTATION SURVIVED: pristine parked blob rejected "
-                    "(round %d, seed %llu, user %zu) — the codec fails "
-                    "closed on valid input\n",
-                    r, static_cast<unsigned long long>(round_seed), u);
-        return 1;
-      }
-      for (std::size_t v = 1; v < cfg.users[u].visits.size(); ++v) {
-        core::run_visit(revived, cfg.users[u].visits[v]);
-      }
-    }
-    if (verbose) {
-      std::fprintf(stderr, "round %d (seed %llu): %llu corrupt revive(s) "
-                   "attempted, %llu survivor(s)\n",
-                   r, static_cast<unsigned long long>(round_seed),
-                   static_cast<unsigned long long>(attempts),
-                   static_cast<unsigned long long>(survivors));
-    }
-  }
-  if (survivors == 0 && attempts > 0) {
-    std::printf("MUTATION CAUGHT: parked-blob corruption rejected "
-                "fail-closed (%llu/%llu corrupted revives)\n",
-                static_cast<unsigned long long>(attempts),
-                static_cast<unsigned long long>(attempts));
-    return 0;
-  }
-  std::printf("MUTATION SURVIVED: %llu of %llu corrupted parked blobs "
-              "revived without a Corrupt verdict\n",
-              static_cast<unsigned long long>(survivors),
-              static_cast<unsigned long long>(attempts));
-  return 1;
-}
-
 void usage() {
   std::fprintf(
       stderr,
       "usage: difftest --rounds N [--seed S]\n"
-      "                [--mutate stale-serve|unkeyed-header|parked-corrupt]\n"
+      "                [--mutate stale-serve|unkeyed-header]\n"
       "                [--verbose] [--users N] [--visits N] [--no-faults]\n"
       "                [--no-edge] [--no-flash] [--static-site]\n"
       "                [--no-third-party] [--no-negative]\n"
@@ -738,11 +590,7 @@ void usage() {
       "and the run passes (exit 0) only if the oracle catches it.\n"
       "With --mutate unkeyed-header the edge PoP keys entries without\n"
       "X-Forwarded-Host while a scripted adversary poisons it; the run\n"
-      "passes only if the oracle flags poisoned-serve/cross-user-leak.\n"
-      "With --mutate parked-corrupt each user's parked blob is corrupted\n"
-      "(truncated, bit-flipped, version-patched with a re-sealed\n"
-      "checksum); the run passes only if every corrupted revive fails\n"
-      "closed while the pristine blob still revives and replays.\n");
+      "passes only if the oracle flags poisoned-serve/cross-user-leak.\n");
 }
 
 }  // namespace
@@ -762,20 +610,11 @@ int main(int argc, char** argv) {
     mutate = Mutation::StaleServe;
   } else if (mutate_name == "unkeyed-header") {
     mutate = Mutation::UnkeyedHeader;
-  } else if (mutate_name == "parked-corrupt") {
-    mutate = Mutation::ParkedCorrupt;
   } else if (args.has("mutate")) {
     std::fprintf(stderr, "difftest: unknown mutation '%s'\n",
                  mutate_name.c_str());
     usage();
     return 2;
-  }
-
-  if (mutate == Mutation::ParkedCorrupt) {
-    // Structurally different from the oracle mutations: the defect is the
-    // corruption itself and the detector is the parked-blob codec, so it
-    // gets a dedicated runner instead of the three-arm comparison.
-    return run_parked_corrupt(rounds, seed, verbose);
   }
 
   int failures = 0;

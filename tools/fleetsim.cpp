@@ -6,7 +6,7 @@
 //            [--loss P] [--outage F] [--fault-seed S]
 //            [--edge-pops N] [--edge-capacity-mb M] [--edge-origin-rtt-ms R]
 //            [--edge-flash-mb M] [--edge-flash-lat-us U] [--edge-flash-qd Q]
-//            [--h2] [--breakdown] [--self-profile] [--json] [--live]
+//            [--h2] [--breakdown] [--self-profile] [--json]
 //
 // Runs N independent user sessions (Zipf site popularity, Poisson revisit
 // schedules, mixed access tiers) under the chosen strategy, replays the
@@ -16,11 +16,14 @@
 //
 // Strategies: baseline catalyst catalyst+learn push-all push-learned
 //             push-digest early-hints rdr-proxy oracle
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "fleet/runner.h"
 #include "obs/selfprof.h"
@@ -30,21 +33,51 @@ using namespace catalyst;
 
 namespace {
 
-/// Minimal --flag/value parser: flags may be "--name value" or "--name".
+/// Every flag fleetsim reads. Anything else on the command line is a usage
+/// error: a typo'd or retired flag must not silently run a different fleet
+/// than the one asked for.
+constexpr std::string_view kValueFlags[] = {
+    "users",              "threads",        "seed",
+    "strategy",           "baseline",       "sites",
+    "shard-size",         "horizon-days",   "mean-gap-hours",
+    "max-visits",         "loss",           "outage",
+    "fault-seed",         "edge-pops",      "edge-capacity-mb",
+    "edge-origin-rtt-ms", "edge-flash-mb",  "edge-flash-lat-us",
+    "edge-flash-qd",      "negative-ttl-s", "dead-links",
+    "adversary-rate",     "adversary-seed", "trace-users",
+    "trace-out"};
+constexpr std::string_view kSwitches[] = {
+    "help",      "json",              "h2",
+    "breakdown", "self-profile",      "oracle",
+    "adversary", "vulnerable-keying", "edge-no-admission"};
+
+/// Minimal --flag/value parser: value flags may be "--name value" or
+/// "--name"; switches never consume the next token. Parsing stops at the
+/// first token that is not a known flag.
 class Args {
  public:
   Args(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
+      const std::string_view token = argv[i];
+      const std::string_view name =
+          token.starts_with("--") ? token.substr(2) : std::string_view();
+      const bool takes_value =
+          std::ranges::find(kValueFlags, name) != std::end(kValueFlags);
+      if (!takes_value &&
+          std::ranges::find(kSwitches, name) == std::end(kSwitches)) {
+        bad_ = token;
+        return;
+      }
+      std::string& value = values_[std::string(name)];
+      if (takes_value && i + 1 < argc &&
+          !std::string_view(argv[i + 1]).starts_with("--")) {
+        value = argv[++i];
       }
     }
   }
+
+  /// The first unrecognised token, or empty when the command line parsed.
+  const std::string& bad() const { return bad_; }
 
   bool has(const std::string& key) const { return values_.contains(key); }
   std::string get(const std::string& key, const std::string& fallback) const {
@@ -58,6 +91,7 @@ class Args {
 
  private:
   std::map<std::string, std::string> values_;
+  std::string bad_;
 };
 
 std::optional<core::StrategyKind> parse_strategy(const std::string& name) {
@@ -83,7 +117,6 @@ void usage() {
       stderr,
       "usage: fleetsim --users N [--threads T] [--seed S] [--strategy K]\n"
       "                [--baseline K] [--sites N] [--shard-size N]\n"
-      "                [--max-live-users N]\n"
       "                [--horizon-days D] [--mean-gap-hours H]\n"
       "                [--max-visits V] [--loss P] [--outage F]\n"
       "                [--fault-seed S] [--edge-pops N]\n"
@@ -95,15 +128,6 @@ void usage() {
       "                [--vulnerable-keying] [--h2] [--breakdown]\n"
       "                [--self-profile] [--json]\n"
       "\n"
-      "  --max-live-users N  streaming shard engine: keep at most N users\n"
-      "                 materialized per shard; the rest park as compact\n"
-      "                 serialized blobs between visits, so million-user\n"
-      "                 fleets run in O(N) resident testbed memory. The\n"
-      "                 report stays byte-identical to the default engine\n"
-      "                 and to any --threads value. Incompatible with\n"
-      "                 --edge-pops, --adversary, and strategies with\n"
-      "                 cross-visit server state (catalyst+learn,\n"
-      "                 push-learned, rdr-proxy). Default 0: off.\n"
       "  --loss P       per-request fault probability: P mid-stream drops\n"
       "                 plus P/4 silent stalls (default 0: no fault layer)\n"
       "  --outage F     fraction of each hour origins are dark (default 0)\n"
@@ -159,16 +183,48 @@ void usage() {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  if (!args.bad().empty()) {
+    std::fprintf(stderr, "fleetsim: unknown argument '%s'\n",
+                 args.bad().c_str());
+    usage();
+    return 2;
+  }
   if (args.has("help")) {
     usage();
     return 0;
+  }
+
+  // Sizes a fleet cannot have zero of, checked on the parsed number before
+  // it is cast to its field: a NaN, negative or too-large value does not
+  // fit, and a zero makes a worker thread throw.
+  const std::pair<const char*, double> kSizes[] = {{"users", 0x1p64},
+                                                   {"shard-size", 0x1p64},
+                                                   {"sites", 0x1p31},
+                                                   {"max-visits", 0x1p31}};
+  for (const auto& [flag, limit] : kSizes) {
+    const double v = args.num(flag, 1);
+    if (!(v >= 1 && v < limit)) {
+      std::fprintf(stderr,
+                   "fleetsim: --%s must be at least 1 and below %g "
+                   "(got \"%s\")\n",
+                   flag, limit, args.get(flag, "").c_str());
+      usage();
+      return 2;
+    }
+  }
+  if (!(args.num("mean-gap-hours", 1) > 0)) {
+    std::fprintf(stderr,
+                 "fleetsim: --mean-gap-hours must be positive (got \"%s\")\n",
+                 args.get("mean-gap-hours", "").c_str());
+    usage();
+    return 2;
   }
 
   const auto users = static_cast<std::uint64_t>(args.num("users", 1000));
   const int threads = static_cast<int>(args.num("threads", 1));
   const auto strategy = parse_strategy(args.get("strategy", "catalyst"));
   const auto baseline = parse_strategy(args.get("baseline", "baseline"));
-  if (!strategy || !baseline || users == 0) {
+  if (!strategy || !baseline) {
     usage();
     return 2;
   }
@@ -312,16 +368,8 @@ int main(int argc, char** argv) {
   params.edge.vulnerable_keying = args.has("vulnerable-keying");
 
   // Browser transport (default H1 — the paper's six-connection testbed).
-  // --h2 pins every browser connection to one multiplexed H2 stream; it
-  // takes no value.
-  if (args.has("h2")) {
-    if (!args.get("h2", "").empty()) {
-      std::fprintf(stderr, "fleetsim: --h2 takes no value (got \"%s\")\n",
-                   args.get("h2", "").c_str());
-      return 2;
-    }
-    params.options.browser_protocol = netsim::Protocol::H2;
-  }
+  // --h2 pins every browser connection to one multiplexed H2 stream.
+  if (args.has("h2")) params.options.browser_protocol = netsim::Protocol::H2;
 
   // Correctness oracle + trace recording (default-off; both keep the
   // default report byte-identical to pre-oracle builds).
@@ -329,61 +377,10 @@ int main(int argc, char** argv) {
   params.trace_users =
       static_cast<std::uint64_t>(args.num("trace-users", 0));
 
-  // Observability (default-off; both are pure observation). These flags
-  // take no value — a trailing operand is a typo'd invocation, not config.
-  for (const char* flag : {"breakdown", "self-profile"}) {
-    if (args.has(flag) && !args.get(flag, "").empty()) {
-      std::fprintf(stderr,
-                   "fleetsim: --%s takes no value (got \"%s\")\n", flag,
-                   args.get(flag, "").c_str());
-      return 2;
-    }
-  }
+  // Observability (default-off; both are pure observation).
   params.breakdown = args.has("breakdown");
   const bool self_profile = args.has("self-profile");
   obs::set_timing(self_profile);
-
-  // Streaming shard engine (default-off). Parked blobs snapshot *client*
-  // state only, so configurations with cross-visit state outside the
-  // browser — shared edge caches, the scripted adversary, server-side
-  // session learning, the RDR proxy's cache — are config errors, not
-  // silently wrong runs.
-  const double max_live = args.num("max-live-users", 0);
-  if (args.has("max-live-users") && max_live < 1) {
-    std::fprintf(stderr,
-                 "fleetsim: --max-live-users must be a positive user count "
-                 "(got %s)\n",
-                 args.get("max-live-users", "").c_str());
-    return 2;
-  }
-  params.max_live_users = static_cast<std::uint64_t>(max_live);
-  if (params.max_live_users > 0) {
-    if (params.edge.pops > 0) {
-      std::fprintf(stderr,
-                   "fleetsim: --max-live-users is incompatible with "
-                   "--edge-pops (shared PoP caches cannot be parked "
-                   "per-user)\n");
-      return 2;
-    }
-    if (params.options.adversary.enabled) {
-      std::fprintf(stderr,
-                   "fleetsim: --max-live-users is incompatible with "
-                   "--adversary\n");
-      return 2;
-    }
-    for (const core::StrategyKind k : {params.strategy, params.baseline}) {
-      if (k == core::StrategyKind::CatalystLearned ||
-          k == core::StrategyKind::PushLearned ||
-          k == core::StrategyKind::RdrProxy) {
-        std::fprintf(stderr,
-                     "fleetsim: --max-live-users is incompatible with "
-                     "strategy %s (cross-visit server/proxy state is not "
-                     "parked)\n",
-                     std::string(core::to_string(k)).c_str());
-        return 2;
-      }
-    }
-  }
 
   fleet::FleetRunner runner(params, users, threads);
   std::fprintf(stderr, "fleetsim: %llu users, %zu shards, %d thread(s), %s vs %s\n",
@@ -429,20 +426,6 @@ int main(int argc, char** argv) {
                secs, secs > 0 ? static_cast<double>(users) / secs : 0.0,
                secs > 0 ? static_cast<double>(report.events_executed) / secs
                         : 0.0);
-  if (params.max_live_users > 0) {
-    // Streaming telemetry goes to stderr like the timing line: the stdout
-    // report must stay byte-identical to the materialize-everything engine.
-    std::fprintf(
-        stderr,
-        "fleetsim: streaming: %llu parks, %llu revives (%llu corrupt), "
-        "peak %llu live users/shard, peak %.1f MiB parked\n",
-        static_cast<unsigned long long>(report.parking.parks),
-        static_cast<unsigned long long>(report.parking.revives),
-        static_cast<unsigned long long>(report.parking.corrupt_revivals),
-        static_cast<unsigned long long>(report.parking.live_users_peak),
-        static_cast<double>(report.parking.parked_bytes_peak) /
-            (1024.0 * 1024.0));
-  }
   if (self_profile) {
     std::fprintf(stderr, "%s", report.prof.render_table(secs).c_str());
   }

@@ -7,31 +7,26 @@
 # Stages:
 #
 #   plain   — full build + complete ctest suite (includes oracle label)
-#   diff    — differential harness sweep (clean + mutation self-tests,
-#             including the parked-blob corruption arm; rounds draw the
-#             browser protocol at random plus a forced --h2 sweep) and
-#             the oracle-off / flash-off / breakdown-off / h2 /
-#             streaming-off / cross-thread byte-identity checks
-#             (feature-on runs compared across thread counts)
+#   diff    — differential harness sweep (clean + mutation self-tests;
+#             rounds draw the browser protocol at random plus a forced
+#             --h2 sweep), the oracle-off / flash-off / breakdown-off / h2
+#             / cross-thread byte-identity checks (feature-on runs
+#             compared across thread counts), and fleetsim's rejection of
+#             bad input (exit 2 with the usage text)
 #   perf    — engine_hotpath --smoke gated against bench/baselines/
 #             hotpath.json (fails on >20% macro throughput regression)
 #             plus the edge_offload --smoke flash sweep and the
 #             --breakdown overhead gate (>=97% of off-throughput).
 #             Both BENCH_*.json artifacts are written before the gate
 #             verdict so a regression still uploads its numbers
-#   asan    — ASan+UBSan build, oracle/robustness/perf/fleet labels (the
-#             fault, pooling and parked-blob-fuzz paths are where
-#             lifetime bugs hide)
+#   asan    — ASan+UBSan build, oracle/robustness/perf labels (the
+#             fault and pooling paths are where lifetime bugs hide)
 #   tsan    — TSan build, oracle/fleet/edge labels (trace recording and
 #             oracle counters ride the fleet's shard merge; prove they
 #             stay race-free)
-#   scale   — streaming determinism at CI scale: 200k users through a
-#             4096-slot arena, byte-compared across thread counts
-#             (~tens of minutes; not part of the no-argument run — CI
-#             invokes it as its own job)
 #
 # Usage: tools/run_checks.sh [stage ...]
-#   No arguments runs every stage in the order above except scale.
+#   No arguments runs every stage in the order above.
 #   --fast is shorthand for "plain diff" (skip sanitizers and perf).
 #
 # Environment:
@@ -81,7 +76,6 @@ stage_diff() {
   "./$BUILD_DIR/tools/difftest" --rounds 50 --seed 1
   "./$BUILD_DIR/tools/difftest" --rounds 50 --seed 1 --mutate stale-serve
   "./$BUILD_DIR/tools/difftest" --rounds 10 --seed 1 --mutate unkeyed-header
-  "./$BUILD_DIR/tools/difftest" --rounds 10 --seed 1 --mutate parked-corrupt
 
   echo "== oracle-off byte-identity =="
   # With --oracle off the report must not grow an "oracle" section, and
@@ -176,21 +170,21 @@ stage_diff() {
   fi
   "./$BUILD_DIR/tools/difftest" --rounds 10 --seed 1 --h2
 
-  echo "== streaming byte-identity =="
-  # The streaming shard engine (bounded live arena + park/revive) must be
-  # pure scheduling: with --max-live-users the report stays bit-identical
-  # to the materialise-everything engine and across thread counts.
-  knobs=(--max-visits 2 --mean-gap-hours 120 --baseline catalyst --sites 4)
-  "./$BUILD_DIR/tools/fleetsim" --users 2000 "${knobs[@]}" --json \
-      2>/dev/null > /tmp/stream_legacy.json
-  "./$BUILD_DIR/tools/fleetsim" --users 2000 "${knobs[@]}" \
-      --max-live-users 128 --threads 1 --json 2>/dev/null \
-      > /tmp/stream_t1.json
-  "./$BUILD_DIR/tools/fleetsim" --users 2000 "${knobs[@]}" \
-      --max-live-users 128 --threads 4 --json 2>/dev/null \
-      > /tmp/stream_t4.json
-  cmp /tmp/stream_legacy.json /tmp/stream_t1.json
-  cmp /tmp/stream_t1.json /tmp/stream_t4.json
+  echo "== fleetsim rejects bad input =="
+  # An unknown flag, or a size a fleet cannot have, must exit 2 with the
+  # usage text: never run a different fleet than the one asked for, and
+  # never abort from a worker thread.
+  for bad in "--edge-pop 4" "--shard-size -3" "--max-visits 0" \
+      "--sites 0" "--mean-gap-hours 0"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "./$BUILD_DIR/tools/fleetsim" --users 8 $bad --json \
+        >/dev/null 2>/tmp/bad_input.err || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q '^usage: fleetsim' /tmp/bad_input.err; then
+      echo "FAIL: fleetsim $bad exited $rc without the usage text" >&2
+      exit 1
+    fi
+  done
 }
 
 stage_perf() {
@@ -223,18 +217,14 @@ stage_perf() {
 }
 
 stage_asan() {
-  echo "== ASan+UBSan — oracle + robustness + perf + fleet labels =="
-  # Only targets built in this tree register with ctest, so the fleet
-  # label here means exactly the parked-blob fuzz + streaming tests —
-  # corrupted revives are decode-of-hostile-bytes and must be UB-clean.
+  echo "== ASan+UBSan — oracle + robustness + perf labels =="
   configure "$ASAN_BUILD_DIR" -DCATALYST_SANITIZE=address
   cmake --build "$ASAN_BUILD_DIR" -j"$JOBS" --target \
       check_oracle_test check_replay_test robustness_test \
       netsim_faults_test client_retry_test \
-      util_intern_test util_flat_hash_test util_pool_test \
-      fleet_parked_state_test fleet_streaming_test
+      util_intern_test util_flat_hash_test util_pool_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
-      --timeout "$CTEST_TIMEOUT" -L 'oracle|robustness|perf|fleet'
+      --timeout "$CTEST_TIMEOUT" -L 'oracle|robustness|perf'
 }
 
 stage_tsan() {
@@ -242,37 +232,19 @@ stage_tsan() {
   configure "$TSAN_BUILD_DIR" -DCATALYST_SANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j"$JOBS" --target \
       check_replay_test fleet_determinism_test fleet_report_test \
-      fleet_user_model_test fleet_streaming_test edge_tier_test \
-      edge_fleet_test edge_flash_test edge_flash_fleet_test obs_fleet_test
+      fleet_user_model_test edge_tier_test edge_fleet_test \
+      edge_flash_test edge_flash_fleet_test obs_fleet_test
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
       --timeout "$CTEST_TIMEOUT" -L 'oracle|fleet|edge'
-}
-
-stage_scale() {
-  echo "== streaming determinism at scale (200k users, 4096-slot arena) =="
-  # The issue-9 acceptance gate: a 200k-user fleet streamed through a
-  # bounded arena must produce byte-identical reports for any --threads.
-  # Cheap per-user knobs keep this to tens of minutes of virtual fleet.
-  configure "$BUILD_DIR"
-  cmake --build "$BUILD_DIR" -j"$JOBS" --target fleetsim
-  knobs=(--max-visits 2 --mean-gap-hours 120 --baseline catalyst --sites 4)
-  "./$BUILD_DIR/tools/fleetsim" --users 200000 "${knobs[@]}" \
-      --max-live-users 4096 --threads 1 --json 2>/dev/null \
-      > /tmp/scale_t1.json
-  "./$BUILD_DIR/tools/fleetsim" --users 200000 "${knobs[@]}" \
-      --max-live-users 4096 --threads 2 --json 2>/dev/null \
-      > /tmp/scale_t2.json
-  cmp /tmp/scale_t1.json /tmp/scale_t2.json
-  echo "scale gate: reports byte-identical across thread counts"
 }
 
 stages=()
 for arg in "$@"; do
   case "$arg" in
     --fast) stages+=(plain diff) ;;
-    plain|diff|perf|asan|tsan|scale) stages+=("$arg") ;;
+    plain|diff|perf|asan|tsan) stages+=("$arg") ;;
     *)
-      echo "usage: tools/run_checks.sh [--fast] [plain|diff|perf|asan|tsan|scale ...]" >&2
+      echo "usage: tools/run_checks.sh [--fast] [plain|diff|perf|asan|tsan ...]" >&2
       exit 2
       ;;
   esac
