@@ -1,6 +1,6 @@
 // MICRO — google-benchmark microbenchmarks of the substrate components:
 // the HTML tokenizer/parser the server's DOM scan runs on, the HTTP
-// message parser, ETag-map encode/decode, SHA-1 ETag generation, cache
+// message parser, ETag-map encode/decode, content ETag generation, cache
 // operations, and the event-driven fluid link.
 #include <benchmark/benchmark.h>
 
@@ -111,7 +111,7 @@ void BM_EtagConfigParse(benchmark::State& state) {
 }
 BENCHMARK(BM_EtagConfigParse)->Arg(50)->Arg(200);
 
-void BM_Sha1Etag(benchmark::State& state) {
+void BM_ContentEtag(benchmark::State& state) {
   const std::string content(static_cast<std::size_t>(state.range(0)), 'y');
   for (auto _ : state) {
     benchmark::DoNotOptimize(http::make_content_etag(content));
@@ -119,7 +119,7 @@ void BM_Sha1Etag(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(content.size()) *
                           static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_Sha1Etag)->Arg(4 << 10)->Arg(256 << 10);
+BENCHMARK(BM_ContentEtag)->Arg(4 << 10)->Arg(256 << 10);
 
 void BM_HttpCacheLookup(benchmark::State& state) {
   cache::HttpCache cache(MiB(64));

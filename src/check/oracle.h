@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,11 +36,14 @@
 
 namespace catalyst::check {
 
-/// Ground truth provider for one origin: the authoritative body for a
-/// path at virtual time t, or nullptr when the path is unknown (the serve
-/// is then unauditable, not wrong — e.g. synthesized error bodies).
-using GroundTruth =
-    std::function<const std::string*(const std::string& path, TimePoint t)>;
+/// Ground truth provider for one origin: the FNV-1a digest of the
+/// authoritative body for a path at virtual time t, or nullopt when the
+/// path is unknown (the serve is then unauditable, not wrong — e.g.
+/// synthesized error bodies). The providers add_site/add_alias register
+/// return memoized digests, so an audit compares two integers and never
+/// rehashes a ground-truth body.
+using GroundTruth = std::function<std::optional<std::uint64_t>(
+    const std::string& path, TimePoint t)>;
 
 /// In-place body transform the origin applies before serving (e.g. the
 /// Catalyst server's SW-registration snippet injection into HTML). The
@@ -74,9 +78,10 @@ class ByteOracle {
   /// Registers a ground-truth provider for `host`.
   void add_origin(std::string host, GroundTruth truth);
 
-  /// Convenience: audit `site` under its own host name. `html_transform`
-  /// (optional) is applied to every Html-class resource's ground truth,
-  /// memoized per content version.
+  /// Convenience: audit `site` under its own host name, against each
+  /// resource's memoized content digest. `html_transform` (optional) is
+  /// applied to every Html-class resource's ground truth; the transformed
+  /// digest is memoized per content version.
   void add_site(std::shared_ptr<server::Site> site,
                 BodyTransform html_transform = {});
 

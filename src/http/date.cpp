@@ -1,7 +1,6 @@
 #include "http/date.h"
 
 #include <array>
-#include <cstdio>
 
 #include "util/strings.h"
 
@@ -104,11 +103,31 @@ std::string format_http_date(TimePoint t) {
       std::chrono::duration_cast<std::chrono::seconds>(t.since_epoch())
           .count();
   const CivilDate c = civil_from_unix(unix_seconds);
-  return str_format(
-      "%.*s, %02d %.*s %04lld %02d:%02d:%02d GMT",
-      3, kDays[static_cast<std::size_t>(c.weekday)].data(), c.day, 3,
-      kMonths[static_cast<std::size_t>(c.month - 1)].data(),
-      static_cast<long long>(c.year), c.hour, c.minute, c.second);
+  const std::string_view day_name = kDays[static_cast<std::size_t>(c.weekday)];
+  const std::string_view month_name =
+      kMonths[static_cast<std::size_t>(c.month - 1)];
+  if (c.year < 1000 || c.year > 9999 || c.day < 1) {
+    // Not a fixed-width IMF-fixdate; render it the way printf would.
+    return str_format("%.*s, %02d %.*s %04lld %02d:%02d:%02d GMT", 3,
+                      day_name.data(), c.day, 3, month_name.data(),
+                      static_cast<long long>(c.year), c.hour, c.minute,
+                      c.second);
+  }
+  // "Thu, 01 Jan 2026 00:00:00 GMT": 29 bytes at fixed offsets.
+  std::string out = "Ddd, 00 Mmm 0000 00:00:00 GMT";
+  const auto put2 = [&out](std::size_t at, int value) {
+    out[at] = static_cast<char>('0' + value / 10);
+    out[at + 1] = static_cast<char>('0' + value % 10);
+  };
+  out.replace(0, 3, day_name);
+  put2(5, c.day);
+  out.replace(8, 3, month_name);
+  put2(12, static_cast<int>(c.year / 100));
+  put2(14, static_cast<int>(c.year % 100));
+  put2(17, c.hour);
+  put2(20, c.minute);
+  put2(23, c.second);
+  return out;
 }
 
 std::optional<TimePoint> parse_http_date(std::string_view text) {

@@ -56,10 +56,18 @@ bool IfNoneMatch::matches(const Etag& current) const {
   return false;
 }
 
+Etag make_digest_etag(std::uint64_t content_digest) {
+  // 16 hex chars (64 bits): the collision risk over a page's resource set
+  // is negligible and the header stays compact.
+  std::uint8_t big_endian[8]{};
+  for (int i = 0; i < 8; ++i) {
+    big_endian[i] = static_cast<std::uint8_t>(content_digest >> (56 - 8 * i));
+  }
+  return Etag{to_hex(big_endian, sizeof big_endian), /*weak=*/false};
+}
+
 Etag make_content_etag(std::string_view content) {
-  // 16 hex chars (64 bits) of SHA-1 — the collision risk over a page's
-  // resource set is negligible and the header stays compact.
-  return Etag{Sha1::hex_digest(content).substr(0, 16), /*weak=*/false};
+  return make_digest_etag(fnv1a64(content));
 }
 
 }  // namespace catalyst::http

@@ -5,6 +5,7 @@
 // them ahead in X-Etag-Config so the comparison happens on the client.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,7 +49,13 @@ struct IfNoneMatch {
   bool matches(const Etag& current) const;
 };
 
-/// Builds a strong content-derived entity tag ("<hex-sha1-prefix>").
+/// Builds the strong entity tag for a body whose FNV-1a digest is
+/// `content_digest`: the digest's 16 lowercase hex digits. Callers that
+/// already hold the digest (the origin's per-version memo) skip rehashing.
+Etag make_digest_etag(std::uint64_t content_digest);
+
+/// Builds a strong content-derived entity tag:
+/// make_digest_etag(fnv1a64(content)).
 Etag make_content_etag(std::string_view content);
 
 }  // namespace catalyst::http

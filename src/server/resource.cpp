@@ -26,8 +26,8 @@ const Resource::VersionData& Resource::materialize(
   if (it != versions_.end()) return it->second;
   VersionData data;
   data.content = generator_(version);
-  data.etag = http::make_content_etag(data.content);
   data.content_digest = fnv1a64(data.content);
+  data.etag = http::make_digest_etag(data.content_digest);
   return versions_.emplace(version, std::move(data)).first->second;
 }
 

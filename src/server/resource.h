@@ -52,7 +52,8 @@ class Resource {
   /// digested once per origin lifetime, not once per serve.
   std::uint64_t content_digest_at(TimePoint t) const;
 
-  /// Entity tag at time t (derived from content, memoized per version).
+  /// Entity tag at time t: the hex rendering of content_digest_at(t)
+  /// (memoized per version).
   const http::Etag& etag_at(TimePoint t) const;
 
   /// Last-Modified instant at time t.

@@ -1,126 +1,6 @@
 #include "util/hash.h"
 
-#include <bit>
-#include <cstring>
-
 namespace catalyst {
-
-namespace {
-constexpr std::uint32_t rotl32(std::uint32_t x, int k) {
-  return (x << k) | (x >> (32 - k));
-}
-}  // namespace
-
-Sha1::Sha1() {
-  h_ = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
-}
-
-void Sha1::update(std::string_view data) {
-  total_bytes_ += data.size();
-  const auto* p = reinterpret_cast<const std::uint8_t*>(data.data());
-  std::size_t remaining = data.size();
-  // Top up a partially filled buffer first.
-  if (buffered_ > 0) {
-    const std::size_t take = std::min(remaining, buffer_.size() - buffered_);
-    std::memcpy(buffer_.data() + buffered_, p, take);
-    buffered_ += take;
-    p += take;
-    remaining -= take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
-  }
-  while (remaining >= 64) {
-    process_block(p);
-    p += 64;
-    remaining -= 64;
-  }
-  if (remaining > 0) {
-    std::memcpy(buffer_.data(), p, remaining);
-    buffered_ = remaining;
-  }
-}
-
-Sha1::Digest Sha1::finalize() {
-  // Append 0x80, pad with zeros, then the 64-bit big-endian bit length.
-  const std::uint64_t bit_len = total_bytes_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t pad_len =
-      (buffered_ < 56) ? (56 - buffered_) : (120 - buffered_);
-  update(std::string_view(reinterpret_cast<const char*>(pad), pad_len));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  total_bytes_ -= pad_len;  // keep the recorded length consistent
-  update(std::string_view(reinterpret_cast<const char*>(len_be), 8));
-
-  Digest out{};
-  for (int i = 0; i < 5; ++i) {
-    out[static_cast<std::size_t>(4 * i) + 0] =
-        static_cast<std::uint8_t>(h_[static_cast<std::size_t>(i)] >> 24);
-    out[static_cast<std::size_t>(4 * i) + 1] =
-        static_cast<std::uint8_t>(h_[static_cast<std::size_t>(i)] >> 16);
-    out[static_cast<std::size_t>(4 * i) + 2] =
-        static_cast<std::uint8_t>(h_[static_cast<std::size_t>(i)] >> 8);
-    out[static_cast<std::size_t>(4 * i) + 3] =
-        static_cast<std::uint8_t>(h_[static_cast<std::size_t>(i)]);
-  }
-  return out;
-}
-
-void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t{block[4 * i]} << 24) |
-           (std::uint32_t{block[4 * i + 1]} << 16) |
-           (std::uint32_t{block[4 * i + 2]} << 8) |
-           std::uint32_t{block[4 * i + 3]};
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = rotl32(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = temp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-}
-
-Sha1::Digest Sha1::digest(std::string_view data) {
-  Sha1 s;
-  s.update(data);
-  return s.finalize();
-}
-
-std::string Sha1::hex_digest(std::string_view data) {
-  const Digest d = digest(data);
-  return to_hex(d.data(), d.size());
-}
 
 std::string to_hex(const std::uint8_t* data, std::size_t size) {
   static constexpr char kHex[] = "0123456789abcdef";

@@ -1,12 +1,14 @@
 // Content hashing used for entity-tag (ETag) generation and fast lookups.
 //
-// ETags in the origin server are derived from a SHA-1 digest of resource
-// content, mirroring what real servers (nginx, Caddy) derive from content
-// or mtime/size. FNV-1a is used where a cheap non-cryptographic hash is
-// enough (hash maps, deterministic content synthesis).
+// FNV-1a is the simulator's one content hash: the origin digests each
+// content version once and both the ETag (its 16 hex digits) and every
+// byte-equivalence check reuse that digest. Real servers such as nginx
+// and Caddy derive ETags from mtime and size rather than a content hash;
+// any stable per-version token serves the validation protocol the same
+// way. FNV-1a also keys hash maps and seeds deterministic content
+// synthesis.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -22,35 +24,6 @@ constexpr std::uint64_t fnv1a64(std::string_view data) {
   }
   return h;
 }
-
-/// SHA-1 digest (20 bytes). Self-contained implementation of RFC 3174.
-class Sha1 {
- public:
-  using Digest = std::array<std::uint8_t, 20>;
-
-  Sha1();
-
-  /// Feeds more input. May be called repeatedly.
-  void update(std::string_view data);
-
-  /// Finalizes and returns the digest. The object must not be updated
-  /// afterwards.
-  Digest finalize();
-
-  /// One-shot convenience.
-  static Digest digest(std::string_view data);
-
-  /// One-shot digest rendered as lowercase hex.
-  static std::string hex_digest(std::string_view data);
-
- private:
-  void process_block(const std::uint8_t* block);
-
-  std::array<std::uint32_t, 5> h_{};
-  std::array<std::uint8_t, 64> buffer_{};
-  std::size_t buffered_ = 0;
-  std::uint64_t total_bytes_ = 0;
-};
 
 /// Lowercase hex rendering of arbitrary bytes.
 std::string to_hex(const std::uint8_t* data, std::size_t size);

@@ -89,6 +89,8 @@ TEST(MakeContentEtagTest, DeterministicAndContentSensitive) {
   EXPECT_NE(a.value, c.value);
   EXPECT_FALSE(a.weak);
   EXPECT_EQ(a.value.size(), 16u);
+  // The 16 lowercase hex digits of fnv1a64("hello").
+  EXPECT_EQ(a.value, "a430d84680aabd0b");
 }
 
 }  // namespace

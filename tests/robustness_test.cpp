@@ -7,6 +7,7 @@
 #include "client/browser.h"
 #include "core/experiment.h"
 #include "html/generate.h"
+#include "util/hash.h"
 #include "workload/sitegen.h"
 
 namespace catalyst {
@@ -247,21 +248,22 @@ class CatalystDegradationFixture : public ::testing::Test {
   }
 
   /// Wires a byte-equivalence oracle against this fixture's scripted
-  /// origin: ground truth is whatever the handler would serve right now.
+  /// origin: ground truth is the digest of whatever the handler would
+  /// serve right now.
   void attach_oracle(check::ByteOracle& oracle) {
     oracle.add_origin(
         kHost,
-        [this](const std::string& path, TimePoint) -> const std::string* {
+        [this](const std::string& path,
+               TimePoint) -> std::optional<std::uint64_t> {
           if (path == "/index.html") {
             html::HtmlBuilder page("degraded");
             page.add_stylesheet("/a.css");
             page.add_image("/b.webp");
-            html_truth_ = page.build();
-            return &html_truth_;
+            return fnv1a64(page.build());
           }
-          if (path == "/a.css") return &css_body_;
-          if (path == "/b.webp") return &webp_body_;
-          return nullptr;
+          if (path == "/a.css") return fnv1a64(css_body_);
+          if (path == "/b.webp") return fnv1a64(webp_body_);
+          return std::nullopt;
         });
     browser_->set_serve_classifier(
         [&oracle](const Url& url, const client::FetchOutcome& outcome) {
@@ -277,7 +279,6 @@ class CatalystDegradationFixture : public ::testing::Test {
   bool malformed_map_ = false;
   std::string css_body_ = std::string(4096, 'c');
   std::string webp_body_ = std::string(9000, 'w');
-  std::string html_truth_;
   std::vector<std::pair<std::string, http::Etag>> extra_map_entries_;
 };
 

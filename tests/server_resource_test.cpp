@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "util/hash.h"
+
 namespace catalyst::server {
 namespace {
 
@@ -30,6 +34,17 @@ TEST(ResourceTest, EtagChangesExactlyWithContent) {
   const auto e1 = r->etag_at(TimePoint{} + hours(1));
   EXPECT_EQ(e0, e0b);
   EXPECT_NE(e0.value, e1.value);
+}
+
+TEST(ResourceTest, EtagIsHexOfContentDigest) {
+  const auto r = versioned_resource("/a.css");
+  for (const TimePoint t : {TimePoint{}, TimePoint{} + hours(1)}) {
+    char hex[17]{};
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(r->content_digest_at(t)));
+    EXPECT_EQ(r->etag_at(t).value, hex);
+    EXPECT_EQ(r->content_digest_at(t), fnv1a64(r->content_at(t)));
+  }
 }
 
 TEST(ResourceTest, MemoizationReturnsSameBuffer) {

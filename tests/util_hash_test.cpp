@@ -7,54 +7,6 @@
 namespace catalyst {
 namespace {
 
-// RFC 3174 / FIPS-180 known answers.
-TEST(Sha1Test, KnownVectors) {
-  EXPECT_EQ(Sha1::hex_digest("abc"),
-            "a9993e364706816aba3e25717850c26c9cd0d89d");
-  EXPECT_EQ(Sha1::hex_digest(""),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-  EXPECT_EQ(
-      Sha1::hex_digest(
-          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-      "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-TEST(Sha1Test, MillionAs) {
-  std::string input(1000000, 'a');
-  EXPECT_EQ(Sha1::hex_digest(input),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
-}
-
-TEST(Sha1Test, IncrementalMatchesOneShot) {
-  const std::string data =
-      "the quick brown fox jumps over the lazy dog, repeatedly, in chunks";
-  Sha1 incremental;
-  // Feed in awkward chunk sizes straddling the 64-byte block boundary.
-  std::size_t pos = 0;
-  const std::size_t chunks[] = {1, 3, 7, 13, 63, 64, 65};
-  std::size_t idx = 0;
-  while (pos < data.size()) {
-    const std::size_t take =
-        std::min(chunks[idx++ % 7], data.size() - pos);
-    incremental.update(std::string_view(data).substr(pos, take));
-    pos += take;
-  }
-  const auto inc = incremental.finalize();
-  const auto oneshot = Sha1::digest(data);
-  EXPECT_EQ(inc, oneshot);
-}
-
-TEST(Sha1Test, BoundaryLengths) {
-  // Lengths around the padding boundary (55/56/63/64) are the classic
-  // off-by-one traps.
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u}) {
-    std::string input(len, 'x');
-    Sha1 s;
-    s.update(input);
-    EXPECT_EQ(s.finalize(), Sha1::digest(input)) << "len=" << len;
-  }
-}
-
 TEST(Fnv1aTest, KnownValuesAndDistinctness) {
   // FNV-1a standard test vectors.
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
