@@ -68,13 +68,7 @@ Json run_point(core::StrategyKind strategy, ByteCount capacity,
   point.set("plt_p95_ms", Json::number(report.plt_ms.percentile(95)));
   point.set("edge_requests",
             Json::number(static_cast<double>(edge.requests)));
-  const double offload =
-      edge.requests == 0
-          ? 0.0
-          : 100.0 *
-                static_cast<double>(edge.requests - edge.origin_fetches) /
-                static_cast<double>(edge.requests);
-  point.set("origin_offload_pct", Json::number(offload));
+  point.set("origin_offload_pct", Json::number(edge.origin_offload_pct()));
   point.set("origin_fetches",
             Json::number(static_cast<double>(edge.origin_fetches)));
   point.set("origin_not_modified",
@@ -210,7 +204,7 @@ Json flash_merge_probe(int clients) {
   probe.set("flash_coalesced",
             Json::number(static_cast<double>(stats.flash_coalesced)));
   probe.set("device_reads",
-            Json::number(static_cast<double>(stats.aio.reads)));
+            Json::number(static_cast<double>(stats.aio_reads)));
   return probe;
 }
 

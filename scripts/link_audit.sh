@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Lists the library functions that no shipped binary links.
+#
+# Builds every shipped binary (tools/, bench/, examples/ and perfbench's
+# fleet_bench) at -O0 with one section per function and links them with
+# --gc-sections, so each binary keeps only the functions it can reach.
+# Prints every function defined in the build's src/*/*.a that none of
+# those binaries contains, then the count. Tests are not shipped binaries:
+# a function only a test calls is listed.
+#
+#   scripts/link_audit.sh [BUILD_DIR]    (default: build-audit)
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+BUILD_DIR="${1:-build-audit}"
+JOBS="$(nproc)"
+FLAGS=(-G "Unix Makefiles" -DCMAKE_BUILD_TYPE=Debug
+       "-DCMAKE_CXX_FLAGS_DEBUG=-O0 -ffunction-sections -fdata-sections"
+       "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+
+cmake -S . -B "$BUILD_DIR" "${FLAGS[@]}" >/dev/null
+for dir in tools bench examples; do
+  make -s -C "$BUILD_DIR/$dir" -j"$JOBS" >/dev/null
+done
+cmake -S perfbench -B "$BUILD_DIR/perfbench" "${FLAGS[@]}" >/dev/null
+make -s -C "$BUILD_DIR/perfbench" -j"$JOBS" fleet_bench >/dev/null
+
+# Defined functions (T/t/W) of namespace catalyst, including lambdas in
+# them, as sorted mangled names (std:: instantiations over catalyst types
+# mangle under std and are left out).
+functions() {
+  nm --defined-only "$@" 2>/dev/null |
+    sed -n 's/^[0-9a-f]* [TtW] //p' |
+    grep -E '^_ZZ?N[KRO]*8catalyst' | sort -u
+}
+
+binaries=$(find "$BUILD_DIR/tools" "$BUILD_DIR/bench" "$BUILD_DIR/examples" \
+             "$BUILD_DIR/perfbench" -maxdepth 1 -type f -perm -u+x)
+# shellcheck disable=SC2086
+unlinked=$(comm -23 <(functions "$BUILD_DIR"/src/*/*.a) \
+                    <(functions $binaries) | c++filt)
+[[ -n "$unlinked" ]] && printf '%s\n' "$unlinked"
+echo "link_audit: $(grep -c . <<<"$unlinked") library functions linked by" \
+     "no binary ($(wc -w <<<"$binaries") binaries)"

@@ -95,15 +95,6 @@ bool LruStore::erase(const std::string& key) {
   return true;
 }
 
-void LruStore::clear() {
-  nodes_.clear();
-  free_.clear();
-  index_.clear();
-  head_ = kNil;
-  tail_ = kNil;
-  size_bytes_ = 0;
-}
-
 void LruStore::evict_to_fit(ByteCount incoming_cost) {
   while (tail_ != kNil && size_bytes_ + incoming_cost > capacity_) {
     const std::uint32_t victim = tail_;

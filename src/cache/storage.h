@@ -41,7 +41,6 @@ class LruStore {
   const CacheEntry* peek(const std::string& key) const;
 
   bool erase(const std::string& key);
-  void clear();
 
   /// Key of the least-recently-used entry (the next internal-eviction
   /// victim), or nullopt when empty. Lets layered stores (segmented LRU,

@@ -51,7 +51,6 @@ class SwCache {
     return store_.peek(url) != nullptr;
   }
   void remove(const std::string& url) { store_.erase(url); }
-  void clear() { store_.clear(); }
 
   /// Snapshot with the storage engine's eviction count folded in.
   SwCacheStats stats() const {

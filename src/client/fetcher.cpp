@@ -4,6 +4,13 @@
 
 namespace catalyst::client {
 
+namespace {
+
+constexpr double kBackoffMultiplier = 2.0;
+constexpr Duration kBackoffCap = seconds(5);
+
+}  // namespace
+
 /// One logical request moving through the resilient path. Attempt tokens
 /// guard every callback: a late response, error, or deadline from an
 /// abandoned attempt compares its captured token against `attempt` and
@@ -168,9 +175,9 @@ void Fetcher::retry_or_fail(const std::shared_ptr<PendingFetch>& fetch) {
   ++stats_.retries;
   const int retries_done = r.max_retries - fetch->retries_left;
   double scale = 1.0;
-  for (int i = 1; i < retries_done; ++i) scale *= r.backoff_multiplier;
+  for (int i = 1; i < retries_done; ++i) scale *= kBackoffMultiplier;
   Duration delay = seconds_f(to_seconds(r.backoff_base) * scale);
-  if (delay > r.backoff_cap) delay = r.backoff_cap;
+  if (delay > kBackoffCap) delay = kBackoffCap;
   if (auto* rec = network_.loop().recorder()) {
     rec->record(obs::Phase::kBackoff, delay);
   }

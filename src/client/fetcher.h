@@ -33,10 +33,9 @@ struct ResilienceConfig {
   /// GETs are retried; anything else fails straight to a 504.
   int max_retries = 2;
 
-  /// Capped exponential backoff between attempts.
+  /// Exponential backoff between attempts: this base, doubling per retry,
+  /// capped at five seconds.
   Duration backoff_base = milliseconds(200);
-  double backoff_multiplier = 2.0;
-  Duration backoff_cap = seconds(5);
 };
 
 /// Per-visit resilience telemetry (reset by close_all, like the RTT and

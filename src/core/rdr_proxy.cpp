@@ -5,11 +5,17 @@
 
 namespace catalyst::core {
 
+namespace {
+
+/// Compute budget per proxied load (headless browser work).
+constexpr Duration kPerLoadOverhead = milliseconds(2);
+
+}  // namespace
+
 RdrProxy::RdrProxy(netsim::Network& network,
-                   std::shared_ptr<server::Site> site,
-                   RdrProxyConfig config)
-    : network_(network), site_(std::move(site)), config_(std::move(config)) {
-  network_.host(config_.proxy_host)
+                   std::shared_ptr<server::Site> site)
+    : network_(network), site_(std::move(site)) {
+  network_.host(std::string(kRdrProxyHost))
       .set_handler([this](const http::Request& request,
                           std::function<void(netsim::ServerReply)> respond) {
         handle(request, std::move(respond));
@@ -22,7 +28,7 @@ void RdrProxy::handle(const http::Request& request,
   // Headless browser on the proxy host; fresh per load (no user-data
   // bleed between clients — the privacy posture WatchTower argues for).
   client::BrowserConfig bc;
-  bc.client_host = config_.proxy_host;
+  bc.client_host = kRdrProxyHost;
   bc.browser_id = str_format("rdr-%llu",
                              static_cast<unsigned long long>(loads_));
   active_browsers_.push_back(
@@ -80,7 +86,7 @@ void RdrProxy::handle(const http::Request& request,
         netsim::ServerReply reply;
         reply.response = std::move(bundle);
         network_.loop().schedule_after(
-            config_.per_load_overhead,
+            kPerLoadOverhead,
             [respond = std::move(respond),
              reply = std::move(reply)]() mutable {
               respond(std::move(reply));

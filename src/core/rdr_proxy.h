@@ -21,18 +21,14 @@ namespace catalyst::core {
 /// compute (parse/exec) without unpacking a real container format.
 inline constexpr std::string_view kBundleMetaHeader = "X-Bundle-Meta";
 
-struct RdrProxyConfig {
-  std::string proxy_host = "rdr.proxy";
-  /// Compute budget per proxied load (headless browser work).
-  Duration per_load_overhead = milliseconds(2);
-};
+/// Network host the proxy runs on.
+inline constexpr std::string_view kRdrProxyHost = "rdr.proxy";
 
 class RdrProxy {
  public:
-  /// Registers `config.proxy_host`'s handler. The host must exist in the
+  /// Registers kRdrProxyHost's handler. The host must exist in the
   /// network, with RTTs configured to both client and origin.
-  RdrProxy(netsim::Network& network, std::shared_ptr<server::Site> site,
-           RdrProxyConfig config);
+  RdrProxy(netsim::Network& network, std::shared_ptr<server::Site> site);
 
   std::uint64_t loads_performed() const { return loads_; }
 
@@ -42,7 +38,6 @@ class RdrProxy {
 
   netsim::Network& network_;
   std::shared_ptr<server::Site> site_;
-  RdrProxyConfig config_;
   std::uint64_t loads_ = 0;
   // One headless browser per in-flight load (no cross-user caching).
   std::vector<std::unique_ptr<client::Browser>> active_browsers_;

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "cache/freshness.h"
-#include "http/cache_control.h"
 #include "netsim/transport.h"
 #include "util/types.h"
 #include "workload/adversary.h"
@@ -55,10 +54,6 @@ struct StrategyOptions {
   /// Model TCP slow-start ramp-up (ablation; default off).
   bool slow_start = false;
 
-  /// RTT between the RDR proxy and origins (proxies sit in well-peered
-  /// clouds near the servers).
-  Duration rdr_origin_rtt = milliseconds(6);
-
   /// Disable the CSS closure in the catalyst map (ablation: HTML-only
   /// scan, stylesheets' fonts/images left uncovered).
   bool catalyst_css_closure = true;
@@ -66,9 +61,6 @@ struct StrategyOptions {
   /// Disable server-side scan memoization (ablation: pay the DOM scan on
   /// every serve).
   bool catalyst_memoize = true;
-
-  /// Origin request-processing delay.
-  Duration server_processing_delay = microseconds(500);
 
   /// Override the browser's transport (e.g. run baseline/catalyst over
   /// HTTP/2 multiplexing instead of 6 × HTTP/1.1). Push strategies ignore
@@ -81,10 +73,6 @@ struct StrategyOptions {
 
   /// DNS lookup delay paid on the first connection to each origin.
   Duration dns_lookup = Duration::zero();
-
-  /// Third-party origins sit this factor closer than the main origin
-  /// (multi-origin testbeds only).
-  double third_party_rtt_scale = 0.6;
 
   /// Shared edge PoP fronting the main origin (non-owning; nullptr — the
   /// default — means no edge tier and the topology is untouched). The PoP
@@ -113,11 +101,6 @@ struct StrategyOptions {
   /// responses. Disabled by default — errors are never cached and runs
   /// stay byte-identical.
   cache::NegativePolicy negative_cache;
-
-  /// Explicit Cache-Control the origin attaches to its 404/410 responses
-  /// (a negative-caching origin opting in to explicit error freshness).
-  /// Unset keeps error responses headerless as before.
-  std::optional<http::CacheControl> error_cache_control;
 
   /// Per-request latency phase recorder (obs::Recorder, non-owning like
   /// edge_pop; nullptr — the default — records nothing). make_testbed

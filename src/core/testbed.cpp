@@ -6,6 +6,18 @@
 
 namespace catalyst::core {
 
+namespace {
+
+/// RTT between the RDR proxy and origins (proxies sit in well-peered
+/// clouds near the servers).
+constexpr Duration kRdrOriginRtt = milliseconds(6);
+
+/// Third-party origins sit this factor closer than the main origin
+/// (multi-origin testbeds only).
+constexpr double kThirdPartyRttScale = 0.6;
+
+}  // namespace
+
 Testbed make_testbed(std::shared_ptr<server::Site> site,
                      const netsim::NetworkConditions& conditions,
                      StrategyKind kind, const StrategyOptions& options) {
@@ -37,7 +49,6 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
 
   // Origin server configuration by strategy.
   server::ServerConfig sc;
-  sc.processing_delay = options.server_processing_delay;
   switch (kind) {
     case StrategyKind::Baseline:
     case StrategyKind::Oracle:
@@ -67,7 +78,6 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
   }
   sc.catalyst.css_closure = options.catalyst_css_closure;
   sc.catalyst.memoize_scans = options.catalyst_memoize;
-  sc.error_cache_control = options.error_cache_control;
   // The adversary testbed models a reflection-vulnerable origin: whether
   // the attack lands then depends solely on the edge tier's cache keying.
   sc.reflect_forwarded_host = options.adversary.enabled;
@@ -162,13 +172,12 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
   }
 
   if (kind == StrategyKind::RdrProxy) {
-    RdrProxyConfig pc;
-    tb.network->add_host(pc.proxy_host);
-    tb.network->set_rtt("client", pc.proxy_host, conditions.rtt);
-    tb.network->set_rtt(pc.proxy_host, tb.site->host(),
-                        options.rdr_origin_rtt);
-    tb.proxy = std::make_unique<RdrProxy>(*tb.network, tb.site, pc);
-    tb.fetch_url.host = pc.proxy_host;
+    const std::string proxy_host(kRdrProxyHost);
+    tb.network->add_host(proxy_host);
+    tb.network->set_rtt("client", proxy_host, conditions.rtt);
+    tb.network->set_rtt(proxy_host, tb.site->host(), kRdrOriginRtt);
+    tb.proxy = std::make_unique<RdrProxy>(*tb.network, tb.site);
+    tb.fetch_url.host = proxy_host;
     tb.fetch_url.path = tb.site->index_path();
   }
 
@@ -223,21 +232,19 @@ Testbed make_testbed(const workload::SiteBundle& bundle,
                      const netsim::NetworkConditions& conditions,
                      StrategyKind kind, const StrategyOptions& options) {
   Testbed tb = make_testbed(bundle.main, conditions, kind, options);
-  const Duration tp_rtt = seconds_f(
-      to_seconds(conditions.rtt) * options.third_party_rtt_scale);
+  const Duration tp_rtt =
+      seconds_f(to_seconds(conditions.rtt) * kThirdPartyRttScale);
   for (const auto& tp : bundle.third_party) {
     tb.network->add_host(tp->host());
     tb.network->set_rtt("client", tp->host(), tp_rtt);
     if (tb.proxy) {
-      tb.network->set_rtt("rdr.proxy", tp->host(),
-                          options.rdr_origin_rtt);
+      tb.network->set_rtt(std::string(kRdrProxyHost), tp->host(),
+                          kRdrOriginRtt);
     }
     // Third-party origins run stock servers: no catalyst, no push — the
     // main server has no authority over them (paper §6).
-    server::ServerConfig sc;
-    sc.processing_delay = options.server_processing_delay;
-    tb.third_party_servers.push_back(
-        std::make_unique<server::Server>(*tb.network, tp, sc));
+    tb.third_party_servers.push_back(std::make_unique<server::Server>(
+        *tb.network, tp, server::ServerConfig{}));
     tb.third_party_sites.push_back(tp);
   }
 

@@ -55,8 +55,8 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
                      const StrategyOptions& options = {});
 
 /// Multi-origin variant: also brings up plain origin servers for every
-/// third-party site, reachable at `options.third_party_rtt_scale` × the
-/// client-origin RTT (CDNs peer closer than the main origin).
+/// third-party site, reachable at 0.6 × the client-origin RTT (CDNs peer
+/// closer than the main origin).
 Testbed make_testbed(const workload::SiteBundle& bundle,
                      const netsim::NetworkConditions& conditions,
                      StrategyKind kind,

@@ -1,5 +1,6 @@
 #include "edge/pop.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "cache/freshness.h"
@@ -21,7 +22,7 @@ std::size_t expected_entries_for(ByteCount capacity) {
 EdgePop::EdgePop(EdgeConfig config)
     : config_(config),
       host_name_("edge.pop" + std::to_string(config.pop_id)),
-      store_(config.capacity, config.protected_fraction),
+      store_(config.capacity),
       admission_(expected_entries_for(config.capacity)),
       // Forked by pop id so every PoP draws an independent latency-jitter
       // stream from the same master seed — deterministic regardless of
@@ -44,9 +45,10 @@ bool EdgePop::entry_is_fresh(const cache::CacheEntry& entry,
     return config_.negative.enabled &&
            cache::is_negative_fresh(entry, now, config_.negative);
   }
+  // Heuristic freshness (RFC 9111 §4.2.2) applies to shared caches too.
   const http::CacheControl cc = entry.response.cache_control();
   return !cc.must_revalidate && !cc.no_cache &&
-         cache::is_fresh(entry, now, config_.allow_heuristic);
+         cache::is_fresh(entry, now, /*allow_heuristic=*/true);
 }
 
 EdgeLookupResult EdgePop::lookup(const std::string& key, TimePoint now) {
@@ -250,9 +252,48 @@ EdgePopStats EdgePop::stats() const {
     s.flash_gc_rewrites = f.gc_rewrites;
     s.flash_host_bytes = f.host_bytes_written;
     s.flash_device_bytes = f.device_bytes_written;
-    s.aio = aio_stats_;
+    s.flash_enabled = true;
+    s.aio_reads = aio_stats_.reads;
+    s.aio_writes = aio_stats_.writes;
+    s.aio_merged_reads = aio_stats_.merged_reads;
+    s.aio_queue_waits = aio_stats_.queue_waits;
+    s.aio_peak_inflight = aio_stats_.peak_inflight;
   }
   return s;
+}
+
+void EdgePopStats::merge(const EdgePopStats& other) {
+  cache::CacheStats::merge(other);
+  requests += other.requests;
+  revalidated_hits += other.revalidated_hits;
+  coalesced += other.coalesced;
+  origin_fetches += other.origin_fetches;
+  origin_not_modified += other.origin_not_modified;
+  origin_errors += other.origin_errors;
+  admission_rejects += other.admission_rejects;
+  bytes_from_origin += other.bytes_from_origin;
+  negative_stores += other.negative_stores;
+  negative_hits += other.negative_hits;
+  adversary_requests += other.adversary_requests;
+  adversary_probes += other.adversary_probes;
+  adversary_probe_hits += other.adversary_probe_hits;
+  flash_enabled = flash_enabled || other.flash_enabled;
+  flash_hits += other.flash_hits;
+  flash_coalesced += other.flash_coalesced;
+  flash_demotions += other.flash_demotions;
+  flash_promotions += other.flash_promotions;
+  flash_promotion_rejects += other.flash_promotion_rejects;
+  flash_stores += other.flash_stores;
+  flash_evictions += other.flash_evictions;
+  flash_gc_rewrites += other.flash_gc_rewrites;
+  flash_bytes_served += other.flash_bytes_served;
+  flash_host_bytes += other.flash_host_bytes;
+  flash_device_bytes += other.flash_device_bytes;
+  aio_reads += other.aio_reads;
+  aio_writes += other.aio_writes;
+  aio_merged_reads += other.aio_merged_reads;
+  aio_queue_waits += other.aio_queue_waits;
+  aio_peak_inflight = std::max(aio_peak_inflight, other.aio_peak_inflight);
 }
 
 }  // namespace catalyst::edge

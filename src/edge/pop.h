@@ -36,15 +36,8 @@ struct EdgeConfig {
   /// TinyLFU admission (off = plain SLRU fills, the ablation arm).
   bool tinylfu_admission = true;
 
-  /// Protected-segment share of the SLRU store.
-  double protected_fraction = 0.8;
-
   /// Modeled per-request edge compute (lookup + response assembly).
   Duration processing_delay = microseconds(300);
-
-  /// Heuristic freshness for responses without explicit lifetimes
-  /// (RFC 9111 §4.2.2 applies to shared caches too).
-  bool allow_heuristic = true;
 
   /// Flash tier behind the RAM SLRU (capacity 0 — the default — means
   /// RAM-only, byte-identical to pre-flash builds). Admission is RAM
@@ -86,10 +79,11 @@ struct EdgeTierParams {
   bool flash_enabled() const { return enabled() && flash_capacity > 0; }
 };
 
-/// CacheStats core plus the decisions only a shared intermediary makes.
-/// Every request resolves as exactly one of hits / flash_hits /
-/// revalidated_hits / misses, so requests always equals their sum
-/// (flash_hits is zero whenever the flash tier is disabled).
+/// CacheStats core plus the decisions only a shared intermediary makes:
+/// one PoP's tally, and the sum of several (fleet reports merge them per
+/// PoP and across PoPs). Every request resolves as exactly one of hits /
+/// flash_hits / revalidated_hits / misses, so requests always equals their
+/// sum (flash_hits is zero whenever the flash tier is disabled).
 struct EdgePopStats : cache::CacheStats {
   std::uint64_t requests = 0;           // client requests handled
   std::uint64_t revalidated_hits = 0;   // served after an origin 304
@@ -109,7 +103,9 @@ struct EdgePopStats : cache::CacheStats {
   std::uint64_t adversary_probes = 0;    // timing probes handled
   std::uint64_t adversary_probe_hits = 0;  // probes that read a hit
 
-  // Flash tier (all zero when EdgeConfig::flash is disabled).
+  // Flash tier (all zero and flash_enabled false when EdgeConfig::flash
+  // is disabled; reports print the flash block only when it is set).
+  bool flash_enabled = false;
   std::uint64_t flash_hits = 0;        // served fresh from flash bytes
   std::uint64_t flash_coalesced = 0;   // joined an in-flight flash read
   std::uint64_t flash_demotions = 0;   // RAM evictions handed to flash
@@ -121,7 +117,13 @@ struct EdgePopStats : cache::CacheStats {
   ByteCount flash_bytes_served = 0;    // wire bytes answered from flash
   ByteCount flash_host_bytes = 0;      // host bytes written to flash
   ByteCount flash_device_bytes = 0;    // device bytes written (incl. GC)
-  io::AioStats aio;                    // device queue telemetry
+
+  // The flash device queue (io::AioStats of the PoP's engine).
+  std::uint64_t aio_reads = 0;
+  std::uint64_t aio_writes = 0;
+  std::uint64_t aio_merged_reads = 0;
+  std::uint64_t aio_queue_waits = 0;
+  std::uint64_t aio_peak_inflight = 0;  // merged as a max, not a sum
 
   double flash_write_amp() const {
     return flash_host_bytes == 0
@@ -138,6 +140,10 @@ struct EdgePopStats : cache::CacheStats {
                : 100.0 * static_cast<double>(requests - origin_fetches) /
                      static_cast<double>(requests);
   }
+
+  /// Adds `other` in: every counter sums, except aio_peak_inflight (the
+  /// larger one) and flash_enabled (either one).
+  void merge(const EdgePopStats& other);
 };
 
 enum class EdgeLookupDecision {

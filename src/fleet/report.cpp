@@ -52,46 +52,6 @@ Json phases_json(const obs::PhaseBreakdown& b) {
 
 }  // namespace
 
-void EdgePopReport::merge(const EdgePopReport& other) {
-  requests += other.requests;
-  hits += other.hits;
-  revalidated_hits += other.revalidated_hits;
-  misses += other.misses;
-  coalesced += other.coalesced;
-  origin_fetches += other.origin_fetches;
-  origin_not_modified += other.origin_not_modified;
-  origin_errors += other.origin_errors;
-  admission_rejects += other.admission_rejects;
-  stores += other.stores;
-  evictions += other.evictions;
-  bytes_served += other.bytes_served;
-  bytes_from_origin += other.bytes_from_origin;
-  negative_stores += other.negative_stores;
-  negative_hits += other.negative_hits;
-  adversary_requests += other.adversary_requests;
-  adversary_probes += other.adversary_probes;
-  adversary_probe_hits += other.adversary_probe_hits;
-  flash_enabled = flash_enabled || other.flash_enabled;
-  flash_hits += other.flash_hits;
-  flash_coalesced += other.flash_coalesced;
-  flash_demotions += other.flash_demotions;
-  flash_promotions += other.flash_promotions;
-  flash_promotion_rejects += other.flash_promotion_rejects;
-  flash_stores += other.flash_stores;
-  flash_evictions += other.flash_evictions;
-  flash_gc_rewrites += other.flash_gc_rewrites;
-  flash_bytes_served += other.flash_bytes_served;
-  flash_host_bytes += other.flash_host_bytes;
-  flash_device_bytes += other.flash_device_bytes;
-  aio_reads += other.aio_reads;
-  aio_writes += other.aio_writes;
-  aio_merged_reads += other.aio_merged_reads;
-  aio_queue_waits += other.aio_queue_waits;
-  aio_peak_inflight = aio_peak_inflight > other.aio_peak_inflight
-                          ? aio_peak_inflight
-                          : other.aio_peak_inflight;
-}
-
 void FleetReport::merge(const FleetReport& other) {
   users += other.users;
   visits += other.visits;
@@ -220,13 +180,7 @@ Json FleetReport::to_json() const {
           Json::number(static_cast<double>(total.bytes_served)));
     e.set("bytes_from_origin",
           Json::number(static_cast<double>(total.bytes_from_origin)));
-    const double offload =
-        total.requests == 0
-            ? 0.0
-            : 100.0 *
-                  static_cast<double>(total.requests - total.origin_fetches) /
-                  static_cast<double>(total.requests);
-    e.set("origin_offload_pct", Json::number(offload));
+    e.set("origin_offload_pct", Json::number(total.origin_offload_pct()));
     // Negative-cache and adversary blocks only when those features ran,
     // so pre-existing edge reports keep their exact bytes.
     if (total.negative_stores != 0 || total.negative_hits != 0) {

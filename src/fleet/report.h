@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 
+#include "edge/pop.h"
 #include "obs/recorder.h"
 #include "obs/selfprof.h"
 #include "util/json.h"
@@ -19,63 +20,9 @@
 
 namespace catalyst::fleet {
 
-/// Telemetry of one edge PoP's shared cache over the whole run (treatment
-/// arm only). Plain sums so the report layer stays independent of the
-/// edge module; invariant: requests == hits + flash_hits +
-/// revalidated_hits + misses (flash_hits is zero without a flash tier).
-struct EdgePopReport {
-  std::uint64_t requests = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t revalidated_hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t origin_fetches = 0;
-  std::uint64_t origin_not_modified = 0;
-  std::uint64_t origin_errors = 0;
-  std::uint64_t admission_rejects = 0;
-  std::uint64_t stores = 0;
-  std::uint64_t evictions = 0;
-  ByteCount bytes_served = 0;
-  ByteCount bytes_from_origin = 0;
-
-  /// Negative caching (RFC 9111 §4) + adversary telemetry. Serialized
-  /// only when non-zero so runs without either feature stay byte-identical.
-  std::uint64_t negative_stores = 0;
-  std::uint64_t negative_hits = 0;
-  std::uint64_t adversary_requests = 0;   // poisoning requests seen
-  std::uint64_t adversary_probes = 0;     // timing probes classified
-  std::uint64_t adversary_probe_hits = 0; // probes that read as hits
-
-  /// Flash tier + async-I/O device telemetry. Serialized only when
-  /// flash_enabled, so RAM-only edge reports stay byte-identical to
-  /// pre-flash builds.
-  bool flash_enabled = false;
-  std::uint64_t flash_hits = 0;
-  std::uint64_t flash_coalesced = 0;
-  std::uint64_t flash_demotions = 0;
-  std::uint64_t flash_promotions = 0;
-  std::uint64_t flash_promotion_rejects = 0;
-  std::uint64_t flash_stores = 0;
-  std::uint64_t flash_evictions = 0;
-  std::uint64_t flash_gc_rewrites = 0;
-  ByteCount flash_bytes_served = 0;
-  ByteCount flash_host_bytes = 0;
-  ByteCount flash_device_bytes = 0;
-  std::uint64_t aio_reads = 0;
-  std::uint64_t aio_writes = 0;
-  std::uint64_t aio_merged_reads = 0;
-  std::uint64_t aio_queue_waits = 0;
-  std::uint64_t aio_peak_inflight = 0;  // merged as a max, not a sum
-
-  double flash_write_amp() const {
-    return flash_host_bytes == 0
-               ? 1.0
-               : static_cast<double>(flash_device_bytes) /
-                     static_cast<double>(flash_host_bytes);
-  }
-
-  void merge(const EdgePopReport& other);
-};
+/// One edge PoP's shared-cache tally over the whole run (treatment arm
+/// only), or the sum of several.
+using EdgePopReport = edge::EdgePopStats;
 
 struct FleetReport {
   std::uint64_t users = 0;

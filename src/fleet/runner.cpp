@@ -91,8 +91,6 @@ FleetReport FleetRunner::run() {
   auto worker = [&] {
     while (auto task = queue.pop()) {
       FleetReport report = Shard(params_, *task).run();
-      users_completed_.fetch_add(report.users, std::memory_order_relaxed);
-      live_counters_.record(report.counters);
       std::lock_guard<std::mutex> lock(merge_mutex);
       pending.emplace(task->shard_index, std::move(report));
       while (!pending.empty() && pending.begin()->first == next_merge) {

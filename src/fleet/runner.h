@@ -49,13 +49,6 @@ class FleetRunner {
   /// Executes the whole fleet; safe to call once.
   FleetReport run();
 
-  /// Live fleet-wide progress, readable from any thread while run() is
-  /// executing (lock-free; counts completed users / their fetch totals).
-  std::uint64_t users_completed() const {
-    return users_completed_.load(std::memory_order_relaxed);
-  }
-  CacheCounters live_counters() const { return live_counters_.snapshot(); }
-
   std::size_t shard_count() const { return shard_count_; }
   int threads() const { return threads_; }
 
@@ -64,9 +57,6 @@ class FleetRunner {
   std::uint64_t num_users_;
   int threads_;
   std::size_t shard_count_;
-
-  std::atomic<std::uint64_t> users_completed_{0};
-  AtomicCacheCounters live_counters_;
 };
 
 }  // namespace catalyst::fleet

@@ -187,47 +187,7 @@ FleetReport Shard::run() {
     }
     replay_user(make_user_profile(params_.user_model, user_id), report);
   }
-  if (treat_pop_) {
-    const edge::EdgePopStats s = treat_pop_->stats();
-    EdgePopReport& e = report.edge_pops[task_.pop];
-    e.requests = s.requests;
-    e.hits = s.hits;
-    e.revalidated_hits = s.revalidated_hits;
-    e.misses = s.misses;
-    e.coalesced = s.coalesced;
-    e.origin_fetches = s.origin_fetches;
-    e.origin_not_modified = s.origin_not_modified;
-    e.origin_errors = s.origin_errors;
-    e.admission_rejects = s.admission_rejects;
-    e.stores = s.stores;
-    e.evictions = s.evictions;
-    e.bytes_served = s.bytes_served;
-    e.bytes_from_origin = s.bytes_from_origin;
-    e.negative_stores = s.negative_stores;
-    e.negative_hits = s.negative_hits;
-    e.adversary_requests = s.adversary_requests;
-    e.adversary_probes = s.adversary_probes;
-    e.adversary_probe_hits = s.adversary_probe_hits;
-    if (params_.edge.flash_enabled()) {
-      e.flash_enabled = true;
-      e.flash_hits = s.flash_hits;
-      e.flash_coalesced = s.flash_coalesced;
-      e.flash_demotions = s.flash_demotions;
-      e.flash_promotions = s.flash_promotions;
-      e.flash_promotion_rejects = s.flash_promotion_rejects;
-      e.flash_stores = s.flash_stores;
-      e.flash_evictions = s.flash_evictions;
-      e.flash_gc_rewrites = s.flash_gc_rewrites;
-      e.flash_bytes_served = s.flash_bytes_served;
-      e.flash_host_bytes = s.flash_host_bytes;
-      e.flash_device_bytes = s.flash_device_bytes;
-      e.aio_reads = s.aio.reads;
-      e.aio_writes = s.aio.writes;
-      e.aio_merged_reads = s.aio.merged_reads;
-      e.aio_queue_waits = s.aio.queue_waits;
-      e.aio_peak_inflight = s.aio.peak_inflight;
-    }
-  }
+  if (treat_pop_) report.edge_pops[task_.pop] = treat_pop_->stats();
   if (params_.breakdown) {
     report.phases = treat_recorder_.breakdown();
     report.baseline_phases = base_recorder_.breakdown();

@@ -7,20 +7,6 @@
 
 namespace catalyst::fleet {
 
-std::string_view to_string(AccessTier tier) {
-  switch (tier) {
-    case AccessTier::Fast5g:
-      return "fast-5g";
-    case AccessTier::Typical4g:
-      return "typical-4g";
-    case AccessTier::Slow3g:
-      return "slow-3g";
-    case AccessTier::Constrained:
-      return "constrained";
-  }
-  return "?";
-}
-
 netsim::NetworkConditions conditions_for(AccessTier tier) {
   netsim::NetworkConditions c;
   switch (tier) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "netsim/conditions.h"
@@ -27,8 +26,6 @@ enum class AccessTier {
   Slow3g,       // 8 Mbps / 120 ms — Figure 3's low-throughput column
   Constrained,  // 2 Mbps / 300 ms — satellite / congested last mile
 };
-
-std::string_view to_string(AccessTier tier);
 
 /// Link shape for a tier (downlink / uplink / RTT).
 netsim::NetworkConditions conditions_for(AccessTier tier);

@@ -4,17 +4,6 @@
 
 namespace catalyst::html {
 
-namespace {
-
-bool is_void_element(std::string_view tag) {
-  return tag == "area" || tag == "base" || tag == "br" || tag == "col" ||
-         tag == "embed" || tag == "hr" || tag == "img" || tag == "input" ||
-         tag == "link" || tag == "meta" || tag == "source" ||
-         tag == "track" || tag == "wbr";
-}
-
-}  // namespace
-
 std::unique_ptr<Node> Node::document() {
   return std::unique_ptr<Node>(new Node(Kind::Document, "#document", {}));
 }
@@ -45,16 +34,6 @@ void Node::append_child(std::unique_ptr<Node> child) {
   children_.push_back(std::move(child));
 }
 
-void Node::set_attr(std::string name, std::string value) {
-  for (Attribute& a : attributes_) {
-    if (a.name == name) {
-      a.value = std::move(value);
-      return;
-    }
-  }
-  attributes_.push_back(Attribute{std::move(name), std::move(value)});
-}
-
 std::string Node::text_content() const {
   if (kind_ == Kind::Text) return data_;
   std::string out;
@@ -74,33 +53,6 @@ const Node* Node::find_first(std::string_view tag) const {
     if (const Node* found = child->find_first(tag)) return found;
   }
   return nullptr;
-}
-
-std::string Node::to_html() const {
-  switch (kind_) {
-    case Kind::Text:
-      return data_;
-    case Kind::Comment:
-      return "<!--" + data_ + "-->";
-    case Kind::Document: {
-      std::string out;
-      for (const auto& child : children_) out += child->to_html();
-      return out;
-    }
-    case Kind::Element: {
-      std::string out = "<" + data_;
-      for (const Attribute& a : attributes_) {
-        out += " " + a.name;
-        if (!a.value.empty()) out += "=\"" + a.value + "\"";
-      }
-      out += ">";
-      if (is_void_element(data_)) return out;
-      for (const auto& child : children_) out += child->to_html();
-      out += "</" + data_ + ">";
-      return out;
-    }
-  }
-  return {};
 }
 
 }  // namespace catalyst::html

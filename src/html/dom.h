@@ -43,7 +43,6 @@ class Node {
   }
 
   void append_child(std::unique_ptr<Node> child);
-  void set_attr(std::string name, std::string value);
 
   /// Concatenated text content of this subtree.
   std::string text_content() const;
@@ -53,9 +52,6 @@ class Node {
 
   /// First descendant element with the given tag, or nullptr.
   const Node* find_first(std::string_view tag) const;
-
-  /// Serializes the subtree back to HTML text.
-  std::string to_html() const;
 
  private:
   Node(Kind kind, std::string data, std::vector<Attribute> attributes)

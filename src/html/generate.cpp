@@ -84,28 +84,6 @@ HtmlBuilder& HtmlBuilder::add_script(std::string_view url, bool deferred) {
   return *this;
 }
 
-HtmlBuilder& HtmlBuilder::add_preload(std::string_view url,
-                                      std::string_view as_type) {
-  head_ += str_format("<link rel=\"preload\" as=\"%.*s\" href=\"%.*s\">\n",
-                      static_cast<int>(as_type.size()), as_type.data(),
-                      static_cast<int>(url.size()), url.data());
-  return *this;
-}
-
-HtmlBuilder& HtmlBuilder::add_inline_style(std::string_view css) {
-  head_ += "<style>\n";
-  head_ += css;
-  head_ += "\n</style>\n";
-  return *this;
-}
-
-HtmlBuilder& HtmlBuilder::add_inline_script(std::string_view js) {
-  body_ += "<script>\n";
-  body_ += js;
-  body_ += "\n</script>\n";
-  return *this;
-}
-
 HtmlBuilder& HtmlBuilder::add_image(std::string_view url,
                                     std::string_view alt) {
   body_ += str_format("<img src=\"%.*s\" alt=\"%.*s\">\n",

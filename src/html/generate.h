@@ -27,9 +27,6 @@ class HtmlBuilder {
 
   HtmlBuilder& add_stylesheet(std::string_view url);
   HtmlBuilder& add_script(std::string_view url, bool deferred = false);
-  HtmlBuilder& add_preload(std::string_view url, std::string_view as_type);
-  HtmlBuilder& add_inline_style(std::string_view css);
-  HtmlBuilder& add_inline_script(std::string_view js);
   HtmlBuilder& add_image(std::string_view url, std::string_view alt = "");
   HtmlBuilder& add_paragraph(std::string_view text);
   HtmlBuilder& add_comment(std::string_view text);

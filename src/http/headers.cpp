@@ -27,14 +27,6 @@ std::optional<std::string_view> Headers::get(std::string_view name) const {
   return std::nullopt;
 }
 
-std::vector<std::string_view> Headers::get_all(std::string_view name) const {
-  std::vector<std::string_view> out;
-  for (const Field& f : fields_) {
-    if (iequals(f.name, name)) out.emplace_back(f.value);
-  }
-  return out;
-}
-
 bool Headers::contains(std::string_view name) const {
   return get(name).has_value();
 }

@@ -33,9 +33,6 @@ class Headers {
   /// First value for `name`, if present.
   std::optional<std::string_view> get(std::string_view name) const;
 
-  /// All values for `name`, in order.
-  std::vector<std::string_view> get_all(std::string_view name) const;
-
   bool contains(std::string_view name) const;
 
   const std::vector<Field>& fields() const { return fields_; }

@@ -2,7 +2,6 @@
 // methods, but the message layer models the full set.
 #pragma once
 
-#include <optional>
 #include <string_view>
 
 namespace catalyst::http {
@@ -29,18 +28,6 @@ constexpr std::string_view to_string(Method m) {
       return "CONNECT";
   }
   return "GET";
-}
-
-constexpr std::optional<Method> parse_method(std::string_view s) {
-  if (s == "GET") return Method::Get;
-  if (s == "HEAD") return Method::Head;
-  if (s == "POST") return Method::Post;
-  if (s == "PUT") return Method::Put;
-  if (s == "DELETE") return Method::Delete;
-  if (s == "OPTIONS") return Method::Options;
-  if (s == "TRACE") return Method::Trace;
-  if (s == "CONNECT") return Method::Connect;
-  return std::nullopt;
 }
 
 }  // namespace catalyst::http

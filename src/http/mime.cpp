@@ -24,25 +24,6 @@ std::string_view mime_type(ResourceClass rc) {
   return "application/octet-stream";
 }
 
-ResourceClass classify_mime(std::string_view content_type) {
-  // Strip parameters ("; charset=...").
-  if (const auto semi = content_type.find(';');
-      semi != std::string_view::npos) {
-    content_type = content_type.substr(0, semi);
-  }
-  content_type = trim(content_type);
-  if (iequals(content_type, "text/html")) return ResourceClass::Html;
-  if (iequals(content_type, "text/css")) return ResourceClass::Css;
-  if (iequals(content_type, "application/javascript") ||
-      iequals(content_type, "text/javascript")) {
-    return ResourceClass::Script;
-  }
-  if (istarts_with(content_type, "image/")) return ResourceClass::Image;
-  if (istarts_with(content_type, "font/")) return ResourceClass::Font;
-  if (iequals(content_type, "application/json")) return ResourceClass::Json;
-  return ResourceClass::Other;
-}
-
 ResourceClass classify_path(std::string_view path) {
   // Ignore any query string.
   if (const auto q = path.find('?'); q != std::string_view::npos) {

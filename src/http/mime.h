@@ -19,10 +19,6 @@ enum class ResourceClass {
 /// Canonical MIME type for a resource class.
 std::string_view mime_type(ResourceClass rc);
 
-/// Infers the resource class from a Content-Type value (parameters
-/// ignored); Other when unrecognized.
-ResourceClass classify_mime(std::string_view content_type);
-
 /// Infers the resource class from a path extension (".css", ".js", ...).
 ResourceClass classify_path(std::string_view path);
 

@@ -22,37 +22,6 @@ std::string serialize(const Request& request) {
   return out;
 }
 
-std::string serialize_chunked(const Response& response,
-                              std::size_t chunk_size) {
-  if (chunk_size == 0) chunk_size = 4096;
-  Response head = response;
-  head.headers.remove(kContentLength);
-  head.headers.set("Transfer-Encoding", "chunked");
-
-  std::string out;
-  out.append(str_format("HTTP/1.1 %03d ", code(head.status)));
-  out.append(reason_phrase(head.status));
-  out.append("\r\n");
-  for (const auto& field : head.headers.fields()) {
-    out.append(field.name);
-    out.append(": ");
-    out.append(field.value);
-    out.append("\r\n");
-  }
-  out.append("\r\n");
-  std::size_t pos = 0;
-  while (pos < response.body.size()) {
-    const std::size_t take =
-        std::min(chunk_size, response.body.size() - pos);
-    out.append(str_format("%zx\r\n", take));
-    out.append(response.body, pos, take);
-    out.append("\r\n");
-    pos += take;
-  }
-  out.append("0\r\n\r\n");
-  return out;
-}
-
 std::string serialize(const Response& response) {
   std::string out;
   out.append(str_format("HTTP/1.1 %03d ", code(response.status)));

@@ -1,9 +1,9 @@
 // HTTP/1.1 wire serialization (RFC 9112).
 //
-// The simulator times transfers from wire sizes, but real serialization is
-// still exercised end-to-end: tests round-trip messages through the parser
-// to guarantee that wire_size() accounting matches actual serialized bytes
-// for fully materialized bodies.
+// The simulator times transfers from wire sizes and never emits these
+// bytes; serialize() is the reference the tests hold wire_size() to, so
+// the size accounting matches real serialized bytes for fully
+// materialized bodies.
 #pragma once
 
 #include <string>
@@ -19,11 +19,5 @@ std::string serialize(const Request& request);
 /// wire size exceeds the materialized body, the remainder is represented
 /// by the Content-Length header only (the simulation's timing authority).
 std::string serialize(const Response& response);
-
-/// Serializes a response with chunked transfer coding (RFC 9112 §7.1):
-/// the body is split into `chunk_size`-byte chunks; Content-Length is
-/// replaced by Transfer-Encoding: chunked.
-std::string serialize_chunked(const Response& response,
-                              std::size_t chunk_size);
 
 }  // namespace catalyst::http

@@ -8,6 +8,17 @@
 
 namespace catalyst::io {
 
+namespace {
+
+/// Median service time of a small write (program into the device buffer;
+/// sustained GC cost is accounted by the tier, not here).
+constexpr Duration kWriteLatency = microseconds(250);
+
+/// Transfer cost per MiB moved (~2.5 GiB/s device).
+constexpr Duration kPerMib = microseconds(400);
+
+}  // namespace
+
 AioEngine::AioEngine(netsim::EventLoop& loop, const AioDeviceConfig& config,
                      Rng& rng, AioStats& stats)
     : loop_(loop), config_(config), rng_(rng), stats_(stats) {
@@ -98,7 +109,7 @@ void AioEngine::finish_op(std::uint64_t id) {
 }
 
 Duration AioEngine::service_time(const Op& op) {
-  const Duration base = op.read ? config_.read_latency : config_.write_latency;
+  const Duration base = op.read ? config_.read_latency : kWriteLatency;
   double scale = 1.0;
   if (config_.jitter_sigma > 0.0) {
     scale = rng_.lognormal(0.0, config_.jitter_sigma);
@@ -109,7 +120,7 @@ Duration AioEngine::service_time(const Op& op) {
   const double base_ns =
       static_cast<double>(base.count()) * scale;
   const double transfer_ns =
-      static_cast<double>(config_.per_mib.count()) *
+      static_cast<double>(kPerMib.count()) *
       (static_cast<double>(op.bytes) / static_cast<double>(MiB(1)));
   return Duration{static_cast<std::int64_t>(base_ns + transfer_ns)};
 }

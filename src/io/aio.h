@@ -48,13 +48,6 @@ struct AioDeviceConfig {
   /// round-trip). The axis the FLASH sweeps move against origin RTT.
   Duration read_latency = microseconds(100);
 
-  /// Median service time of a small write (program into the device
-  /// buffer; sustained GC cost is accounted by the tier, not here).
-  Duration write_latency = microseconds(250);
-
-  /// Transfer cost per MiB moved (~2.5 GiB/s device).
-  Duration per_mib = microseconds(400);
-
   /// Lognormal sigma applied to the base latency (0 = deterministic
   /// service times; jitter stays seeded and reproducible either way).
   double jitter_sigma = 0.25;

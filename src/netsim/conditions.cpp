@@ -17,21 +17,4 @@ NetworkConditions NetworkConditions::low_throughput(Duration rtt) {
   return NetworkConditions{mbps(8), mbps(2), rtt, false, {}};
 }
 
-std::vector<NetworkConditions> NetworkConditions::figure3_grid() {
-  std::vector<NetworkConditions> grid;
-  const Bandwidth downs[] = {mbps(8), mbps(25), mbps(60)};
-  const Duration rtts[] = {milliseconds(10), milliseconds(20),
-                           milliseconds(40), milliseconds(80)};
-  for (const Bandwidth down : downs) {
-    for (const Duration rtt : rtts) {
-      NetworkConditions c;
-      c.downlink = down;
-      c.uplink = Bandwidth{down.bits_per_second() / 5.0};
-      c.rtt = rtt;
-      grid.push_back(c);
-    }
-  }
-  return grid;
-}
-
 }  // namespace catalyst::netsim

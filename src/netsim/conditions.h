@@ -4,7 +4,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "netsim/faults.h"
 #include "util/types.h"
@@ -31,9 +30,6 @@ struct NetworkConditions {
 
   /// The low-throughput end of Figure 3: 8 Mbps.
   static NetworkConditions low_throughput(Duration rtt);
-
-  /// The throughput × latency grid reproduced in bench/fig3.
-  static std::vector<NetworkConditions> figure3_grid();
 };
 
 }  // namespace catalyst::netsim

@@ -7,10 +7,6 @@
 
 namespace catalyst::netsim {
 
-namespace {
-constexpr TimePoint kNoDeadline = TimePoint::max();
-}  // namespace
-
 EventId EventLoop::schedule_at(TimePoint when, EventFn fn) {
   const EventId id = pool_.acquire();
   *pool_.get(id) = std::move(fn);
@@ -37,7 +33,7 @@ void EventLoop::cancel(EventId id) {
   pool_.release(id);
 }
 
-std::size_t EventLoop::run_batch(TimePoint deadline) {
+std::size_t EventLoop::run_batch() {
   for (;;) {
     if (ready_.empty()) {
       // Refill: surface the earliest pending timestamp from the heap,
@@ -50,17 +46,12 @@ std::size_t EventLoop::run_batch(TimePoint deadline) {
       }
       if (heap_.empty()) return 0;
       const TimePoint when = heap_.front().when;
-      if (when > deadline) return 0;
       now_ = when;
       do {
         ready_.push_back(heap_.front().id);
         std::pop_heap(heap_.begin(), heap_.end());
         heap_.pop_back();
       } while (!heap_.empty() && heap_.front().when == when);
-    } else if (now_ > deadline) {
-      // Ready events carry the current timestamp; a deadline already
-      // behind the clock runs nothing.
-      return 0;
     }
 
     // Fast path: a lone ready event skips the batch-buffer shuffle. It
@@ -122,14 +113,7 @@ std::size_t EventLoop::run() {
   // run_batch returns 0 only when nothing is runnable (it loops past
   // fully-cancelled batches internally).
   std::size_t executed = 0;
-  while (const std::size_t n = run_batch(kNoDeadline)) executed += n;
-  return executed;
-}
-
-std::size_t EventLoop::run_until(TimePoint deadline) {
-  std::size_t executed = 0;
-  while (const std::size_t n = run_batch(deadline)) executed += n;
-  if (now_ < deadline) now_ = deadline;
+  while (const std::size_t n = run_batch()) executed += n;
   return executed;
 }
 

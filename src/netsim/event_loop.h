@@ -78,10 +78,6 @@ class EventLoop {
   /// Runs until the queue is empty. Returns the number of events executed.
   std::size_t run();
 
-  /// Runs events with time <= `deadline`; then sets now() = deadline if the
-  /// clock has not already passed it. Returns events executed.
-  std::size_t run_until(TimePoint deadline);
-
   /// Moves the clock forward without running anything (requires an empty
   /// queue; throws otherwise). Used to simulate time between page visits.
   void advance_to(TimePoint when);
@@ -109,9 +105,9 @@ class EventLoop {
     }
   };
 
-  /// Runs every event at the earliest pending timestamp <= `deadline` in
-  /// one batched pass. Returns events executed (0: nothing runnable).
-  std::size_t run_batch(TimePoint deadline);
+  /// Runs every event at the earliest pending timestamp in one batched
+  /// pass. Returns events executed (0: nothing runnable).
+  std::size_t run_batch();
 
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;

@@ -30,12 +30,6 @@ TransferId Link::start_transfer(ByteCount bytes, EventFn on_done) {
   return id;
 }
 
-void Link::abort_transfer(TransferId id) {
-  settle();
-  std::erase_if(flows_, [id](const Flow& f) { return f.id == id; });
-  reschedule();
-}
-
 void Link::settle() {
   const TimePoint now = loop_.now();
   const double dt = to_seconds(now - last_update_);

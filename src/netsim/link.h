@@ -34,9 +34,6 @@ class Link {
   /// on the next loop iteration at the current time.
   TransferId start_transfer(ByteCount bytes, EventFn on_done);
 
-  /// Aborts an in-flight transfer (no callback). Unknown ids are ignored.
-  void abort_transfer(TransferId id);
-
   std::size_t active_transfers() const { return flows_.size(); }
   Bandwidth capacity() const { return capacity_; }
   const std::string& name() const { return name_; }

@@ -82,14 +82,6 @@ ProfCounters ProfCounters::delta(const ProfCounters& since) const {
   return d;
 }
 
-bool ProfCounters::any() const { return total_ops() != 0; }
-
-std::uint64_t ProfCounters::total_ops() const {
-  std::uint64_t sum = 0;
-  for (std::uint64_t n : ops) sum += n;
-  return sum;
-}
-
 std::uint64_t ProfCounters::total_ns() const {
   std::uint64_t sum = 0;
   for (std::uint64_t n : ns) sum += n;

@@ -74,8 +74,6 @@ struct ProfCounters {
   /// Counters accumulated since `since` (element-wise subtraction).
   ProfCounters delta(const ProfCounters& since) const;
 
-  bool any() const;
-  std::uint64_t total_ops() const;
   std::uint64_t total_ns() const;
 
   /// Multi-line human table (ops, ops/sec over `wall_s`, exclusive cpu

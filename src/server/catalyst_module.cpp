@@ -13,6 +13,9 @@ namespace catalyst::server {
 
 namespace {
 
+/// Modeled server compute cost of scanning one KiB of HTML/CSS.
+constexpr Duration kScanCostPerKib = microseconds(20);
+
 /// The registration snippet injected before </body> (byte-for-byte what a
 /// real deployment would add, so its size cost is realistic).
 std::string registration_snippet() {
@@ -54,7 +57,7 @@ const std::vector<std::string>& CatalystModule::extract_links(
   }
   ++stats_.scans_performed;
   const std::string& content = resource.content_at(now);
-  cost_accum += seconds_f(to_seconds(config_.scan_cost_per_kib) *
+  cost_accum += seconds_f(to_seconds(kScanCostPerKib) *
                           (static_cast<double>(content.size()) / 1024.0));
 
   std::vector<std::string> links;
@@ -177,7 +180,7 @@ void CatalystModule::inject_registration(std::string& body) {
 
 http::Response CatalystModule::serve_sw_script(TimePoint now) const {
   http::Response resp = http::Response::make(http::Status::Ok);
-  resp.body = html::make_js({}, config_.sw_script_size, /*seed=*/0xCC57);
+  resp.body = html::make_js({}, kSwScriptSize, /*seed=*/0xCC57);
   resp.headers.set(http::kContentType,
                    http::mime_type(http::ResourceClass::Script));
   // The SW script itself revalidates (browsers special-case SW updates).

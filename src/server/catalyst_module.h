@@ -36,12 +36,6 @@ struct CatalystConfig {
   /// Memoize per-(resource, version) link extraction — the DOM scan — so
   /// repeat serves skip the parse cost. Ablation knob for server overhead.
   bool memoize_scans = true;
-
-  /// Modeled server compute cost of scanning one KiB of HTML/CSS.
-  Duration scan_cost_per_kib = microseconds(20);
-
-  /// Size of the served Service Worker script.
-  ByteCount sw_script_size = KiB(2);
 };
 
 struct CatalystModuleStats {
@@ -55,6 +49,8 @@ class CatalystModule {
  public:
   /// Path the injected registration snippet points at.
   static constexpr std::string_view kSwPath = "/cc-sw.js";
+  /// Size of the served Service Worker script.
+  static constexpr ByteCount kSwScriptSize = KiB(2);
 
   CatalystModule(const Site& site, CatalystConfig config);
 

@@ -49,11 +49,4 @@ TimePoint ChangeProcess::last_change_at(TimePoint t) const {
   return *(it - 1);
 }
 
-TimePoint ChangeProcess::next_change_after(TimePoint t) const {
-  const auto it = std::upper_bound(change_times_.begin(),
-                                   change_times_.end(), t);
-  if (it == change_times_.end()) return TimePoint::max();
-  return *it;
-}
-
 }  // namespace catalyst::server

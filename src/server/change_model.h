@@ -35,9 +35,6 @@ class ChangeProcess {
   /// Time of the last change at or before t (TimePoint{} if none).
   TimePoint last_change_at(TimePoint t) const;
 
-  /// Next change strictly after t; TimePoint::max() if none.
-  TimePoint next_change_after(TimePoint t) const;
-
   bool changes_in(TimePoint begin, TimePoint end) const {
     return version_at(end) != version_at(begin);
   }

@@ -6,20 +6,6 @@
 
 namespace catalyst::server {
 
-std::string_view to_string(PushPolicy policy) {
-  switch (policy) {
-    case PushPolicy::None:
-      return "none";
-    case PushPolicy::All:
-      return "push-all";
-    case PushPolicy::Learned:
-      return "push-learned";
-    case PushPolicy::Digest:
-      return "push-digest";
-  }
-  return "?";
-}
-
 PushModule::PushModule(const Site& site, PushPolicy policy)
     : site_(site), policy_(policy) {}
 

@@ -6,7 +6,6 @@
 // pushes only what the client fetched last visit — a strong push variant.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "netsim/network.h"
@@ -23,8 +22,6 @@ enum class PushPolicy {
   Learned,  // push what this session fetched on its previous visit
   Digest,   // push what the client's Cache-Digest says it lacks
 };
-
-std::string_view to_string(PushPolicy policy);
 
 class PushModule {
  public:

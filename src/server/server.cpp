@@ -21,9 +21,6 @@ Server::Server(netsim::Network& network, std::shared_ptr<Site> site,
       site_(std::move(site)),
       config_(config),
       handler_(*site_) {
-  if (config_.error_cache_control) {
-    handler_.set_error_cache_control(*config_.error_cache_control);
-  }
   if (config_.enable_catalyst) {
     catalyst_ = std::make_unique<CatalystModule>(*site_, config_.catalyst);
   }

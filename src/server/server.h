@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "netsim/network.h"
@@ -32,10 +31,6 @@ struct ServerConfig {
   /// Record per-session fetch logs (needed by catalyst session learning
   /// and the Learned push policy).
   bool track_sessions = false;
-
-  /// Explicit Cache-Control on 404/410 responses (negative-caching
-  /// origins opt in; unset keeps error responses headerless).
-  std::optional<http::CacheControl> error_cache_control;
 
   /// Adversary testbed: reflect the X-Forwarded-Host request header into
   /// 200 bodies (origins behind proxy layers compose absolute URLs from

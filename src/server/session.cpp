@@ -29,19 +29,6 @@ void SessionStore::begin_visit(const std::string& session,
   }
 }
 
-ByteCount SessionStore::memory_footprint() const {
-  ByteCount total = 0;
-  for (const auto& [session, pages] : sessions_) {
-    total += session.size() + 48;
-    for (const auto& [page, log] : pages) {
-      total += page.size() + 48;
-      for (const auto& url : log.committed) total += url.size() + 32;
-      for (const auto& url : log.observing) total += url.size() + 32;
-    }
-  }
-  return total;
-}
-
 std::string make_session_cookie(const std::string& session_id) {
   return "sid=" + session_id;
 }

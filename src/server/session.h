@@ -33,10 +33,6 @@ class SessionStore {
 
   std::size_t session_count() const { return sessions_.size(); }
 
-  /// Approximate memory footprint in bytes (the paper flags this as the
-  /// cost of session learning; bench/ablation reports it).
-  ByteCount memory_footprint() const;
-
  private:
   struct PageLog {
     std::set<std::string> committed;  // last completed visit

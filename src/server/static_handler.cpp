@@ -22,10 +22,6 @@ http::Response StaticHandler::handle(const http::Request& request,
     ++stats_.gone;
     http::Response resp = http::Response::make(http::Status::Gone);
     resp.body = "gone";
-    if (error_cache_control_) {
-      resp.headers.set(http::kCacheControl,
-                       error_cache_control_->to_string());
-    }
     resp.finalize(now);
     return resp;
   }
@@ -34,10 +30,6 @@ http::Response StaticHandler::handle(const http::Request& request,
     ++stats_.not_found;
     http::Response resp = http::Response::make(http::Status::NotFound);
     resp.body = "not found";
-    if (error_cache_control_) {
-      resp.headers.set(http::kCacheControl,
-                       error_cache_control_->to_string());
-    }
     resp.finalize(now);
     return resp;
   }

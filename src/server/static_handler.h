@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "http/conditional.h"
 #include "http/message.h"
@@ -29,19 +28,11 @@ class StaticHandler {
   /// matches, 404 for unknown paths.
   http::Response handle(const http::Request& request, TimePoint now);
 
-  /// When set, 404/410 responses carry this Cache-Control — an origin
-  /// opting in to explicit negative-response freshness (RFC 9111 §4).
-  /// Unset (the default), error responses are headerless as before.
-  void set_error_cache_control(http::CacheControl cc) {
-    error_cache_control_ = cc;
-  }
-
   const StaticHandlerStats& stats() const { return stats_; }
   const Site& site() const { return site_; }
 
  private:
   const Site& site_;
-  std::optional<http::CacheControl> error_cache_control_;
   StaticHandlerStats stats_;
 };
 

@@ -1,7 +1,6 @@
 #include "util/bloom.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -54,14 +53,6 @@ bool BloomFilter::may_contain(std::string_view key) const {
     if ((bits_[bit / 8] & (1u << (bit % 8))) == 0) return false;
   }
   return true;
-}
-
-double BloomFilter::fill_ratio() const {
-  std::size_t set = 0;
-  for (std::uint8_t byte : bits_) {
-    set += static_cast<std::size_t>(std::popcount(byte));
-  }
-  return static_cast<double>(set) / static_cast<double>(bits_.size() * 8);
 }
 
 std::string BloomFilter::serialize() const {

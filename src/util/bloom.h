@@ -30,9 +30,6 @@ class BloomFilter {
   int hash_count() const { return hash_count_; }
   ByteCount byte_size() const { return bits_.size(); }
 
-  /// Fraction of set bits (saturation diagnostic).
-  double fill_ratio() const;
-
   /// Wire format: "<k>:<base64 bits>".
   std::string serialize() const;
   static std::optional<BloomFilter> deserialize(std::string_view text);

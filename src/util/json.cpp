@@ -41,11 +41,6 @@ Json Json::object() {
   return j;
 }
 
-bool Json::as_bool() const {
-  if (type_ != Type::Bool) throw std::logic_error("Json: not a bool");
-  return bool_;
-}
-
 double Json::as_number() const {
   if (type_ != Type::Number) throw std::logic_error("Json: not a number");
   return number_;
@@ -54,11 +49,6 @@ double Json::as_number() const {
 const std::string& Json::as_string() const {
   if (type_ != Type::String) throw std::logic_error("Json: not a string");
   return string_;
-}
-
-const std::vector<Json>& Json::as_array() const {
-  if (type_ != Type::Array) throw std::logic_error("Json: not an array");
-  return array_;
 }
 
 const std::map<std::string, Json>& Json::as_object() const {

@@ -39,10 +39,8 @@ class Json {
   bool is_bool() const { return type_ == Type::Bool; }
 
   /// Accessors; throw std::logic_error on type mismatch.
-  bool as_bool() const;
   double as_number() const;
   const std::string& as_string() const;
-  const std::vector<Json>& as_array() const;
   const std::map<std::string, Json>& as_object() const;
 
   /// Array append (requires array type).

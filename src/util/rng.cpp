@@ -78,13 +78,6 @@ double Rng::exponential(double rate) {
   return -std::log(1.0 - next_double()) / rate;
 }
 
-double Rng::pareto(double xm, double alpha) {
-  if (xm <= 0.0 || alpha <= 0.0) {
-    throw std::invalid_argument("pareto: xm and alpha must be positive");
-  }
-  return xm / std::pow(1.0 - next_double(), 1.0 / alpha);
-}
-
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) total += (w > 0.0 ? w : 0.0);

@@ -44,9 +44,6 @@ class Rng {
   /// Exponential with the given rate (mean 1/rate). Requires rate > 0.
   double exponential(double rate);
 
-  /// Pareto with scale xm > 0 and shape alpha > 0.
-  double pareto(double xm, double alpha);
-
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
   std::size_t weighted_index(const std::vector<double>& weights);

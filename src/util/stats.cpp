@@ -11,11 +11,6 @@ void Summary::add(double x) {
   sorted_valid_ = false;
 }
 
-void Summary::add_all(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_valid_ = false;
-}
-
 void Summary::merge(const Summary& other) {
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
@@ -98,42 +93,6 @@ double BinAxis::lower_edge(std::size_t bin) const {
                    static_cast<double>(bins_);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : axis_(lo, hi, bins), counts_(bins, 0) {}
-
-void Histogram::add(double x) {
-  ++counts_[axis_.index(x)];
-  ++total_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (!(other.axis_ == axis_)) {
-    throw std::invalid_argument("Histogram::merge: shape mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-}
-
-std::string Histogram::sparkline() const {
-  static const char* kBlocks[] = {" ", "▁", "▂", "▃",
-                                  "▄", "▅", "▆", "▇",
-                                  "█"};
-  std::size_t peak = 0;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t c : counts_) {
-    if (peak == 0) {
-      out += kBlocks[0];
-    } else {
-      const std::size_t level = (c * 8 + peak - 1) / peak;  // ceil, 0..8
-      out += kBlocks[std::min<std::size_t>(level, 8)];
-    }
-  }
-  return out;
-}
-
 void CacheCounters::merge(const CacheCounters& other) {
   from_network += other.from_network;
   from_cache += other.from_cache;
@@ -157,26 +116,6 @@ void OracleCounters::merge(const OracleCounters& other) {
   violations += other.violations;
   poisoned_serves += other.poisoned_serves;
   cross_user_leaks += other.cross_user_leaks;
-}
-
-void AtomicCacheCounters::record(const CacheCounters& delta) {
-  slots_[0].fetch_add(delta.from_network, std::memory_order_relaxed);
-  slots_[1].fetch_add(delta.from_cache, std::memory_order_relaxed);
-  slots_[2].fetch_add(delta.not_modified, std::memory_order_relaxed);
-  slots_[3].fetch_add(delta.from_sw_cache, std::memory_order_relaxed);
-  slots_[4].fetch_add(delta.from_push, std::memory_order_relaxed);
-  slots_[5].fetch_add(delta.stale_served, std::memory_order_relaxed);
-}
-
-CacheCounters AtomicCacheCounters::snapshot() const {
-  CacheCounters c;
-  c.from_network = slots_[0].load(std::memory_order_relaxed);
-  c.from_cache = slots_[1].load(std::memory_order_relaxed);
-  c.not_modified = slots_[2].load(std::memory_order_relaxed);
-  c.from_sw_cache = slots_[3].load(std::memory_order_relaxed);
-  c.from_push = slots_[4].load(std::memory_order_relaxed);
-  c.stale_served = slots_[5].load(std::memory_order_relaxed);
-  return c;
 }
 
 }  // namespace catalyst

@@ -5,11 +5,8 @@
 // so the benches can show how tight the averages are.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace catalyst {
@@ -18,7 +15,6 @@ namespace catalyst {
 class Summary {
  public:
   void add(double x);
-  void add_all(const std::vector<double>& xs);
 
   /// Appends all of `other`'s samples (in their insertion order), so that
   /// merging per-shard summaries in a canonical order yields exactly the
@@ -51,8 +47,7 @@ class Summary {
 };
 
 /// Fixed-bin axis over [lo, hi): maps a sample to a clamped bin index.
-/// The single bucketing core shared by util Histogram (linear space) and
-/// obs::PhaseHistogram (log10 space) so the two can never drift apart.
+/// obs::PhaseHistogram applies it in log10 space.
 class BinAxis {
  public:
   /// Throws std::invalid_argument on zero bins or hi <= lo.
@@ -78,34 +73,9 @@ class BinAxis {
   std::size_t bins_;
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin. Used for console sparkline rendering in benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t total() const { return total_; }
-
-  /// Adds `other`'s bin counts into this histogram. Both histograms must
-  /// have the same range and bin count; throws std::invalid_argument
-  /// otherwise.
-  void merge(const Histogram& other);
-
-  /// One-line unicode block rendering ("▁▃▇█▅▂  ").
-  std::string sparkline() const;
-
- private:
-  BinAxis axis_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 /// Per-visit fetch-outcome tallies (one slot per FetchSource, plus the
 /// staleness audit). A plain value type so reports can merge and compare
-/// them; the concurrent mirror below feeds one of these per shard.
+/// them.
 struct CacheCounters {
   std::uint64_t from_network = 0;   // full downloads
   std::uint64_t from_cache = 0;     // fresh HTTP-cache hits
@@ -165,20 +135,6 @@ struct OracleCounters {
   bool any() const { return checked != 0; }
 
   bool operator==(const OracleCounters& other) const = default;
-};
-
-/// Lock-free mirror of CacheCounters: shard worker threads record deltas
-/// with relaxed atomics (no ordering is needed — each increment is an
-/// independent tally), and the coordinator snapshots after joining the
-/// workers. This is what lets a running fleet expose live fleet-wide
-/// progress counters without a mutex on the hot path.
-class AtomicCacheCounters {
- public:
-  void record(const CacheCounters& delta);
-  CacheCounters snapshot() const;
-
- private:
-  std::array<std::atomic<std::uint64_t>, 6> slots_{};
 };
 
 }  // namespace catalyst

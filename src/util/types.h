@@ -8,7 +8,6 @@
 #include <chrono>
 #include <compare>
 #include <cstdint>
-#include <limits>
 #include <string>
 
 namespace catalyst {
@@ -67,10 +66,6 @@ class TimePoint {
   }
 
   constexpr auto operator<=>(const TimePoint&) const = default;
-
-  static constexpr TimePoint max() {
-    return TimePoint{Duration{std::numeric_limits<std::int64_t>::max()}};
-  }
 
  private:
   Duration since_epoch_{0};

@@ -151,13 +151,6 @@ Url Url::resolve(const Url& reference) const {
   return result;
 }
 
-std::uint16_t Url::effective_port() const {
-  if (port != 0) return port;
-  if (scheme == "https") return 443;
-  if (scheme == "http") return 80;
-  return 0;
-}
-
 std::string Url::origin() const {
   std::string out = scheme + "://" + host;
   const std::uint16_t def = (scheme == "https") ? 443
@@ -167,11 +160,6 @@ std::string Url::origin() const {
     out += ":" + std::to_string(port);
   }
   return out;
-}
-
-bool Url::same_origin(const Url& other) const {
-  return scheme == other.scheme && host == other.host &&
-         effective_port() == other.effective_port();
 }
 
 std::string Url::path_and_query() const {

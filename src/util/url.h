@@ -32,13 +32,6 @@ struct Url {
   /// scheme://host[:port] with the port omitted when it is the default.
   std::string origin() const;
 
-  /// The effective port (explicit port, or the scheme default: 443 for
-  /// https, 80 for http, 0 otherwise).
-  std::uint16_t effective_port() const;
-
-  /// True when both URLs share scheme, host and effective port.
-  bool same_origin(const Url& other) const;
-
   bool is_absolute() const { return !scheme.empty(); }
 
   /// path + ('?' + query). The request-target used on the wire and as the

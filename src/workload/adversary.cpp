@@ -7,6 +7,20 @@
 
 namespace catalyst::workload {
 
+namespace {
+
+/// Fraction of poisoning payloads that self-identify as a user
+/// ("uid:attacker-N" — the confidentiality probe the oracle classifies as
+/// cross-user-leak); the rest carry a host payload ("evil.example",
+/// classified as poisoned-serve).
+constexpr double kLeakPayloadFraction = 0.5;
+
+/// Plain timing probes per strike (no payload): each is classified
+/// hit/miss by elapsed virtual time against `probe_hit_threshold`.
+constexpr int kTimingProbesPerStrike = 2;
+
+}  // namespace
+
 Adversary::Adversary(netsim::Network& network, edge::EdgePop& pop,
                      std::vector<std::string> target_paths,
                      AdversaryParams params)
@@ -80,7 +94,7 @@ void Adversary::strike() {
         i == 0 ? paths_.front()
                : paths_[static_cast<std::size_t>(rng_.uniform_int(
                      0, static_cast<std::int64_t>(paths_.size() - 1)))];
-    const bool leak = rng_.bernoulli(params_.leak_payload_fraction);
+    const bool leak = rng_.bernoulli(kLeakPayloadFraction);
     const std::string payload =
         leak ? str_format("uid:attacker-%llu",
                           static_cast<unsigned long long>(stats_.strikes))
@@ -89,7 +103,7 @@ void Adversary::strike() {
   }
   // Probes check residency of what the poisons just planted, so they wait
   // for the poison responses; drawn now to keep the RNG stream fixed.
-  for (int i = 0; i < params_.timing_probes_per_strike; ++i) {
+  for (int i = 0; i < kTimingProbesPerStrike; ++i) {
     queued_probes_.push_back(paths_[static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(paths_.size() - 1)))]);
   }

@@ -34,16 +34,6 @@ struct AdversaryParams {
   /// victim is guaranteed to consume); the rest pick random site paths.
   int requests_per_strike = 4;
 
-  /// Fraction of poisoning payloads that self-identify as a user
-  /// ("uid:attacker-N" — the confidentiality probe the oracle classifies
-  /// as cross-user-leak); the rest carry a host payload ("evil.example",
-  /// classified as poisoned-serve).
-  double leak_payload_fraction = 0.5;
-
-  /// Plain timing probes per strike (no payload): each is classified
-  /// hit/miss by elapsed virtual time against `probe_hit_threshold`.
-  int timing_probes_per_strike = 2;
-
   /// Latency below which a probe response is counted as a cache hit.
   /// Zero = auto: the testbed fills in 3×(attacker-PoP RTT) + half the
   /// PoP-origin RTT (handshake + exchange vs. the extra origin leg).

@@ -15,6 +15,12 @@ using server::ChangeProcess;
 using server::Resource;
 using server::Site;
 
+/// Change processes are materialized over [0, kChangeHorizon).
+constexpr Duration kChangeHorizon = days(30);
+
+/// Distinct third-party origins a site spreads its external resources over.
+constexpr int kThirdPartyOrigins = 3;
+
 /// Stand-in content for opaque classes (images/fonts/json): small, unique
 /// per (path, version) so ETags change exactly when the version does.
 server::ContentGenerator opaque_generator(std::string path,
@@ -74,8 +80,7 @@ std::shared_ptr<server::Site> generate_site(const SitegenParams& params) {
 SiteBundle generate_site_bundle(const SitegenParams& params) {
   Rng rng(params.seed ^
           (0x5174e5ull * static_cast<std::uint64_t>(params.site_index + 1)));
-  const PageArchetype archetype =
-      params.archetype ? *params.archetype : draw_archetype(rng);
+  const PageArchetype archetype = draw_archetype(rng);
   const PageComposition comp = composition_for(archetype);
 
   const std::string host =
@@ -120,13 +125,12 @@ SiteBundle generate_site_bundle(const SitegenParams& params) {
   // Spread the configured fraction of images/scripts/fonts over the
   // third-party origins (ad/CDN content). HTML, CSS, JSON and lazy-chain
   // scripts stay first-party.
-  if (params.third_party_fraction > 0.0 &&
-      params.third_party_origins > 0) {
+  if (params.third_party_fraction > 0.0) {
     auto maybe_externalize = [&](std::vector<ResourcePlan>& plans) {
       for (ResourcePlan& r : plans) {
         if (rng.bernoulli(params.third_party_fraction)) {
           r.tp_origin = static_cast<int>(
-              rng.uniform_int(0, params.third_party_origins - 1));
+              rng.uniform_int(0, kThirdPartyOrigins - 1));
         }
       }
     };
@@ -223,7 +227,7 @@ SiteBundle generate_site_bundle(const SitegenParams& params) {
 
   // Third-party origins referenced by this page.
   std::vector<std::shared_ptr<Site>> tp_sites;
-  for (int k = 0; k < params.third_party_origins; ++k) {
+  for (int k = 0; k < kThirdPartyOrigins; ++k) {
     tp_sites.push_back(std::make_shared<Site>(third_party_host(k)));
   }
 
@@ -244,7 +248,7 @@ SiteBundle generate_site_bundle(const SitegenParams& params) {
     ChangeProcess changes =
         params.clone_static_snapshot
             ? ChangeProcess::never()
-            : make_changes(r.mean_change, params.change_horizon,
+            : make_changes(r.mean_change, kChangeHorizon,
                            change_rng);
     Site& target =
         r.tp_origin < 0 ? *site

@@ -24,12 +24,6 @@ struct SitegenParams {
   /// ConservativeCms-like behaviour in the wild).
   server::TtlProfile ttl_profile = server::TtlProfile::ConservativeCms;
 
-  /// Change processes are materialized over [0, horizon).
-  Duration change_horizon = days(30);
-
-  /// Force a specific archetype (nullopt = draw from the mix).
-  std::optional<PageArchetype> archetype;
-
   /// Static-clone hosting, mirroring the paper's methodology (§4): the
   /// 100 homepages were saved and served as files from one Caddy server,
   /// so even API-ish JSON payloads become static files with CMS-default
@@ -43,9 +37,6 @@ struct SitegenParams {
   /// knob measures the coverage loss. 0 reproduces the paper's
   /// single-origin clone hosting.
   double third_party_fraction = 0.0;
-
-  /// Number of distinct third-party origins to spread those over.
-  int third_party_origins = 3;
 
   /// Broken-link / error-response model. Real homepages reference dead
   /// resources (link rot) and retired endpoints; the fractions below make

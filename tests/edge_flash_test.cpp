@@ -253,7 +253,8 @@ TEST(EdgePopFlashTest, DisabledFlashKeepsPopInert) {
   const EdgePopStats stats = pop.stats();
   EXPECT_EQ(stats.flash_demotions, 0u);
   EXPECT_EQ(stats.flash_stores, 0u);
-  EXPECT_EQ(stats.aio.reads, 0u);
+  EXPECT_EQ(stats.aio_reads, 0u);
+  EXPECT_FALSE(stats.flash_enabled);
 }
 
 }  // namespace

@@ -412,5 +412,75 @@ TEST(EdgePopTest, NegativeCachingOffRefusesErrorResponses) {
   EXPECT_EQ(pop.entry_count(), 0u);
 }
 
+/// Every counter EdgePopStats::merge sums: all fields but
+/// aio_peak_inflight and flash_enabled.
+constexpr std::uint64_t EdgePopStats::*kSummedFields[] = {
+    &EdgePopStats::hits,
+    &EdgePopStats::misses,
+    &EdgePopStats::stores,
+    &EdgePopStats::evictions,
+    &EdgePopStats::rejected_no_store,
+    &EdgePopStats::bytes_served,
+    &EdgePopStats::requests,
+    &EdgePopStats::revalidated_hits,
+    &EdgePopStats::coalesced,
+    &EdgePopStats::origin_fetches,
+    &EdgePopStats::origin_not_modified,
+    &EdgePopStats::origin_errors,
+    &EdgePopStats::admission_rejects,
+    &EdgePopStats::bytes_from_origin,
+    &EdgePopStats::negative_stores,
+    &EdgePopStats::negative_hits,
+    &EdgePopStats::adversary_requests,
+    &EdgePopStats::adversary_probes,
+    &EdgePopStats::adversary_probe_hits,
+    &EdgePopStats::flash_hits,
+    &EdgePopStats::flash_coalesced,
+    &EdgePopStats::flash_demotions,
+    &EdgePopStats::flash_promotions,
+    &EdgePopStats::flash_promotion_rejects,
+    &EdgePopStats::flash_stores,
+    &EdgePopStats::flash_evictions,
+    &EdgePopStats::flash_gc_rewrites,
+    &EdgePopStats::flash_bytes_served,
+    &EdgePopStats::flash_host_bytes,
+    &EdgePopStats::flash_device_bytes,
+    &EdgePopStats::aio_reads,
+    &EdgePopStats::aio_writes,
+    &EdgePopStats::aio_merged_reads,
+    &EdgePopStats::aio_queue_waits,
+};
+// The list above plus aio_peak_inflight and the (padded) flash_enabled
+// flag is the whole struct: a new field must join the list.
+static_assert(sizeof(EdgePopStats) ==
+              (std::size(kSummedFields) + 2) * sizeof(std::uint64_t));
+
+TEST(EdgePopStatsTest, MergeSumsCountersMaxesPeakAndOrsFlash) {
+  EdgePopStats a;
+  EdgePopStats b;
+  std::uint64_t n = 0;
+  for (const auto field : kSummedFields) {
+    a.*field = ++n;
+    b.*field = 1000 * n;
+  }
+  a.aio_peak_inflight = 70;
+  b.aio_peak_inflight = 5;
+  b.flash_enabled = true;
+
+  EdgePopStats merged = a;
+  merged.merge(b);
+  for (const auto field : kSummedFields) {
+    EXPECT_EQ(merged.*field, a.*field + b.*field);
+  }
+  EXPECT_EQ(merged.aio_peak_inflight, 70u);
+  EXPECT_TRUE(merged.flash_enabled);
+
+  b.merge(a);
+  EXPECT_EQ(b.aio_peak_inflight, 70u);
+  EXPECT_TRUE(b.flash_enabled);
+  a.merge(EdgePopStats{});
+  EXPECT_FALSE(a.flash_enabled);
+}
+
 }  // namespace
 }  // namespace catalyst::edge

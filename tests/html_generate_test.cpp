@@ -55,29 +55,6 @@ TEST(HtmlBuilderTest, PadToNoOpWhenAlreadyLarger) {
   EXPECT_EQ(builder.build(), before);
 }
 
-TEST(HtmlBuilderTest, InlineBlocks) {
-  HtmlBuilder builder("T");
-  builder.add_inline_style(".x { background: url(\"/bg.png\") }");
-  builder.add_inline_script("/* @fetch /api/d.json */");
-  const std::string page = builder.build();
-  const auto found = extract_resources(*parse(page));
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0].url, "/bg.png");
-  // The inline script's directive is visible to the JS scanner.
-  const auto doc = parse(page);
-  bool saw_fetch = false;
-  doc->for_each_element([&](const Node& el) {
-    if (el.is_element("script") && !el.has_attr("src")) {
-      const auto fetches = extract_js_fetches(el.text_content());
-      if (!fetches.empty()) {
-        saw_fetch = true;
-        EXPECT_EQ(fetches[0], "/api/d.json");
-      }
-    }
-  });
-  EXPECT_TRUE(saw_fetch);
-}
-
 TEST(MakeCssTest, ExactSizeAndReferencesSurvive) {
   const std::string css = make_css({"/img/a.webp", "/img/b.webp"},
                                    {"/fonts/f.woff2"}, {"/base.css"},

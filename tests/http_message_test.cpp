@@ -88,13 +88,5 @@ TEST(StatusTest, Properties) {
   EXPECT_EQ(code(Status::NotFound), 404);
 }
 
-TEST(MethodTest, RoundTrip) {
-  for (const Method m : {Method::Get, Method::Head, Method::Post,
-                         Method::Put, Method::Delete, Method::Options}) {
-    EXPECT_EQ(parse_method(to_string(m)), m);
-  }
-  EXPECT_FALSE(parse_method("BREW"));
-}
-
 }  // namespace
 }  // namespace catalyst::http

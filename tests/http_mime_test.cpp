@@ -5,18 +5,6 @@
 namespace catalyst::http {
 namespace {
 
-TEST(MimeTest, ClassifyMimeStripsParameters) {
-  EXPECT_EQ(classify_mime("text/html; charset=utf-8"), ResourceClass::Html);
-  EXPECT_EQ(classify_mime("text/css"), ResourceClass::Css);
-  EXPECT_EQ(classify_mime("application/javascript"),
-            ResourceClass::Script);
-  EXPECT_EQ(classify_mime("text/javascript"), ResourceClass::Script);
-  EXPECT_EQ(classify_mime("image/png"), ResourceClass::Image);
-  EXPECT_EQ(classify_mime("font/woff2"), ResourceClass::Font);
-  EXPECT_EQ(classify_mime("application/json"), ResourceClass::Json);
-  EXPECT_EQ(classify_mime("application/wasm"), ResourceClass::Other);
-}
-
 TEST(MimeTest, ClassifyPathByExtension) {
   EXPECT_EQ(classify_path("/index.html"), ResourceClass::Html);
   EXPECT_EQ(classify_path("/"), ResourceClass::Html);
@@ -32,14 +20,6 @@ TEST(MimeTest, ClassifyPathByExtension) {
 TEST(MimeTest, ClassifyPathIgnoresQuery) {
   EXPECT_EQ(classify_path("/a.css?v=123"), ResourceClass::Css);
   EXPECT_EQ(classify_path("/pic.jpg?size=large"), ResourceClass::Image);
-}
-
-TEST(MimeTest, MimeTypeRoundTripsThroughClassify) {
-  for (const ResourceClass rc :
-       {ResourceClass::Html, ResourceClass::Css, ResourceClass::Script,
-        ResourceClass::Image, ResourceClass::Font, ResourceClass::Json}) {
-    EXPECT_EQ(classify_mime(mime_type(rc)), rc);
-  }
 }
 
 TEST(MimeTest, Labels) {

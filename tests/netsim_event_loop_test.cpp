@@ -77,19 +77,6 @@ TEST(EventLoopTest, PendingCountsExcludeCancelled) {
   EXPECT_TRUE(loop.empty());
 }
 
-TEST(EventLoopTest, RunUntilStopsAtDeadline) {
-  EventLoop loop;
-  std::vector<int> order;
-  loop.schedule_after(milliseconds(10), [&] { order.push_back(1); });
-  loop.schedule_after(milliseconds(30), [&] { order.push_back(2); });
-  EXPECT_EQ(loop.run_until(TimePoint{} + milliseconds(20)), 1u);
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  // Clock advanced to the deadline even though no event sat there.
-  EXPECT_EQ(loop.now(), TimePoint{} + milliseconds(20));
-  loop.run();
-  EXPECT_EQ(order.size(), 2u);
-}
-
 TEST(EventLoopTest, AdvanceToRequiresEmptyQueue) {
   EventLoop loop;
   loop.schedule_after(milliseconds(1), [] {});
@@ -238,17 +225,6 @@ TEST(EventLoopTest, ZeroDelayFromCallbackRunsAfterCurrentBatch) {
   EXPECT_EQ(loop.run(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(loop.now(), TimePoint{} + milliseconds(5));
-}
-
-TEST(EventLoopTest, RunUntilAtDeadlineRunsDueNowEvents) {
-  EventLoop loop;
-  loop.schedule_after(milliseconds(10), [&] {
-    loop.schedule_after(milliseconds(0), [] {});
-  });
-  // Deadline exactly at the event time: both the event and the
-  // zero-delay child it schedules are due, so both run.
-  EXPECT_EQ(loop.run_until(TimePoint{} + milliseconds(10)), 2u);
-  EXPECT_TRUE(loop.empty());
 }
 
 TEST(EventLoopTest, StartTimeConstructor) {

@@ -18,7 +18,7 @@ TEST(LinkTest, SingleTransferTakesClosedFormTime) {
 TEST(LinkTest, ZeroByteTransferCompletesImmediately) {
   EventLoop loop;
   Link link(loop, "l", mbps(10));
-  TimePoint done = TimePoint::max();
+  TimePoint done = TimePoint{} + seconds(1);
   link.start_transfer(0, [&] { done = loop.now(); });
   loop.run();
   EXPECT_EQ(done, TimePoint{});
@@ -67,56 +67,6 @@ TEST(LinkTest, LateArrivalSlowsExistingFlow) {
   loop.run();
   EXPECT_EQ(done_first, TimePoint{} + milliseconds(1500));
   EXPECT_EQ(done_second, TimePoint{} + milliseconds(1600));
-}
-
-TEST(LinkTest, AbortRemovesFlowAndSpeedsOthers) {
-  EventLoop loop;
-  Link link(loop, "l", mbps(8));  // 1 MB/s
-  TimePoint done{};
-  bool aborted_ran = false;
-  link.start_transfer(1'000'000, [&] { done = loop.now(); });
-  const TransferId victim =
-      link.start_transfer(1'000'000, [&] { aborted_ran = true; });
-  loop.schedule_after(milliseconds(500), [&] {
-    // Each flow has moved 250 KB so far.
-    link.abort_transfer(victim);
-  });
-  loop.run();
-  EXPECT_FALSE(aborted_ran);
-  // 750 KB left at full rate after t=0.5s -> done at 1.25s.
-  EXPECT_EQ(done, TimePoint{} + milliseconds(1250));
-}
-
-TEST(LinkTest, AbortSettlesElapsedProgressExactly) {
-  // Regression: abort_transfer must settle elapsed progress *before*
-  // removing the victim. If it removed the flow first, the survivors
-  // would retroactively absorb the victim's share of the elapsed window,
-  // finishing early and corrupting the busy-time integral.
-  EventLoop loop;
-  Link link(loop, "l", mbps(24));  // 3 MB/s
-  TimePoint done_a{}, done_b{};
-  bool aborted_ran = false;
-  // Three 1.25 MB flows started together: each sees 1 MB/s.
-  link.start_transfer(1'250'000, [&] { done_a = loop.now(); });
-  link.start_transfer(1'250'000, [&] { done_b = loop.now(); });
-  const TransferId victim =
-      link.start_transfer(1'250'000, [&] { aborted_ran = true; });
-  loop.schedule_after(milliseconds(500), [&] {
-    // Each flow has moved exactly 500 KB so far.
-    link.abort_transfer(victim);
-  });
-  loop.run();
-  EXPECT_FALSE(aborted_ran);
-  // Survivors: 750 KB left each at 1.5 MB/s -> 500 ms more -> t = 1 s,
-  // exactly. Early completion here means the abort leaked the victim's
-  // share of the first 500 ms back to the survivors.
-  EXPECT_EQ(done_a, TimePoint{} + seconds(1));
-  EXPECT_EQ(done_b, TimePoint{} + seconds(1));
-  // The link was busy the whole second; the victim's elapsed progress was
-  // settled (consumed), not redistributed, so the integral stays exact.
-  EXPECT_NEAR(link.busy_seconds(), 1.0, 1e-9);
-  // Only completed flows count as delivered.
-  EXPECT_EQ(link.bytes_delivered(), 2'500'000u);
 }
 
 TEST(LinkTest, ManyFlowsConserveCapacity) {

@@ -81,10 +81,6 @@ TEST(ConditionsTest, LabelsAndProfiles) {
   EXPECT_EQ(c.label(), "60Mbps/40ms");
   EXPECT_DOUBLE_EQ(c.downlink.bits_per_second(), 60e6);
   EXPECT_EQ(c.rtt, milliseconds(40));
-  const auto grid = NetworkConditions::figure3_grid();
-  EXPECT_EQ(grid.size(), 12u);  // 3 throughputs x 4 latencies
-  EXPECT_EQ(grid.front().label(), "8Mbps/10ms");
-  EXPECT_EQ(grid.back().label(), "60Mbps/80ms");
 }
 
 TEST(TraceTest, WaterfallRendersAllFetches) {

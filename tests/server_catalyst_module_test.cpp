@@ -182,7 +182,7 @@ TEST_F(CatalystModuleFixture, SwScriptServedWithRevalidationPolicy) {
   CatalystModule mod = module();
   const auto resp = mod.serve_sw_script(TimePoint{});
   EXPECT_EQ(resp.status, http::Status::Ok);
-  EXPECT_EQ(resp.body.size(), CatalystConfig{}.sw_script_size);
+  EXPECT_EQ(resp.body.size(), CatalystModule::kSwScriptSize);
   EXPECT_TRUE(resp.etag());
   EXPECT_TRUE(resp.cache_control().no_cache);
 }

@@ -9,7 +9,6 @@ TEST(ChangeProcessTest, NeverChanges) {
   const ChangeProcess cp = ChangeProcess::never();
   EXPECT_EQ(cp.version_at(TimePoint{}), 0u);
   EXPECT_EQ(cp.version_at(TimePoint{} + days(365)), 0u);
-  EXPECT_EQ(cp.next_change_after(TimePoint{}), TimePoint::max());
   EXPECT_EQ(cp.last_change_at(TimePoint{} + days(1)), TimePoint{});
   EXPECT_FALSE(cp.changes_in(TimePoint{}, TimePoint{} + days(100)));
 }
@@ -22,8 +21,6 @@ TEST(ChangeProcessTest, PeriodicVersions) {
   EXPECT_EQ(cp.version_at(TimePoint{} + minutes(59)), 0u);
   EXPECT_EQ(cp.version_at(TimePoint{} + hours(1)), 1u);
   EXPECT_EQ(cp.version_at(TimePoint{} + hours(4)), 2u);
-  EXPECT_EQ(cp.next_change_after(TimePoint{} + hours(1)),
-            TimePoint{} + hours(3));
   EXPECT_EQ(cp.last_change_at(TimePoint{} + hours(4)),
             TimePoint{} + hours(3));
   EXPECT_TRUE(cp.changes_in(TimePoint{}, TimePoint{} + hours(2)));

@@ -54,27 +54,12 @@ TEST(SessionStoreTest, SessionsAndPagesIsolated) {
   EXPECT_EQ(store.session_count(), 1u);
 }
 
-TEST(SessionStoreTest, MemoryFootprintGrowsWithRecords) {
-  SessionStore store;
-  const ByteCount empty = store.memory_footprint();
-  for (int i = 0; i < 100; ++i) {
-    store.record_fetch("s1", "/p", "/res" + std::to_string(i) + ".js");
-  }
-  EXPECT_GT(store.memory_footprint(), empty + 100 * 32);
-}
-
 TEST(SessionCookieTest, RoundTrip) {
   EXPECT_EQ(parse_session_cookie(make_session_cookie("user-42")),
             "user-42");
   EXPECT_EQ(parse_session_cookie("theme=dark; sid=u9; lang=en"), "u9");
   EXPECT_EQ(parse_session_cookie("theme=dark"), "");
   EXPECT_EQ(parse_session_cookie(""), "");
-}
-
-TEST(PushPolicyTest, Names) {
-  EXPECT_EQ(to_string(PushPolicy::None), "none");
-  EXPECT_EQ(to_string(PushPolicy::All), "push-all");
-  EXPECT_EQ(to_string(PushPolicy::Learned), "push-learned");
 }
 
 std::unique_ptr<Site> push_site() {

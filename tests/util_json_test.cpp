@@ -43,7 +43,7 @@ TEST(JsonTest, NestedStructureRoundTrips) {
 TEST(JsonTest, ParseWhitespaceTolerant) {
   const auto parsed = Json::parse("  { \"a\" : [ 1 , 2 ] }  ");
   ASSERT_TRUE(parsed);
-  EXPECT_EQ(parsed->find("a")->as_array().size(), 2u);
+  EXPECT_EQ(parsed->dump(), "{\"a\":[1,2]}");
 }
 
 TEST(JsonTest, ParseRejectsMalformed) {

@@ -92,13 +92,6 @@ TEST(RngTest, ExponentialRejectsNonPositiveRate) {
   EXPECT_THROW(rng.exponential(-1.0), std::invalid_argument);
 }
 
-TEST(RngTest, ParetoBoundedBelowByScale) {
-  Rng rng(16);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.pareto(3.0, 1.5), 3.0);
-  }
-}
-
 TEST(RngTest, LognormalPositive) {
   Rng rng(17);
   for (int i = 0; i < 10000; ++i) {

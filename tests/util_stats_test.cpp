@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
 namespace catalyst {
@@ -11,7 +10,7 @@ namespace {
 
 TEST(SummaryTest, BasicMoments) {
   Summary s;
-  s.add_all({1.0, 2.0, 3.0, 4.0});
+  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
   EXPECT_EQ(s.count(), 4u);
   EXPECT_DOUBLE_EQ(s.sum(), 10.0);
   EXPECT_DOUBLE_EQ(s.mean(), 2.5);
@@ -40,14 +39,15 @@ TEST(SummaryTest, SingleSample) {
 
 TEST(SummaryTest, MedianAndPercentiles) {
   Summary s;
-  s.add_all({5.0, 1.0, 3.0, 2.0, 4.0});
+  for (double x : {5.0, 1.0, 3.0, 2.0, 4.0}) s.add(x);
   EXPECT_DOUBLE_EQ(s.median(), 3.0);
   EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
   EXPECT_DOUBLE_EQ(s.percentile(25), 2.0);
   // Interpolation between ranks.
   Summary two;
-  two.add_all({10.0, 20.0});
+  two.add(10.0);
+  two.add(20.0);
   EXPECT_DOUBLE_EQ(two.percentile(50), 15.0);
 }
 
@@ -69,7 +69,7 @@ TEST(SummaryTest, Ci95ShrinksWithN) {
 TEST(SummaryMergeTest, MergeOfSplitsEqualsSingleAccumulation) {
   const std::vector<double> xs = {3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
   Summary whole;
-  whole.add_all(xs);
+  for (double x : xs) whole.add(x);
 
   Summary left, right;
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -128,59 +128,6 @@ TEST(BinAxisTest, EqualityAndRejection) {
   EXPECT_THROW(BinAxis(0.0, 1.0, 0), std::invalid_argument);
 }
 
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(HistogramTest, RejectsDegenerateConfig) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramTest, SparklineWidthMatchesBins) {
-  Histogram h(0.0, 1.0, 8);
-  h.add(0.1);
-  const std::string line = h.sparkline();
-  // Unicode blocks are 3 bytes each.
-  std::size_t glyphs = 0;
-  for (char c : line) {
-    if ((static_cast<unsigned char>(c) & 0xC0) != 0x80) ++glyphs;
-  }
-  EXPECT_EQ(glyphs, 8u);
-}
-
-TEST(HistogramMergeTest, MergeOfSplitsEqualsSingleAccumulation) {
-  Histogram whole(0.0, 10.0, 5);
-  Histogram a(0.0, 10.0, 5), b(0.0, 10.0, 5);
-  const double xs[] = {0.5, 2.5, 5.0, 7.5, 9.9, -1.0, 42.0};
-  for (std::size_t i = 0; i < std::size(xs); ++i) {
-    whole.add(xs[i]);
-    (i % 2 == 0 ? a : b).add(xs[i]);
-  }
-  a.merge(b);
-  ASSERT_EQ(a.total(), whole.total());
-  for (std::size_t bin = 0; bin < whole.bin_count(); ++bin) {
-    EXPECT_EQ(a.count(bin), whole.count(bin)) << "bin " << bin;
-  }
-  EXPECT_EQ(a.sparkline(), whole.sparkline());
-}
-
-TEST(HistogramMergeTest, ShapeMismatchThrows) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_THROW(h.merge(Histogram(0.0, 10.0, 6)), std::invalid_argument);
-  EXPECT_THROW(h.merge(Histogram(0.0, 20.0, 5)), std::invalid_argument);
-  EXPECT_THROW(h.merge(Histogram(1.0, 10.0, 5)), std::invalid_argument);
-}
-
 TEST(CacheCountersTest, MergeSumsEveryField) {
   CacheCounters a{1, 2, 3, 4, 5, 6};
   const CacheCounters b{10, 20, 30, 40, 50, 60};
@@ -188,23 +135,6 @@ TEST(CacheCountersTest, MergeSumsEveryField) {
   EXPECT_EQ(a, (CacheCounters{11, 22, 33, 44, 55, 66}));
   EXPECT_EQ(a.total(), 11u + 22 + 33 + 44 + 55);
   EXPECT_EQ(a.avoided_downloads(), 22u + 33 + 44 + 55);
-}
-
-TEST(AtomicCacheCountersTest, ConcurrentRecordsAllLand) {
-  AtomicCacheCounters atomic;
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&atomic] {
-      const CacheCounters delta{1, 2, 3, 4, 5, 6};
-      for (std::uint64_t i = 0; i < kPerThread; ++i) atomic.record(delta);
-    });
-  }
-  for (auto& t : threads) t.join();
-  const CacheCounters got = atomic.snapshot();
-  const std::uint64_t n = kThreads * kPerThread;
-  EXPECT_EQ(got, (CacheCounters{n, 2 * n, 3 * n, 4 * n, 5 * n, 6 * n}));
 }
 
 }  // namespace

@@ -32,10 +32,6 @@ TEST(TimePointTest, Arithmetic) {
   EXPECT_EQ(t2.since_epoch(), milliseconds(10));
 }
 
-TEST(TimePointTest, MaxIsLargerThanAnyPracticalTime) {
-  EXPECT_GT(TimePoint::max(), TimePoint{} + days(100 * 365));
-}
-
 TEST(BandwidthTest, TransmissionTime) {
   // 8 Mbps = 1 MB/s: one megabyte takes one second.
   const Bandwidth bw = mbps(8);

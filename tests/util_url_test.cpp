@@ -28,12 +28,6 @@ TEST(UrlParseTest, ExplicitPort) {
   const auto url = Url::parse("http://host:8080/x");
   ASSERT_TRUE(url);
   EXPECT_EQ(url->port, 8080);
-  EXPECT_EQ(url->effective_port(), 8080);
-}
-
-TEST(UrlParseTest, DefaultPorts) {
-  EXPECT_EQ(Url::parse("https://h/")->effective_port(), 443);
-  EXPECT_EQ(Url::parse("http://h/")->effective_port(), 80);
 }
 
 TEST(UrlParseTest, BadPortRejected) {
@@ -113,16 +107,6 @@ TEST(UrlOriginTest, OmitsDefaultPort) {
   EXPECT_EQ(Url::parse("https://h.com:443/x")->origin(), "https://h.com");
   EXPECT_EQ(Url::parse("https://h.com:8443/x")->origin(),
             "https://h.com:8443");
-}
-
-TEST(UrlOriginTest, SameOrigin) {
-  const Url a = *Url::parse("https://h.com/x");
-  const Url b = *Url::parse("https://h.com:443/y?z");
-  const Url c = *Url::parse("http://h.com/x");
-  const Url d = *Url::parse("https://other.com/x");
-  EXPECT_TRUE(a.same_origin(b));
-  EXPECT_FALSE(a.same_origin(c));  // scheme differs
-  EXPECT_FALSE(a.same_origin(d));  // host differs
 }
 
 TEST(UrlToStringTest, RoundTrips) {

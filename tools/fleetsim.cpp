@@ -23,7 +23,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <tuple>
 
 #include "fleet/runner.h"
 #include "obs/selfprof.h"
@@ -194,30 +194,47 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Sizes a fleet cannot have zero of, checked on the parsed number before
-  // it is cast to its field: a NaN, negative or too-large value does not
-  // fit, and a zero makes a worker thread throw.
-  const std::pair<const char*, double> kSizes[] = {{"users", 0x1p64},
-                                                   {"shard-size", 0x1p64},
-                                                   {"sites", 0x1p31},
-                                                   {"max-visits", 0x1p31}};
-  for (const auto& [flag, limit] : kSizes) {
-    const double v = args.num(flag, 1);
-    if (!(v >= 1 && v < limit)) {
-      std::fprintf(stderr,
-                   "fleetsim: --%s must be at least 1 and below %g "
-                   "(got \"%s\")\n",
-                   flag, limit, args.get(flag, "").c_str());
+  // Every numeric flag given must parse into its range (bounds inclusive)
+  // before it is cast to its field: a NaN or out-of-range value makes the
+  // cast undefined, makes a worker thread throw, or runs a different fleet
+  // than the one asked for.
+  constexpr double kU64 = 0x1p64 - 0x1p11;  // largest double below 2^64
+  constexpr double kI32 = 0x1p31 - 1;       // INT_MAX
+  // Times stay far inside the clock's 292 years of int64 nanoseconds:
+  // horizons and TTLs up to a century, mean gaps up to a year, latencies
+  // up to an hour. Mean gaps start at a minute, the shortest gap drawn.
+  const std::tuple<const char*, double, double> kRanges[] = {
+      {"users", 1, kU64},
+      {"threads", 1, 1024},
+      {"seed", 0, kU64},
+      {"sites", 1, kI32},
+      {"shard-size", 1, kU64},
+      {"horizon-days", 0, 36500},
+      {"mean-gap-hours", 1.0 / 60, 8760},
+      {"max-visits", 1, kI32},
+      {"loss", 0, 1},
+      {"outage", 0, 1},
+      {"fault-seed", 0, kU64},
+      {"edge-pops", 0, 1024},
+      {"edge-capacity-mb", 0, 65536},
+      {"edge-origin-rtt-ms", 0, 3.6e6},
+      {"edge-flash-mb", 1, 65536},
+      {"edge-flash-lat-us", 1, 3.6e9},
+      {"edge-flash-qd", 1, kI32},
+      {"negative-ttl-s", 1, 3.1536e9},
+      {"dead-links", 0, 1},
+      {"adversary-rate", 1, kI32},
+      {"adversary-seed", 0, kU64},
+      {"trace-users", 0, kU64},
+  };
+  for (const auto& [flag, min, max] : kRanges) {
+    const double v = args.num(flag, min);
+    if (!(v >= min && v <= max)) {
+      std::fprintf(stderr, "fleetsim: --%s must be in [%g, %g] (got \"%s\")\n",
+                   flag, min, max, args.get(flag, "").c_str());
       usage();
       return 2;
     }
-  }
-  if (!(args.num("mean-gap-hours", 1) > 0)) {
-    std::fprintf(stderr,
-                 "fleetsim: --mean-gap-hours must be positive (got \"%s\")\n",
-                 args.get("mean-gap-hours", "").c_str());
-    usage();
-    return 2;
   }
 
   const auto users = static_cast<std::uint64_t>(args.num("users", 1000));
@@ -274,41 +291,18 @@ int main(int argc, char** argv) {
                  "--edge-pops N\n");
     return 2;
   }
-  const double flash_mb = args.num("edge-flash-mb", 0);
-  const double flash_lat_us = args.num("edge-flash-lat-us", 100);
-  const double flash_qd = args.num("edge-flash-qd", 8);
-  if (args.has("edge-flash-mb") && flash_mb <= 0) {
-    std::fprintf(stderr,
-                 "fleetsim: --edge-flash-mb must be a positive capacity "
-                 "(got %s)\n",
-                 args.get("edge-flash-mb", "").c_str());
-    return 2;
-  }
-  if (flash_lat_us <= 0 || flash_qd < 1) {
-    std::fprintf(stderr,
-                 "fleetsim: --edge-flash-lat-us must be positive and "
-                 "--edge-flash-qd at least 1\n");
-    return 2;
-  }
-  params.edge.flash_capacity = MiB(static_cast<ByteCount>(flash_mb));
-  params.edge.flash_read_latency =
-      Duration{static_cast<std::int64_t>(flash_lat_us * 1000.0)};
-  params.edge.flash_queue_depth = static_cast<int>(flash_qd);
+  params.edge.flash_capacity =
+      MiB(static_cast<ByteCount>(args.num("edge-flash-mb", 0)));
+  params.edge.flash_read_latency = Duration{
+      static_cast<std::int64_t>(args.num("edge-flash-lat-us", 100) * 1000.0)};
+  params.edge.flash_queue_depth =
+      static_cast<int>(args.num("edge-flash-qd", 8));
 
-  // Negative caching (default-off). A zero/negative TTL is a config error,
-  // not "disable": the user asked for negative caching and got none.
+  // Negative caching (default-off).
   if (args.has("negative-ttl-s")) {
-    const double ttl_s = args.num("negative-ttl-s", 0);
-    if (ttl_s <= 0) {
-      std::fprintf(stderr,
-                   "fleetsim: --negative-ttl-s must be a positive number "
-                   "of seconds (got %s)\n",
-                   args.get("negative-ttl-s", "").c_str());
-      return 2;
-    }
     cache::NegativePolicy negative;
     negative.enabled = true;
-    negative.default_ttl = seconds_f(ttl_s);
+    negative.default_ttl = seconds_f(args.num("negative-ttl-s", 0));
     if (negative.default_ttl > negative.max_ttl) {
       negative.max_ttl = negative.default_ttl;
     }
@@ -319,13 +313,6 @@ int main(int argc, char** argv) {
   // Site error model (default-off; zero fractions keep the generated
   // catalog byte-identical to pre-error-model builds).
   const double dead_links = args.num("dead-links", 0.0);
-  if (args.has("dead-links") && (dead_links < 0.0 || dead_links > 1.0)) {
-    std::fprintf(stderr,
-                 "fleetsim: --dead-links must be a fraction in [0,1] "
-                 "(got %s)\n",
-                 args.get("dead-links", "").c_str());
-    return 2;
-  }
   params.user_model.dead_link_fraction = dead_links;
   params.user_model.gone_link_fraction = dead_links / 2.0;
   params.user_model.soft404_fraction = dead_links / 4.0;
@@ -350,18 +337,10 @@ int main(int argc, char** argv) {
                  "--adversary\n");
     return 2;
   }
-  const double adversary_rate = args.num("adversary-rate", 4);
-  if (args.has("adversary-rate") && adversary_rate < 1) {
-    std::fprintf(stderr,
-                 "fleetsim: --adversary-rate must be at least 1 request "
-                 "per strike (got %s)\n",
-                 args.get("adversary-rate", "").c_str());
-    return 2;
-  }
   if (args.has("adversary")) {
     params.options.adversary.enabled = true;
     params.options.adversary.requests_per_strike =
-        static_cast<int>(adversary_rate);
+        static_cast<int>(args.num("adversary-rate", 4));
     params.options.adversary.seed = static_cast<std::uint64_t>(
         args.num("adversary-seed", 0xadba5e));
   }
