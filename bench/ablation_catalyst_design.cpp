@@ -56,8 +56,8 @@ int main() {
       (void)core::run_visit(tb, TimePoint{});
       const auto revisit = core::run_visit(tb, TimePoint{} + delay);
       plt.add(to_millis(revisit.plt()));
-      sw_hits.add(revisit.from_sw_cache);
-      not_modified.add(revisit.not_modified);
+      sw_hits.add(revisit.counters.from_sw_cache);
+      not_modified.add(revisit.counters.not_modified);
       compute.add(to_millis(tb.origin->stats().catalyst_compute));
     }
     table.add_row({v.name, ms(plt.mean()),

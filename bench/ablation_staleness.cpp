@@ -32,8 +32,8 @@ int main() {
           site, conditions, core::StrategyKind::Baseline, delays[d]);
       const auto cat = core::run_revisit_pair(
           site, conditions, core::StrategyKind::Catalyst, delays[d]);
-      base_stale.add(base.revisit.stale_served);
-      cat_stale.add(cat.revisit.stale_served);
+      base_stale.add(base.revisit.counters.stale_served);
+      cat_stale.add(cat.revisit.counters.stale_served);
       base_plt.add(to_millis(base.revisit.plt()));
       cat_plt.add(to_millis(cat.revisit.plt()));
     }

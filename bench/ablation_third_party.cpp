@@ -38,9 +38,9 @@ int main() {
       const double bm = to_millis(base.revisit.plt());
       const double cm = to_millis(cat.revisit.plt());
       reduction.add(100.0 * (bm - cm) / bm);
-      sw_hits.add(cat.revisit.from_sw_cache);
+      sw_hits.add(cat.revisit.counters.from_sw_cache);
       covered_share.add(
-          100.0 * cat.revisit.from_sw_cache /
+          100.0 * cat.revisit.counters.from_sw_cache /
           std::max(1u, cat.revisit.resources_total));
     }
     std::size_t tp_origins = 0;

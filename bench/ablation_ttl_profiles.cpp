@@ -50,7 +50,7 @@ int main() {
         base.add(bm);
         cat.add(cm);
         reduction.add(100.0 * (bm - cm) / bm);
-        stale.add(b.revisit.stale_served);
+        stale.add(b.revisit.counters.stale_served);
       }
     }
     table.add_row({std::string(server::to_string(profile)),

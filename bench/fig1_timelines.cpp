@@ -3,6 +3,7 @@
 //   (a) first visit,
 //   (b) revisit two hours later under status-quo caching,
 //   (c) the same revisit with CacheCatalyst (the "optimized scenario").
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -15,12 +16,12 @@ namespace {
 void print_visit(const char* title, const client::PageLoadResult& result) {
   std::printf("%s\n", title);
   std::printf("%s", result.trace.render_waterfall().c_str());
-  std::printf(
-      "  PLT %.1f ms | %u network, %u cache, %u 304, %u sw-cache | %s "
-      "down, %u RTTs\n\n",
-      to_millis(result.plt()), result.from_network, result.from_cache,
-      result.not_modified, result.from_sw_cache,
-      format_bytes(result.bytes_downloaded).c_str(), result.rtts);
+  const client::CacheCounters& c = result.counters;
+  std::printf("  PLT %.1f ms | %" PRIu64 " network, %" PRIu64 " cache, %" PRIu64
+              " 304, %" PRIu64 " sw-cache | %s down, %u RTTs\n\n",
+              to_millis(result.plt()), c.from_network, c.from_cache,
+              c.not_modified, c.from_sw_cache,
+              format_bytes(result.bytes_downloaded).c_str(), result.rtts);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // content generators, change processes and cache policies, then measuring
 // how CacheCatalyst behaves on it. This is the "adopt the library for
 // your own experiments" example.
+#include <cinttypes>
 #include <cstdio>
 
 #include "core/experiment.h"
@@ -103,12 +104,12 @@ int main() {
     std::printf("  t=0      cold   PLT %7.1f ms\n", to_millis(cold.plt()));
     for (const Duration delay : {hours(2), hours(8), hours(24)}) {
       const auto visit = core::run_visit(tb, TimePoint{} + delay);
-      std::printf(
-          "  t=%-5s revisit PLT %7.1f ms  (%2u net, %2u cache, %2u 304, "
-          "%2u sw)\n",
-          format_duration(delay).c_str(), to_millis(visit.plt()),
-          visit.from_network, visit.from_cache, visit.not_modified,
-          visit.from_sw_cache);
+      const client::CacheCounters& c = visit.counters;
+      std::printf("  t=%-5s revisit PLT %7.1f ms  (%2" PRIu64 " net, %2" PRIu64
+                  " cache, %2" PRIu64 " 304, %2" PRIu64 " sw)\n",
+                  format_duration(delay).c_str(), to_millis(visit.plt()),
+                  c.from_network, c.from_cache, c.not_modified,
+                  c.from_sw_cache);
     }
     std::printf("\n");
   }

@@ -4,6 +4,7 @@
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
+#include <cinttypes>
 #include <cstdio>
 
 #include "core/experiment.h"
@@ -16,12 +17,13 @@ using namespace catalyst;
 namespace {
 
 void describe(const char* label, const client::PageLoadResult& r) {
-  std::printf(
-      "  %-18s PLT %8.1f ms | %3u resources: %3u network, %3u cache, "
-      "%3u 304, %3u sw, %2u push | %s down, %u RTTs\n",
-      label, to_millis(r.plt()), r.resources_total, r.from_network,
-      r.from_cache, r.not_modified, r.from_sw_cache, r.from_push,
-      format_bytes(r.bytes_downloaded).c_str(), r.rtts);
+  const client::CacheCounters& c = r.counters;
+  std::printf("  %-18s PLT %8.1f ms | %3u resources: %3" PRIu64
+              " network, %3" PRIu64 " cache, %3" PRIu64 " 304, %3" PRIu64
+              " sw, %2" PRIu64 " push | %s down, %u RTTs\n",
+              label, to_millis(r.plt()), r.resources_total, c.from_network,
+              c.from_cache, c.not_modified, c.from_sw_cache, c.from_push,
+              format_bytes(r.bytes_downloaded).c_str(), r.rtts);
 }
 
 }  // namespace

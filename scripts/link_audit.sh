@@ -4,9 +4,16 @@
 # Builds every shipped binary (tools/, bench/, examples/ and perfbench's
 # fleet_bench) at -O0 with one section per function and links them with
 # --gc-sections, so each binary keeps only the functions it can reach.
-# Prints every function defined in the build's src/*/*.a that none of
-# those binaries contains, then the count. Tests are not shipped binaries:
-# a function only a test calls is listed.
+# -fkeep-inline-functions emits every inline function, so accessors
+# defined in headers are audited like any other. Prints every function
+# defined in the build's src/*/*.a that none of those binaries contains,
+# then the count. Left out: lambdas (and their helpers) and the default,
+# copy and move constructors the compiler generates. Tests are not
+# shipped binaries: a function only a test calls is listed.
+#
+# Count when -fkeep-inline-functions came in: 128 entries before that
+# change deleted the tallies no binary read, 116 after. A new function no
+# binary calls ships with the binary that calls it.
 #
 #   scripts/link_audit.sh [BUILD_DIR]    (default: build-audit)
 set -euo pipefail
@@ -15,8 +22,9 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-audit}"
 JOBS="$(nproc)"
+CXX_FLAGS="-O0 -fkeep-inline-functions -ffunction-sections -fdata-sections"
 FLAGS=(-G "Unix Makefiles" -DCMAKE_BUILD_TYPE=Debug
-       "-DCMAKE_CXX_FLAGS_DEBUG=-O0 -ffunction-sections -fdata-sections"
+       "-DCMAKE_CXX_FLAGS_DEBUG=$CXX_FLAGS"
        "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
 
 cmake -S . -B "$BUILD_DIR" "${FLAGS[@]}" >/dev/null
@@ -37,9 +45,12 @@ functions() {
 
 binaries=$(find "$BUILD_DIR/tools" "$BUILD_DIR/bench" "$BUILD_DIR/examples" \
              "$BUILD_DIR/perfbench" -maxdepth 1 -type f -perm -u+x)
+# Compiler-generated constructors: X::X(), X::X(X const&), X::X(X&&).
+implicit_ctor='(^|::)([A-Za-z0-9_]+)::\2\(((.*::)?\2( const&|&&))?\)$'
 # shellcheck disable=SC2086
 unlinked=$(comm -23 <(functions "$BUILD_DIR"/src/*/*.a) \
-                    <(functions $binaries) | c++filt)
+                    <(functions $binaries) | c++filt |
+             grep -v 'lambda' | grep -Ev "$implicit_ctor" || true)
 [[ -n "$unlinked" ]] && printf '%s\n' "$unlinked"
 echo "link_audit: $(grep -c . <<<"$unlinked") library functions linked by" \
      "no binary ($(wc -w <<<"$binaries") binaries)"

@@ -12,51 +12,36 @@ HttpCache::HttpCache(ByteCount capacity, bool allow_heuristic,
       negative_(negative) {}
 
 LookupResult HttpCache::lookup(const std::string& url, TimePoint now) {
-  ++stats_.lookups;
   CacheEntry* entry = store_.get(url);
-  if (entry == nullptr) {
-    ++stats_.misses;
-    return LookupResult{LookupDecision::Miss, nullptr};
-  }
+  if (entry == nullptr) return LookupResult{LookupDecision::Miss, nullptr};
   // Negative entries (stored 404/410s) answer under the bounded negative
   // lifetime or not at all: once expired they are erased — revalidating an
   // error body is pointless, the next reference pays the origin again.
   if (is_negative_status(entry->response.status)) {
     if (negative_.enabled && is_negative_fresh(*entry, now, negative_)) {
-      ++stats_.hits;
-      ++stats_.negative_hits;
-      stats_.bytes_served += entry->response.wire_size();
       return LookupResult{LookupDecision::FreshHit, entry};
     }
     store_.erase(url);
-    ++stats_.misses;
     return LookupResult{LookupDecision::Miss, nullptr};
   }
   const http::CacheControl cc = entry->response.cache_control();
   if (!cc.must_revalidate && !cc.no_cache &&
       is_fresh(*entry, now, allow_heuristic_)) {
-    ++stats_.hits;
-    stats_.bytes_served += entry->response.wire_size();
     return LookupResult{LookupDecision::FreshHit, entry};
   }
   // Stale (or always-revalidate): usable only after validation — but only
   // if we hold a validator; otherwise it is as good as a miss.
   if (entry->etag() ||
       entry->response.headers.contains(http::kLastModified)) {
-    ++stats_.revalidations;
     return LookupResult{LookupDecision::NeedsRevalidation, entry};
   }
-  ++stats_.misses;
   return LookupResult{LookupDecision::Miss, nullptr};
 }
 
 bool HttpCache::store(const std::string& url, http::Response response,
                       TimePoint request_time, TimePoint response_time) {
   const http::CacheControl cc = response.cache_control();
-  if (cc.no_store) {
-    ++stats_.rejected_no_store;
-    return false;
-  }
+  if (cc.no_store) return false;
   if (!http::is_cacheable_status(response.status)) return false;
   const bool negative = is_negative_status(response.status);
   if (negative && (!negative_.enabled || cc.no_cache)) return false;
@@ -73,12 +58,7 @@ bool HttpCache::store(const std::string& url, http::Response response,
   entry.response = std::move(response);
   entry.request_time = request_time;
   entry.response_time = response_time;
-  if (store_.put(url, std::move(entry))) {
-    ++stats_.stores;
-    if (negative) ++stats_.negative_stores;
-    return true;
-  }
-  return false;
+  return store_.put(url, std::move(entry));
 }
 
 const CacheEntry* HttpCache::apply_not_modified(

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "cache/freshness.h"
-#include "cache/stats.h"
 #include "cache/storage.h"
 #include "util/types.h"
 
@@ -25,15 +24,6 @@ struct LookupResult {
   /// Stored entry for FreshHit / NeedsRevalidation; owned by the cache and
   /// invalidated by subsequent mutations.
   const CacheEntry* entry = nullptr;
-};
-
-/// CacheStats core (hits = fresh hits) plus the RFC 9111 decisions only
-/// the browser cache makes.
-struct HttpCacheStats : CacheStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t revalidations = 0;  // stale-but-validatable lookups
-  std::uint64_t negative_stores = 0;  // 404/410 bodies admitted
-  std::uint64_t negative_hits = 0;    // errors answered without the origin
 };
 
 class HttpCache {
@@ -66,12 +56,6 @@ class HttpCache {
   }
   void remove(const std::string& url) { store_.erase(url); }
 
-  /// Snapshot with the storage engine's eviction count folded in.
-  HttpCacheStats stats() const {
-    HttpCacheStats s = stats_;
-    s.evictions = store_.evictions();
-    return s;
-  }
   std::size_t entry_count() const { return store_.entry_count(); }
   ByteCount size_bytes() const { return store_.size_bytes(); }
 
@@ -84,7 +68,6 @@ class HttpCache {
   LruStore store_;
   bool allow_heuristic_;
   NegativePolicy negative_;
-  HttpCacheStats stats_;
 };
 
 }  // namespace catalyst::cache

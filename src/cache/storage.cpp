@@ -102,7 +102,6 @@ void LruStore::evict_to_fit(ByteCount incoming_cost) {
     index_.erase(nodes_[victim].key);
     unlink(victim);
     release(victim);
-    ++evictions_;
   }
 }
 

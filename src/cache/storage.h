@@ -53,7 +53,6 @@ class LruStore {
   std::size_t entry_count() const { return index_.size(); }
   ByteCount size_bytes() const { return size_bytes_; }
   ByteCount capacity() const { return capacity_; }
-  std::size_t evictions() const { return evictions_; }
 
   /// Keys in most-recently-used order (for inspection/tests).
   std::vector<std::string> keys_mru_order() const;
@@ -76,7 +75,6 @@ class LruStore {
 
   ByteCount capacity_;
   ByteCount size_bytes_ = 0;
-  std::size_t evictions_ = 0;
   std::vector<Node> nodes_;           // slab; slots recycled via free_
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;  // most recently used

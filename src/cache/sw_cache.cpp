@@ -5,43 +5,28 @@
 namespace catalyst::cache {
 
 bool SwCache::put(const std::string& url, http::Response response) {
-  if (response.cache_control().no_store) {
-    ++stats_.rejected_no_store;
-    return false;
-  }
-  if (!response.etag()) return false;
+  if (response.cache_control().no_store || !response.etag()) return false;
   CacheEntry entry;
   entry.body_digest = response.body_digest();
   entry.response = std::move(response);
-  if (store_.put(url, std::move(entry))) {
-    ++stats_.stores;
-    return true;
-  }
-  return false;
+  return store_.put(url, std::move(entry));
 }
 
-const http::Response* SwCache::match(const std::string& url,
-                                     const http::Etag& expected_etag) {
+SwCache::Match SwCache::match(const std::string& url,
+                              const http::Etag& expected_etag) {
   CacheEntry* entry = store_.get(url);
-  if (entry == nullptr) {
-    ++stats_.misses;
-    return nullptr;
-  }
+  if (entry == nullptr) return {};
   if (entry->body_digest != entry->response.body_digest()) {
     // The stored bytes rotted: evict, never serve. The caller falls back
     // to a conditional GET regardless of what the map says.
-    ++stats_.integrity_failures;
     store_.erase(url);
-    return nullptr;
+    return {nullptr, true};
   }
   const auto stored = entry->etag();
   if (stored && stored->weak_equals(expected_etag)) {
-    ++stats_.hits;
-    stats_.bytes_served += entry->response.wire_size();
-    return &entry->response;
+    return {&entry->response, false};
   }
-  ++stats_.etag_mismatches;
-  return nullptr;
+  return {};
 }
 
 void SwCache::corrupt(const std::string& url) {

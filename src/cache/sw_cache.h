@@ -9,19 +9,10 @@
 #include <optional>
 #include <string>
 
-#include "cache/stats.h"
 #include "cache/storage.h"
 #include "http/etag.h"
 
 namespace catalyst::cache {
-
-/// CacheStats core plus the map-comparison outcomes only the SW cache has.
-struct SwCacheStats : CacheStats {
-  std::uint64_t etag_mismatches = 0;
-  /// Entries whose body no longer matched the digest taken at store time;
-  /// they are evicted rather than served.
-  std::uint64_t integrity_failures = 0;
-};
 
 class SwCache {
  public:
@@ -32,12 +23,18 @@ class SwCache {
   /// Returns true when stored.
   bool put(const std::string& url, http::Response response);
 
-  /// Returns the stored response iff its ETag weak-matches
-  /// `expected_etag` (from the X-Etag-Config map). A mismatch means the
-  /// resource changed on the origin: the entry is NOT returned and the
-  /// caller must fetch.
-  const http::Response* match(const std::string& url,
-                              const http::Etag& expected_etag);
+  struct Match {
+    /// The stored response iff its ETag weak-matches the expected one.
+    const http::Response* response = nullptr;
+    /// The stored body no longer matched the digest taken at store time;
+    /// the entry was evicted rather than served.
+    bool integrity_failure = false;
+  };
+
+  /// Looks up `url` against `expected_etag` (from the X-Etag-Config map).
+  /// A mismatch means the resource changed on the origin: no response is
+  /// returned and the caller must fetch.
+  Match match(const std::string& url, const http::Etag& expected_etag);
 
   /// Stored ETag for a URL, if any (used to decide revalidation fallbacks
   /// for resources missing from the map).
@@ -52,18 +49,11 @@ class SwCache {
   }
   void remove(const std::string& url) { store_.erase(url); }
 
-  /// Snapshot with the storage engine's eviction count folded in.
-  SwCacheStats stats() const {
-    SwCacheStats s = stats_;
-    s.evictions = store_.evictions();
-    return s;
-  }
   std::size_t entry_count() const { return store_.entry_count(); }
   ByteCount size_bytes() const { return store_.size_bytes(); }
 
  private:
   LruStore store_;
-  SwCacheStats stats_;
 };
 
 }  // namespace catalyst::cache

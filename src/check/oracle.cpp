@@ -86,33 +86,36 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
   // Only successful serves carry content to audit; error bodies (404/5xx,
   // synthesized 504s) have no origin ground truth.
   if (outcome.response.status != http::Status::Ok) {
-    ++stats_.unauditable;
     return netsim::ServeClass::Unchecked;
   }
   const auto it = origins_.find(url.host);
-  if (it == origins_.end()) {
-    ++stats_.unauditable;
-    return netsim::ServeClass::Unchecked;
-  }
+  if (it == origins_.end()) return netsim::ServeClass::Unchecked;
   const std::optional<std::uint64_t> truth =
       it->second(url.path, outcome.finish);
-  if (!truth) {
-    ++stats_.unauditable;
-    return netsim::ServeClass::Unchecked;
-  }
+  if (!truth) return netsim::ServeClass::Unchecked;
 
-  ++stats_.checked;
   const std::uint64_t served = outcome.response.body_digest();
-  if (served == *truth) {
-    ++stats_.fresh;
-    return netsim::ServeClass::Fresh;
-  }
+  if (served == *truth) return netsim::ServeClass::Fresh;
   // The content changed mid-flight cases: a fetch started before a version
   // flip can legitimately deliver the version current at its start time.
   if (served == it->second(url.path, outcome.start)) {
-    ++stats_.fresh;
     return netsim::ServeClass::Fresh;
   }
+
+  const auto violation = [&](netsim::ServeClass kind) {
+    if (violations_.size() < kMaxRecordedViolations) {
+      Violation v;
+      v.url = url.to_string();
+      v.source = outcome.source;
+      v.start = outcome.start;
+      v.finish = outcome.finish;
+      v.served_digest = served;
+      v.expected_digest = *truth;
+      v.kind = kind;
+      violations_.push_back(std::move(v));
+    }
+    return kind;
+  };
 
   // Unkeyed-input reflection check, ahead of the freshness excuse: a
   // poisoned cache entry is typically *fresh* by its own headers, which
@@ -131,28 +134,9 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
       value = std::string_view(outcome.response.body)
                   .substr(value_begin, value_end - value_begin);
     }
-    const bool leak = value.substr(0, 4) == "uid:";
-    ++stats_.violations;
-    if (leak) {
-      ++stats_.cross_user_leaks;
-    } else {
-      ++stats_.poisoned_serves;
-    }
-    const netsim::ServeClass kind = leak
-                                        ? netsim::ServeClass::CrossUserLeak
-                                        : netsim::ServeClass::PoisonedServe;
-    if (violations_.size() < kMaxRecordedViolations) {
-      Violation v;
-      v.url = url.to_string();
-      v.source = outcome.source;
-      v.start = outcome.start;
-      v.finish = outcome.finish;
-      v.served_digest = served;
-      v.expected_digest = *truth;
-      v.kind = kind;
-      violations_.push_back(std::move(v));
-    }
-    return kind;
+    return violation(value.substr(0, 4) == "uid:"
+                         ? netsim::ServeClass::CrossUserLeak
+                         : netsim::ServeClass::PoisonedServe);
   }
 
   // Stale bytes. Catalyst SW serves claim byte-currency (the X-Etag-Config
@@ -160,28 +144,10 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
   const bool excusable =
       outcome.source != netsim::FetchSource::SwCache &&
       within_freshness(outcome.response, outcome.finish);
-  if (excusable) {
-    ++stats_.allowed_stale;
-    return netsim::ServeClass::AllowedStale;
-  }
-
-  ++stats_.violations;
-  if (violations_.size() < kMaxRecordedViolations) {
-    Violation v;
-    v.url = url.to_string();
-    v.source = outcome.source;
-    v.start = outcome.start;
-    v.finish = outcome.finish;
-    v.served_digest = served;
-    v.expected_digest = *truth;
-    violations_.push_back(std::move(v));
-  }
-  return netsim::ServeClass::Violation;
+  if (excusable) return netsim::ServeClass::AllowedStale;
+  return violation(netsim::ServeClass::Violation);
 }
 
-void ByteOracle::clear() {
-  stats_ = OracleStats{};
-  violations_.clear();
-}
+void ByteOracle::clear() { violations_.clear(); }
 
 }  // namespace catalyst::check

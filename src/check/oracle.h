@@ -63,16 +63,6 @@ struct Violation {
   netsim::ServeClass kind = netsim::ServeClass::Violation;
 };
 
-struct OracleStats {
-  std::uint64_t checked = 0;        // fresh + allowed_stale + violations
-  std::uint64_t fresh = 0;
-  std::uint64_t allowed_stale = 0;
-  std::uint64_t violations = 0;     // includes poisoned/leak subclasses
-  std::uint64_t unauditable = 0;    // unknown origin/path or non-200
-  std::uint64_t poisoned_serves = 0;  // of violations: reflected unkeyed input
-  std::uint64_t cross_user_leaks = 0; // of violations: another user's input
-};
-
 class ByteOracle {
  public:
   /// Registers a ground-truth provider for `host`.
@@ -91,13 +81,13 @@ class ByteOracle {
                  BodyTransform html_transform = {});
 
   /// Classifies one delivered serve. Called by the browser's serve
-  /// classifier hook for every resource a page load records.
+  /// classifier hook for every resource a page load records, which
+  /// counts the verdict into the load's client::OracleCounters.
   netsim::ServeClass classify(const Url& url,
                               const client::FetchOutcome& outcome);
 
-  const OracleStats& stats() const { return stats_; }
-
-  /// First violations seen (capped; stats_.violations is the full count).
+  /// First violations seen (capped; the loads' OracleCounters carry the
+  /// full count).
   const std::vector<Violation>& violations() const { return violations_; }
 
   void clear();
@@ -106,7 +96,6 @@ class ByteOracle {
   static constexpr std::size_t kMaxRecordedViolations = 64;
 
   std::map<std::string, GroundTruth> origins_;
-  OracleStats stats_;
   std::vector<Violation> violations_;
 };
 

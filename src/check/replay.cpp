@@ -20,25 +20,26 @@ std::string trace_to_jsonl(const client::PageLoadResult& result,
                            std::uint64_t user, std::uint32_t visit) {
   // Hand-rendered lines: util::Json stores numbers as doubles, which would
   // corrupt 64-bit timestamps and digests; strings stay exact.
+  const client::CacheCounters& c = result.counters;
   std::string out = str_format(
       "{\"u\":%" PRIu64 ",\"v\":%" PRIu32
       ",\"page\":%s,\"start_ns\":%" PRId64 ",\"plt_ns\":%" PRId64
       ",\"fcp_ns\":%" PRId64 ",\"tti_ns\":%" PRId64
-      ",\"resources\":%" PRIu32 ",\"net\":%" PRIu32 ",\"cache\":%" PRIu32
-      ",\"304\":%" PRIu32 ",\"sw\":%" PRIu32 ",\"push\":%" PRIu32
+      ",\"resources\":%" PRIu32 ",\"net\":%" PRIu64 ",\"cache\":%" PRIu64
+      ",\"304\":%" PRIu64 ",\"sw\":%" PRIu64 ",\"push\":%" PRIu64
       ",\"bytes\":%" PRIu64 ",\"rtts\":%" PRIu32
-      ",\"checked\":%" PRIu32 ",\"stale_ok\":%" PRIu32
-      ",\"violations\":%" PRIu32 "}\n",
+      ",\"checked\":%" PRIu64 ",\"stale_ok\":%" PRIu64
+      ",\"violations\":%" PRIu64 "}\n",
       user, visit, json_escape(result.trace.traces().empty()
                                    ? std::string()
                                    : result.trace.traces().front().url)
                        .c_str(),
       ns(result.start), result.plt().count(), result.fcp().count(),
-      result.tti().count(), result.resources_total, result.from_network,
-      result.from_cache, result.not_modified, result.from_sw_cache,
-      result.from_push, static_cast<std::uint64_t>(result.bytes_downloaded),
-      result.rtts, result.oracle_checked, result.oracle_allowed_stale,
-      result.oracle_violations);
+      result.tti().count(), result.resources_total, c.from_network,
+      c.from_cache, c.not_modified, c.from_sw_cache, c.from_push,
+      static_cast<std::uint64_t>(result.bytes_downloaded), result.rtts,
+      result.oracle.checked, result.oracle.allowed_stale,
+      result.oracle.violations);
 
   std::uint32_t index = 0;
   for (const netsim::FetchTrace& t : result.trace.traces()) {

@@ -117,7 +117,6 @@ http::Request Browser::build_request(
   // can skip pushing what we already hold.
   if (is_navigation && config_.send_cache_digest) {
     std::vector<std::string> paths;
-    const std::string prefix = url.origin();
     for (const std::string& stored : http_cache_.stored_urls()) {
       if (const auto parsed = Url::parse(stored);
           parsed && parsed->host == url.host) {
@@ -130,7 +129,6 @@ http::Request Browser::build_request(
       for (const std::string& path : paths) digest.insert(path);
       req.headers.set("Cache-Digest", digest.serialize());
     }
-    (void)prefix;
   }
   return req;
 }

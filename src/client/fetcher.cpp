@@ -137,13 +137,13 @@ void Fetcher::dispatch(const std::shared_ptr<PendingFetch>& fetch) {
       std::move(push_cb), std::move(promise_cb), std::move(hints_cb),
       [this, self, attempt] {
         if (self->settled || self->attempt != attempt) return;
-        ++stats_.connection_failures;
+        ++faults_.connection_failures;
         retry_or_fail(self);
       });
   fetch->deadline = network_.loop().schedule_after(
       config_.resilience.request_timeout, [this, self, attempt] {
         if (self->settled || self->attempt != attempt) return;
-        ++stats_.timeouts_fired;
+        ++faults_.timeouts;
         // The connection carrying the attempt is wedged (stall or
         // blackholed origin): break it so queued requests re-route and
         // the pool opens a replacement.
@@ -161,7 +161,6 @@ void Fetcher::retry_or_fail(const std::shared_ptr<PendingFetch>& fetch) {
     // synthesized 504 so the page load completes and records the failure
     // instead of hanging.
     fetch->settled = true;
-    ++stats_.failed_requests;
     http::Response response = http::Response::make(http::Status::GatewayTimeout);
     response.finalize(network_.loop().now());
     network_.loop().schedule_after(
@@ -172,7 +171,7 @@ void Fetcher::retry_or_fail(const std::shared_ptr<PendingFetch>& fetch) {
     return;
   }
   --fetch->retries_left;
-  ++stats_.retries;
+  ++faults_.retries;
   const int retries_done = r.max_retries - fetch->retries_left;
   double scale = 1.0;
   for (int i = 1; i < retries_done; ++i) scale *= kBackoffMultiplier;
@@ -190,7 +189,7 @@ void Fetcher::retry_or_fail(const std::shared_ptr<PendingFetch>& fetch) {
 
 void Fetcher::close_all() {
   pools_.clear();
-  stats_ = FetcherStats{};
+  faults_ = FaultCounters{};
 }
 
 int Fetcher::total_rtts() const {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "client/metrics.h"
 #include "netsim/transport.h"
 
 namespace catalyst::client {
@@ -36,17 +37,6 @@ struct ResilienceConfig {
   /// Exponential backoff between attempts: this base, doubling per retry,
   /// capped at five seconds.
   Duration backoff_base = milliseconds(200);
-};
-
-/// Per-visit resilience telemetry (reset by close_all, like the RTT and
-/// byte aggregates).
-struct FetcherStats {
-  std::uint64_t timeouts_fired = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t connection_failures = 0;
-  /// Requests that exhausted their retry budget; the caller saw a
-  /// synthesized 504 Gateway Timeout.
-  std::uint64_t failed_requests = 0;
 };
 
 struct FetcherConfig {
@@ -99,7 +89,10 @@ class Fetcher {
   ByteCount total_bytes_received() const;
   std::size_t connection_count() const;
 
-  const FetcherStats& stats() const { return stats_; }
+  /// Timeouts, retries and connection failures since the last close_all
+  /// (the other FaultCounters fields stay zero; the page loader counts
+  /// them).
+  const FaultCounters& faults() const { return faults_; }
 
  private:
   struct PendingFetch;
@@ -120,7 +113,7 @@ class Fetcher {
   PromiseCallback promise_handler_;
   HintsCallback hints_handler_;
   std::set<std::string> dns_resolved_;  // origins already resolved
-  FetcherStats stats_;
+  FaultCounters faults_;
 };
 
 }  // namespace catalyst::client

@@ -30,49 +30,9 @@ void PageLoader::start(std::function<void(PageLoadResult)> on_done) {
 void PageLoader::record(const Url& url, http::ResourceClass rc,
                         const FetchOutcome& outcome) {
   ++result_.resources_total;
-  switch (outcome.source) {
-    case netsim::FetchSource::Network:
-      ++result_.from_network;
-      break;
-    case netsim::FetchSource::BrowserCache:
-      ++result_.from_cache;
-      break;
-    case netsim::FetchSource::NotModified:
-      ++result_.not_modified;
-      break;
-    case netsim::FetchSource::SwCache:
-      ++result_.from_sw_cache;
-      break;
-    case netsim::FetchSource::Push:
-      ++result_.from_push;
-      break;
-  }
+  result_.counters.add(outcome.source);
   const netsim::ServeClass verdict = browser_.classify_serve(url, outcome);
-  switch (verdict) {
-    case netsim::ServeClass::Unchecked:
-      break;
-    case netsim::ServeClass::Fresh:
-      ++result_.oracle_checked;
-      break;
-    case netsim::ServeClass::AllowedStale:
-      ++result_.oracle_checked;
-      ++result_.oracle_allowed_stale;
-      break;
-    case netsim::ServeClass::Violation:
-      ++result_.oracle_checked;
-      ++result_.oracle_violations;
-      break;
-    case netsim::ServeClass::PoisonedServe:
-      ++result_.oracle_checked;
-      ++result_.oracle_violations;
-      ++result_.oracle_poisoned;
-      break;
-    case netsim::ServeClass::CrossUserLeak:
-      ++result_.oracle_checked;
-      ++result_.oracle_violations;
-      ++result_.oracle_leaks;
-      break;
-  }
+  result_.oracle.add(verdict);
   netsim::FetchTrace& trace = result_.trace.append();
   url.append_path_and_query(trace.url);
   trace.resource_class = rc;
@@ -89,9 +49,9 @@ void PageLoader::record(const Url& url, http::ResourceClass rc,
   trace.status = http::code(outcome.response.status);
   trace.body_digest = outcome.response.body_digest();
   trace.oracle_class = verdict;
-  if (outcome.stale) ++result_.stale_served;
-  if (outcome.sw_fallback) ++result_.fallback_revalidations;
-  if (http::code(outcome.response.status) >= 500) ++result_.failed_loads;
+  if (outcome.stale) ++result_.counters.stale_served;
+  if (outcome.sw_fallback) ++result_.faults.fallback_revalidations;
+  if (trace.status >= 500) ++result_.faults.failed_loads;
   // Negative-cache hit: an error answered from a client-side cache (the
   // only way a 404/410 arrives with a cache source).
   if ((outcome.response.status == http::Status::NotFound ||
@@ -385,11 +345,7 @@ void PageLoader::finish() {
   result_.rtts =
       static_cast<std::uint32_t>(browser_.fetcher().total_rtts());
   result_.bytes_downloaded = browser_.fetcher().total_bytes_received();
-  const FetcherStats& fs = browser_.fetcher().stats();
-  result_.timeouts_fired = static_cast<std::uint32_t>(fs.timeouts_fired);
-  result_.retries = static_cast<std::uint32_t>(fs.retries);
-  result_.connection_failures =
-      static_cast<std::uint32_t>(fs.connection_failures);
+  result_.faults.merge(browser_.fetcher().faults());
 
   post_onload_sw_registration();
 

@@ -13,7 +13,6 @@ CatalystServiceWorker::MapInstall CatalystServiceWorker::install_map_from(
     // the page load they arrived on, so drop it and run degraded.
     map_.reset();
     degraded_ = true;
-    ++stats_.maps_missing;
     return MapInstall::Missing;
   }
   auto parsed = http::EtagConfig::parse(*header);
@@ -21,59 +20,43 @@ CatalystServiceWorker::MapInstall CatalystServiceWorker::install_map_from(
     // Truncated/garbled map: worse than none — never trust it.
     map_.reset();
     degraded_ = true;
-    ++stats_.maps_rejected;
     return MapInstall::Malformed;
   }
   map_ = std::move(*parsed);
   degraded_ = false;
-  ++stats_.maps_installed;
   return MapInstall::Installed;
 }
 
 CatalystServiceWorker::InterceptResult CatalystServiceWorker::try_serve(
     const std::string& path, TimePoint now) {
-  ++stats_.intercepted;
   // A remembered 404/410 answers before the map is consulted: the map
   // only vouches for resources that exist.
   if (const auto it = negative_entries_.find(path);
       it != negative_entries_.end()) {
     if (negative_.enabled &&
         cache::is_negative_fresh(it->second, now, negative_)) {
-      ++stats_.served_from_cache;
-      ++stats_.negative_hits;
       return {Decision::ServeFromCache, &it->second.response, false};
     }
     negative_entries_.erase(it);
   }
   if (!map_) {
-    ++stats_.forwarded;
     if (degraded_) {
       // Degraded mode: with no trustworthy map, forward as a conditional
       // GET — correctness must not rest on the HTTP cache's TTLs.
-      ++stats_.fallback_revalidations;
       return {Decision::ForwardRevalidate, nullptr, true};
     }
     return {Decision::ForwardDefault, nullptr, false};
   }
   const auto expected = map_->find(path);
-  if (!expected) {
-    ++stats_.forwarded;
-    return {Decision::ForwardDefault, nullptr, false};
-  }
-  const std::uint64_t integrity_before = cache_.stats().integrity_failures;
-  const http::Response* cached = cache_.match(path, *expected);
-  if (cached == nullptr) {
+  if (!expected) return {Decision::ForwardDefault, nullptr, false};
+  const cache::SwCache::Match cached = cache_.match(path, *expected);
+  if (cached.response == nullptr) {
     // Covered but changed (or never cached): the map is authoritative
     // that our copy is unusable. A body that failed its integrity check
     // lands here too — that one counts as a degradation fallback.
-    ++stats_.forwarded;
-    const bool integrity_fallback =
-        cache_.stats().integrity_failures > integrity_before;
-    if (integrity_fallback) ++stats_.fallback_revalidations;
-    return {Decision::ForwardRevalidate, nullptr, integrity_fallback};
+    return {Decision::ForwardRevalidate, nullptr, cached.integrity_failure};
   }
-  ++stats_.served_from_cache;
-  return {Decision::ServeFromCache, cached, false};
+  return {Decision::ServeFromCache, cached.response, false};
 }
 
 void CatalystServiceWorker::observe_response(
@@ -88,7 +71,6 @@ void CatalystServiceWorker::observe_response(
       entry.request_time = response_time;
       entry.response_time = response_time;
       negative_entries_.insert_or_assign(path, std::move(entry));
-      ++stats_.negative_stores;
     }
     return;
   }

@@ -20,24 +20,6 @@
 
 namespace catalyst::client {
 
-struct ServiceWorkerStats {
-  std::uint64_t intercepted = 0;
-  std::uint64_t served_from_cache = 0;
-  std::uint64_t forwarded = 0;
-  std::uint64_t maps_installed = 0;
-  /// Navigation responses that should have carried an X-Etag-Config but
-  /// did not (lost/truncated in transit, origin degraded).
-  std::uint64_t maps_missing = 0;
-  /// Headers present but unparseable.
-  std::uint64_t maps_rejected = 0;
-  /// Requests forwarded as forced conditional GETs because the map was
-  /// untrustworthy or a cached body failed its integrity check.
-  std::uint64_t fallback_revalidations = 0;
-  /// Negative caching (404/410 under a bounded TTL).
-  std::uint64_t negative_stores = 0;
-  std::uint64_t negative_hits = 0;
-};
-
 class CatalystServiceWorker {
  public:
   explicit CatalystServiceWorker(
@@ -111,7 +93,6 @@ class CatalystServiceWorker {
 
   const cache::SwCache& cache() const { return cache_; }
   cache::SwCache& cache() { return cache_; }
-  const ServiceWorkerStats& stats() const { return stats_; }
 
  private:
   bool registered_ = false;
@@ -122,7 +103,6 @@ class CatalystServiceWorker {
   /// Negative entries live outside the SwCache: they have no ETag to
   /// compare against the map, only a bounded lifetime.
   std::map<std::string, cache::CacheEntry> negative_entries_;
-  ServiceWorkerStats stats_;
 };
 
 }  // namespace catalyst::client

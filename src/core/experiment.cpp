@@ -53,7 +53,7 @@ client::PageLoadResult run_rdr_visit(Testbed& tb) {
         trace.bytes_down = outcome.response.wire_size();
         result.trace.record(std::move(trace));
         result.resources_total = static_cast<std::uint32_t>(resources);
-        result.from_network = result.resources_total;
+        result.counters.from_network = result.resources_total;
         tb.loop->schedule_after(compute, [&result, &tb, &done] {
           result.onload = tb.loop->now();
           // The bundle renders only when fully processed.

@@ -36,7 +36,6 @@ bool FlashTier::put(const std::string& key, cache::CacheEntry entry) {
     // it lies and its space comes back when its segment is reclaimed.
     old->live = false;
     live_bytes_ -= old->cost;
-    ++stats_.superseded;
     index_.erase(key_id);
   }
 
@@ -104,7 +103,6 @@ void FlashTier::reclaim_oldest() {
   Segment victim = std::move(segments_.front());
   segments_.pop_front();
   log_bytes_ -= victim.bytes;
-  ++stats_.gc_segments;
   for (Record& record : victim.records) {
     if (!record.live) continue;  // dead space reclaims for free
     live_bytes_ -= record.cost;

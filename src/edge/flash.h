@@ -58,9 +58,7 @@ struct FlashConfig {
 
 struct FlashStats {
   std::uint64_t stores = 0;       // records appended on behalf of a host write
-  std::uint64_t superseded = 0;   // records invalidated by a newer store
   std::uint64_t evictions = 0;    // live records dropped by GC
-  std::uint64_t gc_segments = 0;  // segments reclaimed
   std::uint64_t gc_rewrites = 0;  // live records salvaged by GC
   ByteCount host_bytes_written = 0;    // bytes the cache asked to write
   ByteCount device_bytes_written = 0;  // bytes the device actually wrote

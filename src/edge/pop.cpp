@@ -79,10 +79,7 @@ bool EdgePop::admit_and_store(const std::string& key, http::Response response,
   const http::CacheControl cc = response.cache_control();
   // Shared-cache storage rules (RFC 9111 §3): private responses are for
   // the user's cache only, no-store is for nobody's.
-  if (cc.no_store || cc.is_private) {
-    ++stats_.rejected_no_store;
-    return false;
-  }
+  if (cc.no_store || cc.is_private) return false;
   if (!http::is_cacheable_status(response.status)) return false;
   const bool negative = cache::is_negative_status(response.status);
   if (negative && (!config_.negative.enabled || cc.no_cache)) return false;
@@ -263,8 +260,12 @@ EdgePopStats EdgePop::stats() const {
 }
 
 void EdgePopStats::merge(const EdgePopStats& other) {
-  cache::CacheStats::merge(other);
   requests += other.requests;
+  hits += other.hits;
+  misses += other.misses;
+  stores += other.stores;
+  evictions += other.evictions;
+  bytes_served += other.bytes_served;
   revalidated_hits += other.revalidated_hits;
   coalesced += other.coalesced;
   origin_fetches += other.origin_fetches;

@@ -18,7 +18,6 @@
 
 #include "cache/entry.h"
 #include "cache/freshness.h"
-#include "cache/stats.h"
 #include "edge/flash.h"
 #include "edge/slru.h"
 #include "edge/tinylfu.h"
@@ -79,13 +78,17 @@ struct EdgeTierParams {
   bool flash_enabled() const { return enabled() && flash_capacity > 0; }
 };
 
-/// CacheStats core plus the decisions only a shared intermediary makes:
-/// one PoP's tally, and the sum of several (fleet reports merge them per
+/// One PoP's tally, and the sum of several (fleet reports merge them per
 /// PoP and across PoPs). Every request resolves as exactly one of hits /
 /// flash_hits / revalidated_hits / misses, so requests always equals their
 /// sum (flash_hits is zero whenever the flash tier is disabled).
-struct EdgePopStats : cache::CacheStats {
+struct EdgePopStats {
   std::uint64_t requests = 0;           // client requests handled
+  std::uint64_t hits = 0;               // served fresh from RAM
+  std::uint64_t misses = 0;             // nothing usable stored
+  std::uint64_t stores = 0;             // entries written
+  std::uint64_t evictions = 0;          // RAM entries removed to make room
+  ByteCount bytes_served = 0;           // wire bytes answered from RAM
   std::uint64_t revalidated_hits = 0;   // served after an origin 304
   std::uint64_t coalesced = 0;          // requests that joined an in-flight fill
   std::uint64_t origin_fetches = 0;     // upstream fetches launched

@@ -70,18 +70,15 @@ TinyLfuAdmission::TinyLfuAdmission(std::size_t expected_entries,
       sketch_(expected_entries_) {}
 
 void TinyLfuAdmission::record(std::string_view key) {
-  ++stats_.recorded;
   if (!doorkeeper_.may_contain(key)) {
     // First sighting (modulo false positives): the doorkeeper absorbs it
     // so the sketch only spends counters on keys that come back.
     doorkeeper_.insert(key);
-    ++stats_.doorkeeper_absorbed;
   } else {
     sketch_.record(key);
   }
   if (++events_in_epoch_ >= sample_period_) {
     events_in_epoch_ = 0;
-    ++stats_.agings;
     sketch_.age();
     reset_doorkeeper();
   }

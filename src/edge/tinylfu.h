@@ -45,12 +45,6 @@ class FrequencySketch {
   std::vector<std::uint8_t> counters_;  // kRows rows of (mask_+1) counters
 };
 
-struct TinyLfuStats {
-  std::uint64_t recorded = 0;
-  std::uint64_t doorkeeper_absorbed = 0;  // first-sighting keys
-  std::uint64_t agings = 0;
-};
-
 /// The admission policy: record every request, and on cache pressure admit
 /// the candidate only if its estimated frequency beats the victim's.
 class TinyLfuAdmission {
@@ -72,8 +66,6 @@ class TinyLfuAdmission {
     return frequency(candidate) > frequency(victim);
   }
 
-  const TinyLfuStats& stats() const { return stats_; }
-
  private:
   void reset_doorkeeper();
 
@@ -82,7 +74,6 @@ class TinyLfuAdmission {
   std::uint64_t events_in_epoch_ = 0;
   BloomFilter doorkeeper_;
   FrequencySketch sketch_;
-  TinyLfuStats stats_;
 };
 
 }  // namespace catalyst::edge

@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 
+#include "client/metrics.h"
 #include "edge/pop.h"
 #include "obs/recorder.h"
 #include "obs/selfprof.h"
@@ -32,17 +33,17 @@ struct FleetReport {
   /// Fetch outcomes across all treatment revisits (cold loads excluded:
   /// they are all-network by construction and would drown the signal the
   /// related work measures — what happens when a cache is warm).
-  CacheCounters counters;
+  client::CacheCounters counters;
 
   /// Fault/degradation tallies across ALL treatment visits (cold loads
   /// included — faults do not spare them). Serialized only when non-zero
   /// so clean-run reports stay byte-identical to pre-fault builds.
-  FaultCounters faults;
+  client::FaultCounters faults;
 
   /// Byte-equivalence oracle tallies across ALL treatment visits (cold
   /// loads audited too — a wrong byte is wrong on any visit). Serialized
   /// only when any() so oracle-off reports stay byte-identical.
-  OracleCounters oracle;
+  client::OracleCounters oracle;
 
   /// Client-side negative-cache hits (404/410 answered from the browser
   /// HTTP cache or the SW) across all treatment visits. Serialized only

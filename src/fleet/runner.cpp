@@ -1,33 +1,13 @@
 #include "fleet/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 namespace catalyst::fleet {
-
-void ShardQueue::push(ShardTask task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push_back(task);
-  }
-  ready_.notify_one();
-}
-
-void ShardQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  ready_.notify_all();
-}
-
-std::optional<ShardTask> ShardQueue::pop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.wait(lock, [this] { return next_ < tasks_.size() || closed_; });
-  if (next_ < tasks_.size()) return tasks_[next_++];
-  return std::nullopt;
-}
 
 FleetRunner::FleetRunner(FleetParams params, std::uint64_t num_users,
                          int threads)
@@ -52,29 +32,25 @@ FleetReport FleetRunner::run() {
   const std::uint64_t shard_size =
       std::max<std::uint64_t>(params_.shard_size, 1);
 
-  ShardQueue queue;
-  if (params_.edge.enabled()) {
-    // One task per PoP, each spanning every user id; the shard filters to
-    // the users edge_pop_of maps to its PoP. Work partitioning is a pure
-    // function of (seed, pops) — never of threads or shard_size.
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      ShardTask task;
-      task.shard_index = s;
+  // Every task exists before any worker starts, so workers need no queue:
+  // each claims the next unclaimed index until the vector runs out.
+  std::vector<ShardTask> tasks(shard_count_);
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    ShardTask& task = tasks[s];
+    task.shard_index = s;
+    if (params_.edge.enabled()) {
+      // One task per PoP, each spanning every user id; the shard filters
+      // to the users edge_pop_of maps to its PoP. Work partitioning is a
+      // pure function of (seed, pops) — never of threads or shard_size.
       task.first_user = 0;
       task.user_count = num_users_;
       task.pop = static_cast<int>(s);
-      queue.push(task);
-    }
-  } else {
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      ShardTask task;
-      task.shard_index = s;
+    } else {
       task.first_user = static_cast<std::uint64_t>(s) * shard_size;
       task.user_count = std::min(shard_size, num_users_ - task.first_user);
-      queue.push(task);
     }
   }
-  queue.close();
+  std::atomic<std::size_t> next{0};
 
   // Incremental canonical merge: shard reports fold into `merged` in
   // ascending shard index (== ascending user id) the moment the run
@@ -89,10 +65,10 @@ FleetReport FleetRunner::run() {
   std::size_t next_merge = 0;
 
   auto worker = [&] {
-    while (auto task = queue.pop()) {
-      FleetReport report = Shard(params_, *task).run();
+    for (std::size_t s; (s = next.fetch_add(1)) < tasks.size();) {
+      FleetReport report = Shard(params_, tasks[s]).run();
       std::lock_guard<std::mutex> lock(merge_mutex);
-      pending.emplace(task->shard_index, std::move(report));
+      pending.emplace(s, std::move(report));
       while (!pending.empty() && pending.begin()->first == next_merge) {
         merged.merge(pending.begin()->second);
         pending.erase(pending.begin());

@@ -1,4 +1,5 @@
-// Fleet execution: a fixed worker pool draining a shard queue.
+// Fleet execution: a fixed worker pool claiming shards off a shared
+// cursor.
 //
 // Sharding is a pure function of (num_users, shard_size) — never of the
 // thread count — and each shard's report lands in a slot indexed by shard
@@ -7,35 +8,11 @@
 // makes the merged FleetReport bit-identical for any --threads value.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <optional>
-#include <vector>
 
 #include "fleet/shard.h"
 
 namespace catalyst::fleet {
-
-/// Mutex/condvar task queue the worker pool pulls ShardTasks from. All
-/// tasks are enqueued before the workers start; close() lets idle workers
-/// drain out once the queue empties.
-class ShardQueue {
- public:
-  void push(ShardTask task);
-  void close();
-
-  /// Blocks until a task is available or the queue is closed and empty;
-  /// nullopt means "no more work, exit".
-  std::optional<ShardTask> pop();
-
- private:
-  std::mutex mutex_;
-  std::condition_variable ready_;
-  std::vector<ShardTask> tasks_;  // drained FIFO; order is irrelevant
-  std::size_t next_ = 0;
-  bool closed_ = false;
-};
 
 /// Runs `num_users` user sessions across a pool of worker threads and
 /// merges the per-shard reports canonically.

@@ -100,33 +100,17 @@ void Shard::replay_user(const UserProfile& profile, FleetReport& report) {
       report.baseline_rtts += base[i].rtts;
       report.events_executed += base[i].loop_events;
     }
-    // Fault tallies cover every treatment visit — cold loads get hit by
-    // faults like any other.
-    report.faults.timeouts += r.timeouts_fired;
-    report.faults.retries += r.retries;
-    report.faults.connection_failures += r.connection_failures;
-    report.faults.fallback_revalidations += r.fallback_revalidations;
-    report.faults.failed_loads += r.failed_loads;
-    // Oracle tallies cover every treatment visit — a wrong byte on the
-    // cold load would be just as wrong.
-    report.oracle.checked += r.oracle_checked;
-    report.oracle.allowed_stale += r.oracle_allowed_stale;
-    report.oracle.violations += r.oracle_violations;
-    report.oracle.poisoned_serves += r.oracle_poisoned;
-    report.oracle.cross_user_leaks += r.oracle_leaks;
+    // Fault and oracle tallies cover every treatment visit — cold loads
+    // get hit by faults like any other, and a wrong byte on the cold load
+    // would be just as wrong.
+    report.faults.merge(r.faults);
+    report.oracle.merge(r.oracle);
     report.negative_hits += r.negative_hits;
     if (i == 0) continue;  // cold load: all-network by construction
 
-    CacheCounters c;
-    c.from_network = r.from_network;
-    c.from_cache = r.from_cache;
-    c.not_modified = r.not_modified;
-    c.from_sw_cache = r.from_sw_cache;
-    c.from_push = r.from_push;
-    c.stale_served = r.stale_served;
-    report.counters.merge(c);
-    user_fetches += c.total();
-    user_avoided += c.avoided_downloads();
+    report.counters.merge(r.counters);
+    user_fetches += r.counters.total();
+    user_avoided += r.counters.avoided_downloads();
 
     report.plt_ms.add(to_millis(r.plt()));
     if (compare) {

@@ -87,10 +87,8 @@ void AioEngine::finish_op(std::uint64_t id) {
     // fresh read for the same key, which must become a new device op.
     read_by_key_.erase(op.key);
     ++stats_.reads;
-    stats_.bytes_read += op.bytes;
   } else {
     ++stats_.writes;
-    stats_.bytes_written += op.bytes;
   }
   --inflight_;
   // Fill the freed slot from the FIFO before running completions, so ops

@@ -53,29 +53,14 @@ struct AioDeviceConfig {
   double jitter_sigma = 0.25;
 };
 
-/// Engine telemetry. Plain sums (and one high-water mark) so per-PoP
-/// stats merge into fleet reports without the report layer knowing
-/// anything about the engine.
+/// Engine telemetry: plain counts and one high-water mark, which
+/// EdgePop::stats() copies into EdgePopStats::aio_*.
 struct AioStats {
   std::uint64_t reads = 0;         // read ops serviced by the device
   std::uint64_t writes = 0;        // write ops serviced by the device
   std::uint64_t merged_reads = 0;  // reads absorbed into a pending op
   std::uint64_t queue_waits = 0;   // ops that waited for a device slot
   std::uint64_t peak_inflight = 0; // max ops concurrently in service
-  ByteCount bytes_read = 0;
-  ByteCount bytes_written = 0;
-
-  void merge(const AioStats& other) {
-    reads += other.reads;
-    writes += other.writes;
-    merged_reads += other.merged_reads;
-    queue_waits += other.queue_waits;
-    peak_inflight = peak_inflight > other.peak_inflight
-                        ? peak_inflight
-                        : other.peak_inflight;
-    bytes_read += other.bytes_read;
-    bytes_written += other.bytes_written;
-  }
 };
 
 /// Deterministic async-I/O engine bound to one EventLoop. Submission is

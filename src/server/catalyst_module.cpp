@@ -51,11 +51,9 @@ const std::vector<std::string>& CatalystModule::extract_links(
       resource.path() + "#" + std::to_string(resource.version_at(now));
   if (config_.memoize_scans) {
     if (const auto it = scan_memo_.find(key); it != scan_memo_.end()) {
-      ++stats_.scan_memo_hits;
       return it->second;
     }
   }
-  ++stats_.scans_performed;
   const std::string& content = resource.content_at(now);
   cost_accum += seconds_f(to_seconds(kScanCostPerKib) *
                           (static_cast<double>(content.size()) / 1024.0));
@@ -138,22 +136,18 @@ http::EtagConfig CatalystModule::build_map(
       }
     }
   }
-  ++stats_.maps_built;
   return map;
 }
 
 Duration CatalystModule::decorate_html(
-    const http::Request& request, http::Response& response,
-    const Resource& html, TimePoint now,
+    http::Response& response, const Resource& html, TimePoint now,
     const std::vector<std::string>& learned_urls) {
-  (void)request;
   Duration cost = Duration::zero();
   // Charge the scan cost through extract_links' accumulator by running the
   // closure with cost tracking: first the HTML itself, then CSS children.
   extract_links(html, now, cost);
   const http::EtagConfig map = build_map(html, now, learned_urls);
   response.headers.set(http::kXEtagConfig, map.encode());
-  stats_.map_header_bytes += map.header_wire_size();
 
   if (response.status == http::Status::Ok) {
     const std::size_t before = response.body.size();

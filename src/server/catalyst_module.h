@@ -38,13 +38,6 @@ struct CatalystConfig {
   bool memoize_scans = true;
 };
 
-struct CatalystModuleStats {
-  std::uint64_t maps_built = 0;
-  std::uint64_t scan_memo_hits = 0;
-  std::uint64_t scans_performed = 0;
-  ByteCount map_header_bytes = 0;  // cumulative X-Etag-Config overhead
-};
-
 class CatalystModule {
  public:
   /// Path the injected registration snippet points at.
@@ -68,8 +61,7 @@ class CatalystModule {
   /// 200 and 304 — subresources may have changed even when the HTML has
   /// not) and injects the SW registration into 200 bodies. Returns the
   /// modeled extra server compute time for this serve.
-  Duration decorate_html(const http::Request& request,
-                         http::Response& response, const Resource& html,
+  Duration decorate_html(http::Response& response, const Resource& html,
                          TimePoint now,
                          const std::vector<std::string>& learned_urls);
 
@@ -82,7 +74,6 @@ class CatalystModule {
   /// origin's transform on ground-truth content.
   static void inject_registration(std::string& body);
 
-  const CatalystModuleStats& stats() const { return stats_; }
   const CatalystConfig& config() const { return config_; }
 
  private:
@@ -93,7 +84,6 @@ class CatalystModule {
 
   const Site& site_;
   CatalystConfig config_;
-  CatalystModuleStats stats_;
   // Memo key: "<path>#<version>".
   std::unordered_map<std::string, std::vector<std::string>> scan_memo_;
 };

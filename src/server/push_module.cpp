@@ -54,7 +54,6 @@ std::vector<netsim::PushedResponse> PushModule::build_pushes(
     http::Request synthetic = http::Request::get(path, site_.host());
     http::Response response = handler.handle(synthetic, now);
     if (response.status != http::Status::Ok) continue;
-    bytes_pushed_ += response.wire_size();
     pushes.push_back(netsim::PushedResponse{path, std::move(response)});
   }
   return pushes;

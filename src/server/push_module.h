@@ -37,12 +37,10 @@ class PushModule {
       StaticHandler& handler);
 
   PushPolicy policy() const { return policy_; }
-  ByteCount bytes_pushed() const { return bytes_pushed_; }
 
  private:
   const Site& site_;
   PushPolicy policy_;
-  ByteCount bytes_pushed_ = 0;
 };
 
 }  // namespace catalyst::server

@@ -44,7 +44,6 @@ Server::Server(netsim::Network& network, std::shared_ptr<Site> site,
 
 void Server::handle(const http::Request& request,
                     std::function<void(netsim::ServerReply)> respond) {
-  ++stats_.requests;
   const TimePoint now = network_.loop().now();
   const std::string path = path_of(request.target);
 
@@ -74,7 +73,6 @@ void Server::handle(const http::Request& request,
       resource->resource_class() == http::ResourceClass::Html;
 
   if (is_html) {
-    ++stats_.html_serves;
     std::vector<std::string> learned;
     if (config_.track_sessions && !session_id.empty()) {
       // A base-HTML request closes the previous observation window (its
@@ -85,8 +83,8 @@ void Server::handle(const http::Request& request,
     if (config_.enable_catalyst &&
         (reply.response.status == http::Status::Ok ||
          reply.response.status == http::Status::NotModified)) {
-      const Duration cost = catalyst_->decorate_html(
-          request, reply.response, *resource, now, learned);
+      const Duration cost =
+          catalyst_->decorate_html(reply.response, *resource, now, learned);
       stats_.catalyst_compute += cost;
       compute += cost;
     }

@@ -40,8 +40,7 @@ struct ServerConfig {
 };
 
 struct ServerStats {
-  std::uint64_t requests = 0;
-  std::uint64_t html_serves = 0;
+  /// Modeled server compute CacheCatalyst added (map builds, injection).
   Duration catalyst_compute = Duration::zero();
 };
 
@@ -55,15 +54,6 @@ class Server {
   const Site& site() const { return *site_; }
   const ServerConfig& config() const { return config_; }
   const ServerStats& stats() const { return stats_; }
-  const StaticHandlerStats& handler_stats() const {
-    return handler_.stats();
-  }
-  const CatalystModuleStats* catalyst_stats() const {
-    return catalyst_ ? &catalyst_->stats() : nullptr;
-  }
-  ByteCount bytes_pushed() const {
-    return push_ ? push_->bytes_pushed() : 0;
-  }
   SessionStore& sessions() { return sessions_; }
 
  private:

@@ -16,10 +16,8 @@ std::string path_of(const std::string& target) {
 
 http::Response StaticHandler::handle(const http::Request& request,
                                      TimePoint now) {
-  ++stats_.requests;
   const std::string path = path_of(request.target);
   if (site_.is_gone(path)) {
-    ++stats_.gone;
     http::Response resp = http::Response::make(http::Status::Gone);
     resp.body = "gone";
     resp.finalize(now);
@@ -27,7 +25,6 @@ http::Response StaticHandler::handle(const http::Request& request,
   }
   const Resource* resource = site_.find(path);
   if (resource == nullptr) {
-    ++stats_.not_found;
     http::Response resp = http::Response::make(http::Status::NotFound);
     resp.body = "not found";
     resp.finalize(now);
@@ -47,7 +44,6 @@ http::Response StaticHandler::handle(const http::Request& request,
   const http::ConditionalOutcome outcome = http::evaluate_conditional(
       request, etag, last_modified);
   if (outcome == http::ConditionalOutcome::NotModified) {
-    ++stats_.not_modified;
     http::Response resp = http::make_not_modified(etag, cache_headers);
     resp.finalize(now);
     // 304 carries no body; Content-Length: 0 is implied.
@@ -55,7 +51,6 @@ http::Response StaticHandler::handle(const http::Request& request,
     return resp;
   }
 
-  ++stats_.full_responses;
   http::Response resp = http::Response::make(http::Status::Ok);
   resp.body = resource->content_at(now);
   resp.prime_body_digest(resource->content_digest_at(now));
@@ -70,7 +65,6 @@ http::Response StaticHandler::handle(const http::Request& request,
     resp.headers.set(field.name, field.value);
   }
   resp.finalize(now);
-  stats_.body_bytes_sent += resp.body_wire_size();
   return resp;
 }
 

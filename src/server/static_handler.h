@@ -2,22 +2,11 @@
 // a stock Caddy/nginx does before any CacheCatalyst logic is added.
 #pragma once
 
-#include <cstdint>
-
 #include "http/conditional.h"
 #include "http/message.h"
 #include "server/site.h"
 
 namespace catalyst::server {
-
-struct StaticHandlerStats {
-  std::uint64_t requests = 0;
-  std::uint64_t full_responses = 0;
-  std::uint64_t not_modified = 0;
-  std::uint64_t not_found = 0;
-  std::uint64_t gone = 0;
-  ByteCount body_bytes_sent = 0;
-};
 
 class StaticHandler {
  public:
@@ -28,12 +17,10 @@ class StaticHandler {
   /// matches, 404 for unknown paths.
   http::Response handle(const http::Request& request, TimePoint now);
 
-  const StaticHandlerStats& stats() const { return stats_; }
   const Site& site() const { return site_; }
 
  private:
   const Site& site_;
-  StaticHandlerStats stats_;
 };
 
 }  // namespace catalyst::server

@@ -93,29 +93,4 @@ double BinAxis::lower_edge(std::size_t bin) const {
                    static_cast<double>(bins_);
 }
 
-void CacheCounters::merge(const CacheCounters& other) {
-  from_network += other.from_network;
-  from_cache += other.from_cache;
-  not_modified += other.not_modified;
-  from_sw_cache += other.from_sw_cache;
-  from_push += other.from_push;
-  stale_served += other.stale_served;
-}
-
-void FaultCounters::merge(const FaultCounters& other) {
-  timeouts += other.timeouts;
-  retries += other.retries;
-  connection_failures += other.connection_failures;
-  fallback_revalidations += other.fallback_revalidations;
-  failed_loads += other.failed_loads;
-}
-
-void OracleCounters::merge(const OracleCounters& other) {
-  checked += other.checked;
-  allowed_stale += other.allowed_stale;
-  violations += other.violations;
-  poisoned_serves += other.poisoned_serves;
-  cross_user_leaks += other.cross_user_leaks;
-}
-
 }  // namespace catalyst

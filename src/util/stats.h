@@ -73,68 +73,4 @@ class BinAxis {
   std::size_t bins_;
 };
 
-/// Per-visit fetch-outcome tallies (one slot per FetchSource, plus the
-/// staleness audit). A plain value type so reports can merge and compare
-/// them.
-struct CacheCounters {
-  std::uint64_t from_network = 0;   // full downloads
-  std::uint64_t from_cache = 0;     // fresh HTTP-cache hits
-  std::uint64_t not_modified = 0;   // revalidated 304s
-  std::uint64_t from_sw_cache = 0;  // Service-Worker cache hits
-  std::uint64_t from_push = 0;      // server-push deliveries
-  std::uint64_t stale_served = 0;   // audit: cache bytes != origin bytes
-
-  void merge(const CacheCounters& other);
-
-  /// Every resource outcome (stale_served overlaps the others, excluded).
-  std::uint64_t total() const {
-    return from_network + from_cache + not_modified + from_sw_cache +
-           from_push;
-  }
-  /// Responses answered without a full body download.
-  std::uint64_t avoided_downloads() const {
-    return from_cache + not_modified + from_sw_cache + from_push;
-  }
-
-  bool operator==(const CacheCounters& other) const = default;
-};
-
-/// Fault/degradation tallies from resilient page loads. All zero on clean
-/// runs — reports only serialize them when any() so zero-fault output is
-/// byte-identical to builds without the fault layer.
-struct FaultCounters {
-  std::uint64_t timeouts = 0;                // request deadlines fired
-  std::uint64_t retries = 0;                 // re-dispatched attempts
-  std::uint64_t connection_failures = 0;     // detectable mid-stream errors
-  std::uint64_t fallback_revalidations = 0;  // SW degraded-mode cond. GETs
-  std::uint64_t failed_loads = 0;            // resources finishing with 5xx
-
-  void merge(const FaultCounters& other);
-
-  bool any() const {
-    return timeouts != 0 || retries != 0 || connection_failures != 0 ||
-           fallback_revalidations != 0 || failed_loads != 0;
-  }
-
-  bool operator==(const FaultCounters& other) const = default;
-};
-
-/// Byte-equivalence oracle tallies (check::ByteOracle verdicts aggregated
-/// across page loads). All zero when no oracle is installed — reports only
-/// serialize them when any() so oracle-off output is byte-identical to
-/// builds without the check layer.
-struct OracleCounters {
-  std::uint64_t checked = 0;        // auditable serves (fresh+stale+viol)
-  std::uint64_t allowed_stale = 0;  // stale within RFC 9111 freshness
-  std::uint64_t violations = 0;     // stale with no freshness excuse
-  std::uint64_t poisoned_serves = 0;   // of violations: unkeyed-input bytes
-  std::uint64_t cross_user_leaks = 0;  // of violations: another user's input
-
-  void merge(const OracleCounters& other);
-
-  bool any() const { return checked != 0; }
-
-  bool operator==(const OracleCounters& other) const = default;
-};
-
 }  // namespace catalyst

@@ -43,18 +43,13 @@ netsim::Connection& Adversary::fresh_connection() {
 
 void Adversary::send_poison(const std::string& path,
                             const std::string& payload) {
-  ++stats_.requests;
   pop_.note_adversary_request();
   http::Request request = http::Request::get(path, pop_.host_name());
   request.headers.set(http::kXForwardedHost, payload);
   ++pending_poisons_;
   fresh_connection().send_request(
       std::move(request),
-      [this, payload](http::Response response) {
-        ++stats_.responses;
-        if (response.body.find(payload) != std::string::npos) {
-          ++stats_.reflected;
-        }
+      [this](http::Response) {
         if (--pending_poisons_ == 0) flush_probes();
       },
       /*on_push=*/nullptr, /*on_promise=*/nullptr, /*on_hints=*/nullptr,
@@ -72,21 +67,17 @@ void Adversary::flush_probes() {
 }
 
 void Adversary::send_probe(const std::string& path) {
-  ++stats_.probes;
   http::Request request = http::Request::get(path, pop_.host_name());
   const TimePoint sent = network_.loop().now();
   fresh_connection().send_request(
       std::move(request), [this, sent](http::Response) {
-        ++stats_.responses;
         const Duration elapsed = network_.loop().now() - sent;
-        const bool hit = elapsed <= params_.probe_hit_threshold;
-        if (hit) ++stats_.probe_hits;
-        pop_.note_adversary_probe(hit);
+        pop_.note_adversary_probe(elapsed <= params_.probe_hit_threshold);
       });
 }
 
 void Adversary::strike() {
-  ++stats_.strikes;
+  ++strikes_;
   for (int i = 0; i < params_.requests_per_strike; ++i) {
     // The first request of every strike poisons the entry point — the one
     // path a subsequent victim visit is guaranteed to consume.
@@ -97,7 +88,7 @@ void Adversary::strike() {
     const bool leak = rng_.bernoulli(kLeakPayloadFraction);
     const std::string payload =
         leak ? str_format("uid:attacker-%llu",
-                          static_cast<unsigned long long>(stats_.strikes))
+                          static_cast<unsigned long long>(strikes_))
              : "evil.example";
     send_poison(path, payload);
   }

@@ -40,15 +40,6 @@ struct AdversaryParams {
   Duration probe_hit_threshold = Duration::zero();
 };
 
-struct AdversaryStats {
-  std::uint64_t strikes = 0;
-  std::uint64_t requests = 0;    // poisoning requests sent
-  std::uint64_t probes = 0;      // timing probes sent
-  std::uint64_t probe_hits = 0;  // probes classified as cache hits
-  std::uint64_t responses = 0;   // any response received
-  std::uint64_t reflected = 0;   // responses echoing our own payload back
-};
-
 class Adversary {
  public:
   /// Network host name the adversary connects from (registered by the
@@ -64,10 +55,10 @@ class Adversary {
   /// time, then timing probes once every poison response has landed (a
   /// probe measures whether the *poisoned* entry is resident — and firing
   /// it concurrently would race the poison for the coalesced fill).
-  /// Callers drain the event loop; responses update stats as they arrive.
+  /// Callers drain the event loop; the PoP counts the strike's requests
+  /// and probe hits (EdgePopStats::adversary_*).
   void strike();
 
-  const AdversaryStats& stats() const { return stats_; }
   const AdversaryParams& params() const { return params_; }
 
  private:
@@ -81,7 +72,7 @@ class Adversary {
   std::vector<std::string> paths_;
   AdversaryParams params_;
   Rng rng_;
-  AdversaryStats stats_;
+  std::uint64_t strikes_ = 0;  // labels each strike's leak payload
   // Probe paths drawn at strike time (fixed draw order) but sent only
   // after the strike's poison responses return.
   int pending_poisons_ = 0;

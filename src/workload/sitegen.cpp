@@ -105,14 +105,13 @@ SiteBundle generate_site_bundle(const SitegenParams& params) {
   std::vector<ResourcePlan> json(static_cast<std::size_t>(n_json));
   std::vector<ResourcePlan> lazy(static_cast<std::size_t>(n_lazy));
 
-  auto plan = [&rng, &params](std::vector<ResourcePlan>& out,
-                              http::ResourceClass rc, const char* pattern) {
+  auto plan = [&rng](std::vector<ResourcePlan>& out, http::ResourceClass rc,
+                     const char* pattern) {
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i].path = str_format(pattern, i);
       out[i].rc = rc;
       out[i].size = draw_size(rc, rng);
       out[i].mean_change = draw_change_interval(rc, rng);
-      (void)params;
     }
   };
   plan(css, http::ResourceClass::Css, "/assets/style%zu.css");

@@ -43,7 +43,6 @@ TEST(LruStoreTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(store.get("b"), nullptr);  // evicted
   EXPECT_NE(store.get("c"), nullptr);
   EXPECT_NE(store.get("d"), nullptr);
-  EXPECT_GE(store.evictions(), 1u);
 }
 
 TEST(LruStoreTest, PeekDoesNotTouchRecency) {

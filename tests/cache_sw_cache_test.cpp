@@ -24,32 +24,33 @@ Response response_with_etag(const std::string& etag,
 TEST(SwCacheTest, MatchRequiresEqualEtag) {
   SwCache cache;
   ASSERT_TRUE(cache.put("/a.css", response_with_etag("v1")));
-  const Response* hit = cache.match("/a.css", Etag{"v1", false});
+  const Response* hit = cache.match("/a.css", Etag{"v1", false}).response;
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->body, "payload-v1");
-  EXPECT_EQ(cache.stats().hits, 1u);
 
-  EXPECT_EQ(cache.match("/a.css", Etag{"v2", false}), nullptr);
-  EXPECT_EQ(cache.stats().etag_mismatches, 1u);
+  const SwCache::Match mismatch = cache.match("/a.css", Etag{"v2", false});
+  EXPECT_EQ(mismatch.response, nullptr);
+  EXPECT_FALSE(mismatch.integrity_failure);
+  EXPECT_TRUE(cache.contains("/a.css"));  // outdated, not evicted
 }
 
 TEST(SwCacheTest, WeakComparisonUsed) {
   SwCache cache;
   cache.put("/a", response_with_etag("v1"));
-  EXPECT_NE(cache.match("/a", Etag{"v1", true}), nullptr);
+  EXPECT_NE(cache.match("/a", Etag{"v1", true}).response, nullptr);
 }
 
 TEST(SwCacheTest, MissOnUnknownPath) {
   SwCache cache;
-  EXPECT_EQ(cache.match("/nope", Etag{"v", false}), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  const SwCache::Match miss = cache.match("/nope", Etag{"v", false});
+  EXPECT_EQ(miss.response, nullptr);
+  EXPECT_FALSE(miss.integrity_failure);
 }
 
 TEST(SwCacheTest, NoStoreRespected) {
   SwCache cache;
   EXPECT_FALSE(cache.put("/secret", response_with_etag("v1", "no-store")));
   EXPECT_FALSE(cache.contains("/secret"));
-  EXPECT_EQ(cache.stats().rejected_no_store, 1u);
 }
 
 TEST(SwCacheTest, NoCacheIsStoredAnyway) {
@@ -57,7 +58,7 @@ TEST(SwCacheTest, NoCacheIsStoredAnyway) {
   // validity, not the TTL headers.
   SwCache cache;
   EXPECT_TRUE(cache.put("/nc", response_with_etag("v1", "no-cache")));
-  EXPECT_NE(cache.match("/nc", Etag{"v1", false}), nullptr);
+  EXPECT_NE(cache.match("/nc", Etag{"v1", false}).response, nullptr);
 }
 
 TEST(SwCacheTest, ResponseWithoutEtagRejected) {
@@ -71,8 +72,8 @@ TEST(SwCacheTest, PutReplacesVersion) {
   SwCache cache;
   cache.put("/a", response_with_etag("v1"));
   cache.put("/a", response_with_etag("v2"));
-  EXPECT_EQ(cache.match("/a", Etag{"v1", false}), nullptr);
-  EXPECT_NE(cache.match("/a", Etag{"v2", false}), nullptr);
+  EXPECT_EQ(cache.match("/a", Etag{"v1", false}).response, nullptr);
+  EXPECT_NE(cache.match("/a", Etag{"v2", false}).response, nullptr);
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
@@ -89,7 +90,17 @@ TEST(SwCacheTest, EntriesNeverExpireByTime) {
   // No TTL: a year-old entry still matches if the ETag agrees.
   SwCache cache;
   cache.put("/old", response_with_etag("v1"));
-  EXPECT_NE(cache.match("/old", Etag{"v1", false}), nullptr);
+  EXPECT_NE(cache.match("/old", Etag{"v1", false}).response, nullptr);
+}
+
+TEST(SwCacheTest, CorruptEntryReportsIntegrityFailureAndIsEvicted) {
+  SwCache cache;
+  cache.put("/a", response_with_etag("v1"));
+  cache.corrupt("/a");
+  const SwCache::Match rotted = cache.match("/a", Etag{"v1", false});
+  EXPECT_EQ(rotted.response, nullptr);
+  EXPECT_TRUE(rotted.integrity_failure);
+  EXPECT_FALSE(cache.contains("/a"));
 }
 
 }  // namespace

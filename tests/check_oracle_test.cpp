@@ -62,8 +62,7 @@ TEST(ByteOracleTest, MatchingBytesClassifyFresh) {
   const auto verdict = oracle.classify(
       url, outcome_with(site->find("/a.css")->content_at(t), t));
   EXPECT_EQ(verdict, ServeClass::Fresh);
-  EXPECT_EQ(oracle.stats().fresh, 1u);
-  EXPECT_EQ(oracle.stats().violations, 0u);
+  EXPECT_TRUE(oracle.violations().empty());
 }
 
 TEST(ByteOracleTest, MidFlightVersionFlipIsFreshAtStartTime) {
@@ -99,8 +98,7 @@ TEST(ByteOracleTest, StaleWithinTtlIsAllowedStale) {
       http::kDate,
       http::format_http_date(TimePoint{} + minutes(30)));
   EXPECT_EQ(oracle.classify(url, out), ServeClass::AllowedStale);
-  EXPECT_EQ(oracle.stats().allowed_stale, 1u);
-  EXPECT_EQ(oracle.stats().violations, 0u);
+  EXPECT_TRUE(oracle.violations().empty());
 }
 
 TEST(ByteOracleTest, StalePastTtlIsViolation) {
@@ -150,15 +148,19 @@ TEST(ByteOracleTest, UnknownOriginAndErrorsAreUnauditable) {
   ByteOracle oracle;
   oracle.add_site(site);
   const TimePoint t{};
-  EXPECT_EQ(oracle.classify(*Url::parse("https://elsewhere.example/x"),
-                            outcome_with("whatever", t)),
-            ServeClass::Unchecked);
+  client::OracleCounters tally;
+  const ServeClass unknown_origin = oracle.classify(
+      *Url::parse("https://elsewhere.example/x"), outcome_with("whatever", t));
+  EXPECT_EQ(unknown_origin, ServeClass::Unchecked);
+  tally.add(unknown_origin);
   FetchOutcome err = outcome_with("not found", t);
   err.response.status = http::Status::NotFound;
-  EXPECT_EQ(oracle.classify(*Url::parse("https://osite.example/nope"), err),
-            ServeClass::Unchecked);
-  EXPECT_EQ(oracle.stats().checked, 0u);
-  EXPECT_EQ(oracle.stats().unauditable, 2u);
+  const ServeClass error =
+      oracle.classify(*Url::parse("https://osite.example/nope"), err);
+  EXPECT_EQ(error, ServeClass::Unchecked);
+  tally.add(error);
+  EXPECT_EQ(tally.checked, 0u);
+  EXPECT_EQ(tally.unauditable, 2u);
 }
 
 TEST(ByteOracleTest, HtmlTransformFoldsOriginRewriteIntoGroundTruth) {
@@ -201,7 +203,7 @@ TEST(ByteOracleTest, EdgeAliasAuditsPopHostAgainstSite) {
 /// produce violations within two visits.
 class OracleMutationTest : public ::testing::Test {
  protected:
-  check::OracleStats run(bool mutate) {
+  client::OracleCounters run(bool mutate) {
     core::StrategyOptions opts;
     opts.byte_oracle = true;
     opts.mutate_stale_serve = mutate;
@@ -210,9 +212,10 @@ class OracleMutationTest : public ::testing::Test {
                                  core::StrategyKind::Baseline, opts);
     // Visit at 1h (version 1 cached), revisit at 2h (version 2 on the
     // origin; the cached copy is stale and far past its 60s TTL).
-    (void)core::run_visit(tb, TimePoint{} + hours(1));
-    (void)core::run_visit(tb, TimePoint{} + hours(2));
-    return tb.byte_oracle->stats();
+    client::OracleCounters verdicts;
+    verdicts.merge(core::run_visit(tb, TimePoint{} + hours(1)).oracle);
+    verdicts.merge(core::run_visit(tb, TimePoint{} + hours(2)).oracle);
+    return verdicts;
   }
 };
 
@@ -238,11 +241,14 @@ TEST(ByteOracleTest, ReflectedMarkerIsPoisonedServe) {
   const Url url = *Url::parse("https://osite.example/a.css");
   std::string body = site->find("/a.css")->content_at(t);
   body += "\n<!--reflect:evil.example-->";
-  EXPECT_EQ(oracle.classify(url, outcome_with(std::move(body), t)),
-            ServeClass::PoisonedServe);
-  EXPECT_EQ(oracle.stats().violations, 1u);
-  EXPECT_EQ(oracle.stats().poisoned_serves, 1u);
-  EXPECT_EQ(oracle.stats().cross_user_leaks, 0u);
+  const ServeClass verdict =
+      oracle.classify(url, outcome_with(std::move(body), t));
+  EXPECT_EQ(verdict, ServeClass::PoisonedServe);
+  client::OracleCounters tally;
+  tally.add(verdict);
+  EXPECT_EQ(tally.violations, 1u);
+  EXPECT_EQ(tally.poisoned_serves, 1u);
+  EXPECT_EQ(tally.cross_user_leaks, 0u);
   ASSERT_EQ(oracle.violations().size(), 1u);
   EXPECT_EQ(oracle.violations().front().kind, ServeClass::PoisonedServe);
 }
@@ -257,11 +263,16 @@ TEST(ByteOracleTest, UidMarkerIsCrossUserLeak) {
   const Url url = *Url::parse("https://osite.example/a.css");
   std::string body = site->find("/a.css")->content_at(t);
   body += "\n<!--reflect:uid:attacker-3-->";
-  EXPECT_EQ(oracle.classify(url, outcome_with(std::move(body), t)),
-            ServeClass::CrossUserLeak);
-  EXPECT_EQ(oracle.stats().violations, 1u);
-  EXPECT_EQ(oracle.stats().cross_user_leaks, 1u);
-  EXPECT_EQ(oracle.stats().poisoned_serves, 0u);
+  const ServeClass verdict =
+      oracle.classify(url, outcome_with(std::move(body), t));
+  EXPECT_EQ(verdict, ServeClass::CrossUserLeak);
+  client::OracleCounters tally;
+  tally.add(verdict);
+  EXPECT_EQ(tally.violations, 1u);
+  EXPECT_EQ(tally.cross_user_leaks, 1u);
+  EXPECT_EQ(tally.poisoned_serves, 0u);
+  ASSERT_EQ(oracle.violations().size(), 1u);
+  EXPECT_EQ(oracle.violations().front().kind, ServeClass::CrossUserLeak);
 }
 
 TEST(ByteOracleTest, PoisonMarkerBeatsFreshnessExcuse) {
@@ -290,7 +301,7 @@ TEST(ByteOracleTest, PoisonMarkerBeatsFreshnessExcuse) {
 /// (header-partitioned) keys the same attack must bounce off.
 class AdversaryPoisoningTest : public ::testing::Test {
  protected:
-  check::OracleStats run(bool vulnerable_keying) {
+  client::OracleCounters run(bool vulnerable_keying) {
     edge::EdgeConfig ec;
     ec.pop_id = 0;
     ec.capacity = MiB(8);
@@ -303,9 +314,11 @@ class AdversaryPoisoningTest : public ::testing::Test {
     auto tb = core::make_testbed(changing_site(),
                                  netsim::NetworkConditions::median_5g(),
                                  core::StrategyKind::Catalyst, opts);
-    (void)core::run_visit(tb, TimePoint{} + hours(1));
-    (void)core::run_visit(tb, TimePoint{} + hours(1) + minutes(5));
-    return tb.byte_oracle->stats();
+    client::OracleCounters verdicts;
+    verdicts.merge(core::run_visit(tb, TimePoint{} + hours(1)).oracle);
+    verdicts.merge(
+        core::run_visit(tb, TimePoint{} + hours(1) + minutes(5)).oracle);
+    return verdicts;
   }
 };
 
@@ -335,11 +348,12 @@ TEST(OracleTestbedTest, GeneratedSiteCatalystAuditsClean) {
   opts.byte_oracle = true;
   auto tb = core::make_testbed(site, netsim::NetworkConditions::median_5g(),
                                core::StrategyKind::Catalyst, opts);
+  client::OracleCounters verdicts;
   for (int h : {1, 13, 25, 49}) {
-    (void)core::run_visit(tb, TimePoint{} + hours(h));
+    verdicts.merge(core::run_visit(tb, TimePoint{} + hours(h)).oracle);
   }
-  EXPECT_GT(tb.byte_oracle->stats().checked, 0u);
-  EXPECT_EQ(tb.byte_oracle->stats().violations, 0u);
+  EXPECT_GT(verdicts.checked, 0u);
+  EXPECT_EQ(verdicts.violations, 0u);
 }
 
 }  // namespace

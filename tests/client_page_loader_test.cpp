@@ -32,7 +32,7 @@ TEST_F(Figure1Fixture, ColdLoadFetchesAllFiveResources) {
   auto tb = testbed(StrategyKind::Baseline);
   const auto result = core::run_visit(tb, TimePoint{});
   EXPECT_EQ(result.resources_total, 5u);
-  EXPECT_EQ(result.from_network, 5u);
+  EXPECT_EQ(result.counters.from_network, 5u);
   for (const char* url :
        {"/index.html", "/a.css", "/b.js", "/c.js", "/d.jpg"}) {
     EXPECT_NE(find_trace(result, url), nullptr) << url;
@@ -75,9 +75,9 @@ TEST_F(Figure1Fixture, BaselineRevisitMatchesFigure1b) {
             netsim::FetchSource::BrowserCache);
   EXPECT_EQ(find_trace(revisit, "/d.jpg")->source,
             netsim::FetchSource::Network);
-  EXPECT_EQ(revisit.not_modified, 2u);
-  EXPECT_EQ(revisit.from_cache, 2u);
-  EXPECT_EQ(revisit.from_network, 1u);
+  EXPECT_EQ(revisit.counters.not_modified, 2u);
+  EXPECT_EQ(revisit.counters.from_cache, 2u);
+  EXPECT_EQ(revisit.counters.from_network, 1u);
 }
 
 TEST_F(Figure1Fixture, CatalystRevisitMatchesFigure1c) {
@@ -94,7 +94,7 @@ TEST_F(Figure1Fixture, CatalystRevisitMatchesFigure1c) {
             netsim::FetchSource::SwCache);
   EXPECT_EQ(find_trace(revisit, "/d.jpg")->source,
             netsim::FetchSource::Network);
-  EXPECT_EQ(revisit.from_sw_cache, 2u);
+  EXPECT_EQ(revisit.counters.from_sw_cache, 2u);
 }
 
 TEST_F(Figure1Fixture, CatalystRevisitFasterThanBaseline) {
@@ -143,6 +143,15 @@ TEST_F(Figure1Fixture, DeterministicAcrossRuns) {
   const auto v2 = core::run_visit(tb2, TimePoint{} + hours(2));
   EXPECT_EQ(v1.plt(), v2.plt());
   EXPECT_EQ(v1.bytes_downloaded, v2.bytes_downloaded);
+}
+
+TEST(CacheCountersTest, MergeSumsEveryField) {
+  CacheCounters a{1, 2, 3, 4, 5, 6};
+  const CacheCounters b{10, 20, 30, 40, 50, 60};
+  a.merge(b);
+  EXPECT_EQ(a, (CacheCounters{11, 22, 33, 44, 55, 66}));
+  EXPECT_EQ(a.total(), 11u + 22 + 33 + 44 + 55);
+  EXPECT_EQ(a.avoided_downloads(), 22u + 33 + 44 + 55);
 }
 
 }  // namespace

@@ -66,9 +66,8 @@ TEST_F(RetryFixture, StalledAttemptTimesOutAndRetrySucceeds) {
   EXPECT_EQ(responses, 1);
   EXPECT_EQ(status, http::Status::Ok);
   EXPECT_EQ(requests_seen_, 2);
-  EXPECT_EQ(fetcher.stats().timeouts_fired, 1u);
-  EXPECT_EQ(fetcher.stats().retries, 1u);
-  EXPECT_EQ(fetcher.stats().failed_requests, 0u);
+  EXPECT_EQ(fetcher.faults().timeouts, 1u);
+  EXPECT_EQ(fetcher.faults().retries, 1u);
   // The wedged connection stays in the pool (broken, reaped by
   // close_all) and the retry opened a replacement around it.
   EXPECT_EQ(fetcher.connection_count(), 2u);
@@ -92,9 +91,8 @@ TEST_F(RetryFixture, ExhaustedRetryBudgetSettlesWith504) {
   EXPECT_EQ(responses, 1);
   EXPECT_EQ(status, http::Status::GatewayTimeout);
   EXPECT_EQ(requests_seen_, 3);  // initial attempt + 2 retries
-  EXPECT_EQ(fetcher.stats().timeouts_fired, 3u);
-  EXPECT_EQ(fetcher.stats().retries, 2u);
-  EXPECT_EQ(fetcher.stats().failed_requests, 1u);
+  EXPECT_EQ(fetcher.faults().timeouts, 3u);
+  EXPECT_EQ(fetcher.faults().retries, 2u);
 }
 
 TEST_F(RetryFixture, NonIdempotentRequestsAreNeverRetried) {
@@ -113,9 +111,8 @@ TEST_F(RetryFixture, NonIdempotentRequestsAreNeverRetried) {
   // duplicate a side effect.
   EXPECT_EQ(status, http::Status::GatewayTimeout);
   EXPECT_EQ(requests_seen_, 1);
-  EXPECT_EQ(fetcher.stats().timeouts_fired, 1u);
-  EXPECT_EQ(fetcher.stats().retries, 0u);
-  EXPECT_EQ(fetcher.stats().failed_requests, 1u);
+  EXPECT_EQ(fetcher.faults().timeouts, 1u);
+  EXPECT_EQ(fetcher.faults().retries, 0u);
 }
 
 TEST_F(RetryFixture, LateResponseFromAbandonedAttemptIsIgnored) {
@@ -146,8 +143,8 @@ TEST_F(RetryFixture, LateResponseFromAbandonedAttemptIsIgnored) {
   loop_.run();
   EXPECT_EQ(responses, 1);
   EXPECT_EQ(body, "payload");  // the retry's body, not the stale one
-  EXPECT_EQ(fetcher.stats().timeouts_fired, 1u);
-  EXPECT_EQ(fetcher.stats().retries, 1u);
+  EXPECT_EQ(fetcher.faults().timeouts, 1u);
+  EXPECT_EQ(fetcher.faults().retries, 1u);
 }
 
 TEST_F(RetryFixture, QueuedRequestsRerouteWhenTheirConnectionBreaks) {
@@ -188,9 +185,9 @@ TEST_F(RetryFixture, QueuedRequestsRerouteWhenTheirConnectionBreaks) {
   // Both eventually succeed on a replacement connection.
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(requests_seen_, 3);  // stall + two successful retries
-  EXPECT_EQ(fetcher.stats().timeouts_fired, 1u);       // the stall only
-  EXPECT_EQ(fetcher.stats().connection_failures, 1u);  // the queued one
-  EXPECT_EQ(fetcher.stats().retries, 2u);  // one per request
+  EXPECT_EQ(fetcher.faults().timeouts, 1u);             // the stall only
+  EXPECT_EQ(fetcher.faults().connection_failures, 1u);  // the queued one
+  EXPECT_EQ(fetcher.faults().retries, 2u);              // one per request
 }
 
 }  // namespace

@@ -28,8 +28,9 @@ TEST(ExperimentTest, RevisitPairColdThenWarm) {
       StrategyKind::Baseline, hours(6));
   EXPECT_GT(outcome.cold.plt(), Duration::zero());
   EXPECT_LT(outcome.revisit.plt(), outcome.cold.plt());
-  EXPECT_EQ(outcome.cold.from_network, outcome.cold.resources_total);
-  EXPECT_LT(outcome.revisit.from_network, outcome.revisit.resources_total);
+  EXPECT_EQ(outcome.cold.counters.from_network, outcome.cold.resources_total);
+  EXPECT_LT(outcome.revisit.counters.from_network,
+            outcome.revisit.resources_total);
   // The revisit starts 6 simulated hours after the cold load began.
   EXPECT_GE(outcome.revisit.start, TimePoint{} + hours(6));
 }
@@ -72,7 +73,7 @@ TEST(ExperimentTest, CatalystSavesRttsNotJustTime) {
   const auto cat =
       run_revisit_pair(site, c, StrategyKind::Catalyst, hours(6));
   EXPECT_LT(cat.revisit.rtts, base.revisit.rtts);
-  EXPECT_GT(cat.revisit.from_sw_cache, 0u);
+  EXPECT_GT(cat.revisit.counters.from_sw_cache, 0u);
 }
 
 TEST(ExperimentTest, PushWastesBandwidthOnRevisit) {
@@ -85,7 +86,7 @@ TEST(ExperimentTest, PushWastesBandwidthOnRevisit) {
   // The push revisit resends resources the client already has.
   EXPECT_GT(push.revisit.bytes_downloaded,
             base.revisit.bytes_downloaded * 2);
-  EXPECT_GT(push.revisit.from_push, 0u);
+  EXPECT_GT(push.revisit.counters.from_push, 0u);
 }
 
 TEST(ExperimentTest, RdrRevisitGainsNothing) {
@@ -152,7 +153,8 @@ TEST(ExperimentTest, CatalystLearnedCoversJsResourcesOnRevisit) {
       run_revisit_pair(site, c, StrategyKind::Catalyst, hours(1));
   const auto learned =
       run_revisit_pair(site, c, StrategyKind::CatalystLearned, hours(1));
-  EXPECT_GT(learned.revisit.from_sw_cache, plain.revisit.from_sw_cache);
+  EXPECT_GT(learned.revisit.counters.from_sw_cache,
+            plain.revisit.counters.from_sw_cache);
   EXPECT_LE(to_millis(learned.revisit.plt()),
             to_millis(plain.revisit.plt()) * 1.001);
 }

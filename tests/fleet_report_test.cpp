@@ -10,7 +10,7 @@ FleetReport sample_report(double plt_base) {
   r.users = 2;
   r.visits = 5;
   r.revisits = 3;
-  r.counters = CacheCounters{10, 5, 3, 20, 0, 1};
+  r.counters = client::CacheCounters{10, 5, 3, 20, 0, 1};
   r.bytes_on_wire = 1000;
   r.baseline_bytes_on_wire = 1500;
   r.rtts = 40;

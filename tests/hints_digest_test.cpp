@@ -42,7 +42,8 @@ TEST(EarlyHintsTest, StillPaysRevalidationRtts) {
       run_revisit_pair(site, c, StrategyKind::EarlyHints, hours(6));
   const auto catalyst =
       run_revisit_pair(site, c, StrategyKind::Catalyst, hours(6));
-  EXPECT_GT(hints.revisit.not_modified, catalyst.revisit.not_modified);
+  EXPECT_GT(hints.revisit.counters.not_modified,
+            catalyst.revisit.counters.not_modified);
   EXPECT_GT(hints.revisit.plt(), catalyst.revisit.plt());
 }
 
@@ -90,7 +91,8 @@ TEST(PushDigestTest, DigestCannotExpressFreshness) {
   const auto digest =
       run_revisit_pair(site, c, StrategyKind::PushDigest, days(1));
   // Some revisit traffic is revalidation/downloads despite push.
-  EXPECT_GT(digest.revisit.from_network + digest.revisit.not_modified,
+  EXPECT_GT(digest.revisit.counters.from_network +
+                digest.revisit.counters.not_modified,
             0u);
 }
 

@@ -77,7 +77,7 @@ TEST(MultiOriginTest, ThirdPartyResourcesNeverServedBySw) {
   const auto revisit = core::run_visit(tb, TimePoint{} + hours(6));
   // SW hits happen, but never for third-party origins: those hosts have
   // no registered worker.
-  EXPECT_GT(revisit.from_sw_cache, 0u);
+  EXPECT_GT(revisit.counters.from_sw_cache, 0u);
   for (const auto& tp : bundle.third_party) {
     EXPECT_FALSE(tb.browser->sw_registered(tp->host()));
   }

@@ -174,10 +174,10 @@ TEST(BreakdownIntegrationTest, CatalystRecordsServiceWorkerPhases) {
   const auto outcome = core::run_revisit_pair(
       test_site(2), netsim::NetworkConditions::median_5g(),
       core::StrategyKind::Catalyst, hours(6), opts);
-  ASSERT_GT(outcome.revisit.from_sw_cache, 0u);
+  ASSERT_GT(outcome.revisit.counters.from_sw_cache, 0u);
   // Every SW cache serve passed through the kSwDecision phase.
   EXPECT_GE(rec.breakdown().of(Phase::kSwDecision).count(),
-            outcome.revisit.from_sw_cache);
+            outcome.revisit.counters.from_sw_cache);
 }
 
 }  // namespace

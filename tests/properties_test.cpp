@@ -2,7 +2,10 @@
 // invariants from DESIGN.md §5, checked on many generated sites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/experiment.h"
+#include "edge/pop.h"
 #include "workload/sitegen.h"
 
 namespace catalyst::core {
@@ -141,11 +144,12 @@ TEST_P(StrategyProperties, CatalystStaleServesBoundedByBaseline) {
   const auto cat = run_revisit_pair(site, conditions(),
                                     StrategyKind::Catalyst,
                                     GetParam().delay);
-  EXPECT_LE(cat.revisit.stale_served, base.revisit.stale_served);
+  EXPECT_LE(cat.revisit.counters.stale_served,
+            base.revisit.counters.stale_served);
   if (GetParam().clone) {
     // Frozen content: nothing can be stale for anyone.
-    EXPECT_EQ(base.revisit.stale_served, 0u);
-    EXPECT_EQ(cat.revisit.stale_served, 0u);
+    EXPECT_EQ(base.revisit.counters.stale_served, 0u);
+    EXPECT_EQ(cat.revisit.counters.stale_served, 0u);
   }
 }
 
@@ -160,6 +164,92 @@ TEST_P(StrategyProperties, CacheStrategiesNeverIncreaseBytes) {
     EXPECT_LE(outcome.revisit.bytes_downloaded,
               outcome.cold.bytes_downloaded)
         << to_string(kind);
+  }
+}
+
+// --- Tallies: each load's counts agree with its own trace ---------------
+// The page loader counts every recorded resource into the load's
+// CacheCounters, OracleCounters and FaultCounters; the trace lists the
+// same resources one entry each, so the two must agree field by field.
+void expect_tallies_match_trace(const client::PageLoadResult& r,
+                                const std::string& label) {
+  const auto& traces = r.trace.traces();
+  const auto count = [&traces](auto&& pred) {
+    return static_cast<std::uint64_t>(
+        std::count_if(traces.begin(), traces.end(), pred));
+  };
+  const auto from = [&count](netsim::FetchSource source) {
+    return count([source](const netsim::FetchTrace& t) {
+      return t.source == source;
+    });
+  };
+  EXPECT_EQ(r.counters.total(), r.resources_total) << label;
+  EXPECT_EQ(r.resources_total, traces.size()) << label;
+  EXPECT_EQ(r.counters.from_network, from(netsim::FetchSource::Network))
+      << label;
+  EXPECT_EQ(r.counters.from_cache, from(netsim::FetchSource::BrowserCache))
+      << label;
+  EXPECT_EQ(r.counters.not_modified, from(netsim::FetchSource::NotModified))
+      << label;
+  EXPECT_EQ(r.counters.from_sw_cache, from(netsim::FetchSource::SwCache))
+      << label;
+  EXPECT_EQ(r.counters.from_push, from(netsim::FetchSource::Push)) << label;
+  EXPECT_EQ(r.oracle.checked, count([](const netsim::FetchTrace& t) {
+              return t.oracle_class != netsim::ServeClass::Unchecked;
+            }))
+      << label;
+  EXPECT_EQ(r.faults.failed_loads, count([](const netsim::FetchTrace& t) {
+              return t.status >= 500;
+            }))
+      << label;
+  EXPECT_EQ(r.negative_hits, count([](const netsim::FetchTrace& t) {
+              return (t.status == 404 || t.status == 410) &&
+                     (t.source == netsim::FetchSource::BrowserCache ||
+                      t.source == netsim::FetchSource::SwCache);
+            }))
+      << label;
+}
+
+TEST_P(StrategyProperties, TalliesAgreeWithTrace) {
+  const auto site = make_site();
+  // rdr-proxy is exempt: its bundle counts resources it never traces.
+  for (const StrategyKind kind :
+       {StrategyKind::Baseline, StrategyKind::Catalyst,
+        StrategyKind::CatalystLearned, StrategyKind::PushAll,
+        StrategyKind::PushLearned, StrategyKind::PushDigest,
+        StrategyKind::EarlyHints, StrategyKind::Oracle}) {
+    const auto outcome =
+        run_revisit_pair(site, conditions(), kind, GetParam().delay);
+    expect_tallies_match_trace(outcome.cold, std::string(to_string(kind)));
+    expect_tallies_match_trace(outcome.revisit, std::string(to_string(kind)));
+  }
+
+  // Every counter live at once: faults, the oracle, negative caching of
+  // dead links, and a shared edge PoP in front of the origin.
+  workload::SitegenParams p;
+  p.seed = GetParam().seed;
+  p.site_index = GetParam().site_index;
+  p.clone_static_snapshot = GetParam().clone;
+  p.errors.dead_link_fraction = 0.2;
+  p.errors.gone_link_fraction = 0.1;
+  netsim::NetworkConditions faulty = conditions();
+  faulty.faults.loss_rate = 0.02;
+  faulty.faults.stall_rate = 0.005;
+  faulty.faults.server_error_rate = 0.02;
+  faulty.faults.fault_seed = GetParam().seed;
+  edge::EdgeConfig ec;
+  ec.negative.enabled = true;
+  edge::EdgePop pop(ec);
+  StrategyOptions opts;
+  opts.byte_oracle = true;
+  opts.negative_cache.enabled = true;
+  opts.edge_pop = &pop;
+  Testbed tb = make_testbed(workload::generate_site(p), faulty,
+                            StrategyKind::Catalyst, opts);
+  for (const Duration at : {Duration::zero(), GetParam().delay,
+                            GetParam().delay + seconds(30)}) {
+    expect_tallies_match_trace(run_visit(tb, TimePoint{} + at),
+                               "all features on");
   }
 }
 

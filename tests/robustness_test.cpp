@@ -57,7 +57,7 @@ TEST(RobustnessTest, DanglingLinksUnderCatalyst) {
   const auto revisit = core::run_visit(tb, TimePoint{} + hours(1));
   EXPECT_EQ(revisit.resources_total, 5u);
   // The one real resource is served by the SW; the 404s re-fetch.
-  EXPECT_EQ(revisit.from_sw_cache, 1u);
+  EXPECT_EQ(revisit.counters.from_sw_cache, 1u);
 }
 
 TEST(RobustnessTest, MalformedEtagConfigHeaderIsIgnored) {
@@ -123,8 +123,8 @@ TEST(RobustnessTest, TinyHttpCacheEvictsButStaysCorrect) {
   (void)core::run_visit(tb, TimePoint{});
   const auto revisit = core::run_visit(tb, TimePoint{} + minutes(1));
   // Mostly evicted: the revisit re-downloads most bytes, but completes.
-  EXPECT_GT(revisit.from_network, revisit.resources_total / 2);
-  EXPECT_GT(tb.browser->http_cache().stats().misses, 0u);
+  EXPECT_GT(revisit.counters.from_network, revisit.resources_total / 2);
+  EXPECT_LE(tb.browser->http_cache().size_bytes(), KiB(64));
 }
 
 TEST(RobustnessTest, TinySwCacheFallsBackToRevalidation) {
@@ -145,7 +145,7 @@ TEST(RobustnessTest, TinySwCacheFallsBackToRevalidation) {
   const auto revisit = core::run_visit(tb, TimePoint{} + hours(1));
   // Few/no SW hits, but the page still loads fully and correctly (map-
   // covered-but-evicted resources revalidate).
-  EXPECT_LT(revisit.from_sw_cache, 10u);
+  EXPECT_LT(revisit.counters.from_sw_cache, 10u);
   EXPECT_EQ(revisit.resources_total,
             core::run_revisit_pair(site,
                                    netsim::NetworkConditions::median_5g(),
@@ -296,18 +296,18 @@ TEST_F(CatalystDegradationFixture, MissingMapEntersDegradedModeThenRecovers) {
   const auto degraded = load();
   EXPECT_EQ(degraded.resources_total, 3u);
   EXPECT_TRUE(sw().degraded());
-  EXPECT_EQ(sw().stats().maps_missing, 1u);
-  EXPECT_EQ(degraded.from_sw_cache, 0u);
-  EXPECT_EQ(degraded.fallback_revalidations, 2u);
-  EXPECT_EQ(degraded.not_modified, 2u);
-  EXPECT_EQ(degraded.failed_loads, 0u);
+  EXPECT_EQ(sw().current_map(), nullptr);
+  EXPECT_EQ(degraded.counters.from_sw_cache, 0u);
+  EXPECT_EQ(degraded.faults.fallback_revalidations, 2u);
+  EXPECT_EQ(degraded.counters.not_modified, 2u);
+  EXPECT_EQ(degraded.faults.failed_loads, 0u);
 
   // A fresh map clears degraded mode and zero-RTT serving resumes.
   send_map_ = true;
   const auto recovered = load();
   EXPECT_FALSE(sw().degraded());
-  EXPECT_EQ(recovered.from_sw_cache, 2u);
-  EXPECT_EQ(recovered.fallback_revalidations, 0u);
+  EXPECT_EQ(recovered.counters.from_sw_cache, 2u);
+  EXPECT_EQ(recovered.faults.fallback_revalidations, 0u);
 }
 
 TEST_F(CatalystDegradationFixture, MapEntriesForUnreferencedUrlsAreHarmless) {
@@ -320,7 +320,7 @@ TEST_F(CatalystDegradationFixture, MapEntriesForUnreferencedUrlsAreHarmless) {
   EXPECT_EQ(cold.resources_total, 3u);
   const auto revisit = load();
   EXPECT_EQ(revisit.resources_total, 3u);
-  EXPECT_EQ(revisit.from_sw_cache, 2u);
+  EXPECT_EQ(revisit.counters.from_sw_cache, 2u);
   EXPECT_EQ(requests_["/ghost.css"], 0);
   ASSERT_NE(sw().current_map(), nullptr);
   EXPECT_EQ(sw().current_map()->size(), 3u);
@@ -334,11 +334,14 @@ TEST_F(CatalystDegradationFixture, MapEtagMismatchRevalidatesToFreshBytes) {
   css_body_ = std::string(5000, 'C');
   const auto revisit = load();
   EXPECT_EQ(revisit.resources_total, 3u);
-  EXPECT_EQ(revisit.from_sw_cache, 1u);   // the unchanged image
-  EXPECT_GE(revisit.from_network, 1u);    // the changed stylesheet
-  EXPECT_EQ(revisit.fallback_revalidations, 0u);  // normal op, not fallback
+  EXPECT_EQ(revisit.counters.from_sw_cache, 1u);  // the unchanged image
+  EXPECT_GE(revisit.counters.from_network, 1u);   // the changed stylesheet
+  // Normal operation, not a degradation fallback.
+  EXPECT_EQ(revisit.faults.fallback_revalidations, 0u);
   // The SW cache now holds the fresh bytes, keyed by the new ETag.
-  EXPECT_NE(sw().cache().match("/a.css", http::make_content_etag(css_body_)),
+  EXPECT_NE(sw().cache()
+                .match("/a.css", http::make_content_etag(css_body_))
+                .response,
             nullptr);
 }
 
@@ -351,11 +354,11 @@ TEST_F(CatalystDegradationFixture, CorruptedSwEntryFallsBackToConditionalGet) {
   sw().cache().corrupt("/a.css");
   const auto revisit = load();
   EXPECT_EQ(revisit.resources_total, 3u);
-  EXPECT_EQ(sw().cache().stats().integrity_failures, 1u);
-  EXPECT_EQ(revisit.fallback_revalidations, 1u);
-  EXPECT_EQ(revisit.not_modified, 1u);    // origin confirms the HTTP copy
-  EXPECT_EQ(revisit.from_sw_cache, 1u);   // the intact image still serves
-  EXPECT_EQ(revisit.failed_loads, 0u);
+  // SwCache::match reported the integrity failure as a fallback.
+  EXPECT_EQ(revisit.faults.fallback_revalidations, 1u);
+  EXPECT_EQ(revisit.counters.not_modified, 1u);  // origin confirms HTTP copy
+  EXPECT_EQ(revisit.counters.from_sw_cache, 1u);  // the intact image serves
+  EXPECT_EQ(revisit.faults.failed_loads, 0u);
   EXPECT_FALSE(sw().cache().contains("/a.css"));
 }
 
@@ -367,21 +370,24 @@ TEST_F(CatalystDegradationFixture, DegradedModeNeverServesWrongBytes) {
   check::ByteOracle oracle;
   attach_oracle(oracle);
 
-  (void)load();                      // cold, map present
+  client::OracleCounters verdicts;
+  verdicts.merge(load().oracle);       // cold, map present
   send_map_ = false;
   css_body_ = std::string(5000, 'D');  // changes while the map is gone
   const auto degraded = load();
+  verdicts.merge(degraded.oracle);
   EXPECT_TRUE(sw().degraded());
-  EXPECT_EQ(degraded.failed_loads, 0u);
+  EXPECT_EQ(degraded.faults.failed_loads, 0u);
 
   send_map_ = true;                  // recovery, plus another change
   webp_body_ = std::string(7000, 'W');
   const auto recovered = load();
+  verdicts.merge(recovered.oracle);
   EXPECT_FALSE(sw().degraded());
-  EXPECT_EQ(recovered.failed_loads, 0u);
+  EXPECT_EQ(recovered.faults.failed_loads, 0u);
 
-  EXPECT_GE(oracle.stats().checked, 9u);  // 3 loads x 3 resources
-  EXPECT_EQ(oracle.stats().violations, 0u)
+  EXPECT_GE(verdicts.checked, 9u);  // 3 loads x 3 resources
+  EXPECT_EQ(verdicts.violations, 0u)
       << "first: "
       << (oracle.violations().empty() ? "" : oracle.violations()[0].url);
 }
@@ -392,14 +398,15 @@ TEST_F(CatalystDegradationFixture, MalformedMapWithOracleStaysClean) {
   // as the content changes between loads.
   check::ByteOracle oracle;
   attach_oracle(oracle);
-  (void)load();
+  client::OracleCounters verdicts = load().oracle;
   malformed_map_ = true;
   css_body_ = std::string(4500, 'M');
   const auto broken = load();
-  EXPECT_EQ(broken.failed_loads, 0u);
+  verdicts.merge(broken.oracle);
+  EXPECT_EQ(broken.faults.failed_loads, 0u);
   EXPECT_EQ(sw().current_map(), nullptr);
-  EXPECT_EQ(oracle.stats().violations, 0u);
-  EXPECT_GE(oracle.stats().checked, 6u);
+  EXPECT_EQ(verdicts.violations, 0u);
+  EXPECT_GE(verdicts.checked, 6u);
 }
 
 TEST(RobustnessTest, MidStreamDropsWithRetriesAuditClean) {
@@ -422,12 +429,14 @@ TEST(RobustnessTest, MidStreamDropsWithRetriesAuditClean) {
   core::StrategyOptions opts;
   opts.byte_oracle = true;
   auto tb = core::make_testbed(site, cond, StrategyKind::Catalyst, opts);
+  client::OracleCounters verdicts;
   for (int h : {1, 9, 26, 50}) {
     const auto result = core::run_visit(tb, TimePoint{} + hours(h));
     EXPECT_GT(result.resources_total, 0u);
+    verdicts.merge(result.oracle);
   }
-  EXPECT_GT(tb.byte_oracle->stats().checked, 0u);
-  EXPECT_EQ(tb.byte_oracle->stats().violations, 0u);
+  EXPECT_GT(verdicts.checked, 0u);
+  EXPECT_EQ(verdicts.violations, 0u);
 }
 
 TEST(RobustnessTest, ZeroDelayRevisitWorks) {

@@ -92,7 +92,7 @@ TEST(PushModuleTest, PushAllPushesStaticClosure) {
   EXPECT_EQ(pushes[0].target, "/a.css");
   EXPECT_EQ(pushes[1].target, "/b.webp");
   EXPECT_EQ(pushes[0].response.status, http::Status::Ok);
-  EXPECT_GT(push.bytes_pushed(), 0u);
+  EXPECT_GT(pushes[0].response.wire_size(), 0u);
 }
 
 TEST(PushModuleTest, LearnedPolicyUsesSessionList) {

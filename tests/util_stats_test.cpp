@@ -128,14 +128,5 @@ TEST(BinAxisTest, EqualityAndRejection) {
   EXPECT_THROW(BinAxis(0.0, 1.0, 0), std::invalid_argument);
 }
 
-TEST(CacheCountersTest, MergeSumsEveryField) {
-  CacheCounters a{1, 2, 3, 4, 5, 6};
-  const CacheCounters b{10, 20, 30, 40, 50, 60};
-  a.merge(b);
-  EXPECT_EQ(a, (CacheCounters{11, 22, 33, 44, 55, 66}));
-  EXPECT_EQ(a.total(), 11u + 22 + 33 + 44 + 55);
-  EXPECT_EQ(a.avoided_downloads(), 22u + 33 + 44 + 55);
-}
-
 }  // namespace
 }  // namespace catalyst

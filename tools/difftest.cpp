@@ -4,6 +4,10 @@
 //            [--users N] [--visits N] [--no-faults] [--no-edge]
 //            [--static-site] [--no-third-party]
 //
+// An unknown flag, a non-number, or a value outside its flag's range
+// (--rounds, --users and --visits at least 1) exits 2 with the usage
+// text, so a typo in a gate never passes with no round run.
+//
 // Each round draws a workload from its round seed (seed + round index):
 // a generated site (sitegen × TTL profile × change model × third-party
 // mix), a handful of users with randomized access tiers and visit
@@ -38,13 +42,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "args.h"
 #include "cache/freshness.h"
 #include "core/experiment.h"
 #include "core/testbed.h"
@@ -59,32 +64,17 @@ using namespace catalyst;
 
 namespace {
 
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-  bool has(const std::string& key) const { return values_.contains(key); }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
+/// Every flag difftest reads; anything else exits 2 with the usage text.
+constexpr std::string_view kValueFlags[] = {"rounds", "seed", "mutate",
+                                            "users", "visits"};
+constexpr std::string_view kSwitches[] = {
+    "help",  "verbose",  "no-faults", "no-negative", "no-dead-links", "h2",
+    "no-h2", "no-flash", "no-edge",   "static-site", "no-third-party"};
+constexpr tools::NumericFlag kRanges[] = {
+    {"rounds", 1, tools::kMaxI32},
+    {"seed", 0, tools::kMaxU64},
+    {"users", 1, tools::kMaxU64},
+    {"visits", 1, tools::kMaxU64},
 };
 
 /// Deliberately planted defects for oracle self-tests. Each inverts the
@@ -189,7 +179,7 @@ RoundConfig draw_round(std::uint64_t round_seed) {
 /// What one arm delivered, per user per visit.
 struct ArmResult {
   std::vector<std::vector<client::PageLoadResult>> loads;  // [user][visit]
-  check::OracleStats stats;
+  client::OracleCounters oracle;  // every load's verdicts
   std::vector<check::Violation> violations;
 };
 
@@ -264,16 +254,9 @@ ArmResult run_arm(const RoundConfig& cfg, core::StrategyKind kind,
     std::vector<client::PageLoadResult> loads;
     for (const TimePoint at : du.visits) {
       loads.push_back(core::run_visit(tb, at));
+      arm.oracle.merge(loads.back().oracle);
     }
     arm.loads.push_back(std::move(loads));
-    const check::OracleStats& st = tb.byte_oracle->stats();
-    arm.stats.checked += st.checked;
-    arm.stats.fresh += st.fresh;
-    arm.stats.allowed_stale += st.allowed_stale;
-    arm.stats.violations += st.violations;
-    arm.stats.poisoned_serves += st.poisoned_serves;
-    arm.stats.cross_user_leaks += st.cross_user_leaks;
-    arm.stats.unauditable += st.unauditable;
     for (const check::Violation& v : tb.byte_oracle->violations()) {
       arm.violations.push_back(v);
     }
@@ -284,8 +267,8 @@ ArmResult run_arm(const RoundConfig& cfg, core::StrategyKind kind,
 /// A visit whose load hit faults may legitimately drop or re-time
 /// resources; content-set comparison skips it (the oracle still ran).
 bool visit_faulted(const client::PageLoadResult& r) {
-  return r.failed_loads != 0 || r.timeouts_fired != 0 ||
-         r.connection_failures != 0;
+  return r.faults.failed_loads != 0 || r.faults.timeouts != 0 ||
+         r.faults.connection_failures != 0;
 }
 
 /// Compares what `treat` delivered against `base`, visit by visit.
@@ -348,7 +331,7 @@ struct RoundOutcome {
   bool failed = false;
   bool violations_caught = false;  // any arm had oracle violations
   std::string detail;
-  check::OracleStats totals;
+  client::OracleCounters totals;
 };
 
 RoundOutcome run_round(const RoundConfig& cfg, Mutation mutate) {
@@ -370,14 +353,8 @@ RoundOutcome run_round(const RoundConfig& cfg, Mutation mutate) {
   for (const ArmSpec& spec : arms) {
     results.push_back(run_arm(cfg, spec.kind, spec.edge, mutate));
     const ArmResult& arm = results.back();
-    out.totals.checked += arm.stats.checked;
-    out.totals.fresh += arm.stats.fresh;
-    out.totals.allowed_stale += arm.stats.allowed_stale;
-    out.totals.violations += arm.stats.violations;
-    out.totals.poisoned_serves += arm.stats.poisoned_serves;
-    out.totals.cross_user_leaks += arm.stats.cross_user_leaks;
-    out.totals.unauditable += arm.stats.unauditable;
-    if (arm.stats.violations != 0) {
+    out.totals.merge(arm.oracle);
+    if (arm.oracle.violations != 0) {
       out.violations_caught = true;
       out.failed = true;
       const check::Violation& v = arm.violations.front();
@@ -385,7 +362,7 @@ RoundOutcome run_round(const RoundConfig& cfg, Mutation mutate) {
           "%s arm: %llu oracle violation(s); first: %s [%s] served from "
           "%s (digest %016llx, origin %016llx)",
           spec.name,
-          static_cast<unsigned long long>(arm.stats.violations),
+          static_cast<unsigned long long>(arm.oracle.violations),
           v.url.c_str(), std::string(netsim::to_string(v.kind)).c_str(),
           std::string(netsim::to_string(v.source)).c_str(),
           static_cast<unsigned long long>(v.served_digest),
@@ -508,12 +485,10 @@ RoundConfig minimize(RoundConfig cfg, Mutation mutate) {
 }
 
 /// Renders the repro command line for a (possibly minimized) config.
-std::string repro_command(const RoundConfig& cfg, std::uint64_t base_seed,
-                          Mutation mutate) {
+std::string repro_command(const RoundConfig& cfg, Mutation mutate) {
   std::string cmd = str_format("tools/difftest --rounds 1 --seed %llu",
                                static_cast<unsigned long long>(
                                    cfg.round_seed));
-  (void)base_seed;
   if (mutate == Mutation::StaleServe) cmd += " --mutate stale-serve";
   if (mutate == Mutation::UnkeyedHeader) cmd += " --mutate unkeyed-header";
   RoundConfig original = draw_round(cfg.round_seed);
@@ -547,7 +522,7 @@ std::string repro_command(const RoundConfig& cfg, std::uint64_t base_seed,
 
 /// Applies CLI overrides (used both for reproing a minimized config and
 /// for narrowing exploration).
-void apply_overrides(RoundConfig& cfg, const Args& args) {
+void apply_overrides(RoundConfig& cfg, const tools::Args& args) {
   if (args.has("no-faults")) cfg.faults = false;
   if (args.has("no-negative")) cfg.negative = false;
   if (args.has("no-dead-links")) cfg.dead_links = 0.0;
@@ -559,12 +534,12 @@ void apply_overrides(RoundConfig& cfg, const Args& args) {
   if (args.has("no-third-party")) cfg.third_party_fraction = 0.0;
   if (args.has("users")) {
     const auto n = static_cast<std::size_t>(args.num("users", 1));
-    if (n >= 1 && n < cfg.users.size()) cfg.users.resize(n);
+    if (n < cfg.users.size()) cfg.users.resize(n);
   }
   if (args.has("visits")) {
     const auto n = static_cast<std::size_t>(args.num("visits", 2));
     for (DiffUser& du : cfg.users) {
-      if (n >= 1 && n < du.visits.size()) du.visits.resize(n);
+      if (n < du.visits.size()) du.visits.resize(n);
     }
   }
 }
@@ -596,7 +571,12 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const tools::Args args(argc, argv, kValueFlags, kSwitches, kRanges);
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "difftest: %s\n", args.error().c_str());
+    usage();
+    return 2;
+  }
   if (args.has("help")) {
     usage();
     return 0;
@@ -618,8 +598,7 @@ int main(int argc, char** argv) {
   }
 
   int failures = 0;
-  std::uint64_t first_catch_seed = 0;
-  check::OracleStats totals;
+  client::OracleCounters totals;
   for (int r = 0; r < rounds; ++r) {
     const std::uint64_t round_seed = seed + static_cast<std::uint64_t>(r);
     RoundConfig cfg = draw_round(round_seed);
@@ -628,13 +607,7 @@ int main(int argc, char** argv) {
     // without that arm can never catch it.
     if (mutate == Mutation::UnkeyedHeader) cfg.edge = true;
     const RoundOutcome out = run_round(cfg, mutate);
-    totals.checked += out.totals.checked;
-    totals.fresh += out.totals.fresh;
-    totals.allowed_stale += out.totals.allowed_stale;
-    totals.violations += out.totals.violations;
-    totals.poisoned_serves += out.totals.poisoned_serves;
-    totals.cross_user_leaks += out.totals.cross_user_leaks;
-    totals.unauditable += out.totals.unauditable;
+    totals.merge(out.totals);
     if (verbose || out.failed) {
       std::fprintf(stderr,
                    "round %d (seed %llu): %s — checked %llu, stale-ok "
@@ -648,7 +621,6 @@ int main(int argc, char** argv) {
     }
     if (!out.failed) continue;
     ++failures;
-    if (first_catch_seed == 0) first_catch_seed = round_seed;
     std::fprintf(stderr, "  %s\n", out.detail.c_str());
     // unkeyed-header must be caught *as* poisoning, not as an incidental
     // staleness violation.
@@ -665,14 +637,14 @@ int main(int argc, char** argv) {
           "repro: %s\n",
           mutate == Mutation::StaleServe ? "StaleServeStrategy"
                                          : "unkeyed-header poisoning",
-          repro_command(minimal, seed, mutate).c_str());
+          repro_command(minimal, mutate).c_str());
       return 0;
     }
     if (mutate == Mutation::None) {
       const RoundConfig minimal = minimize(cfg, mutate);
       std::printf("FAILURE (round %d)\n  %s\n  repro: %s\n", r,
                   out.detail.c_str(),
-                  repro_command(minimal, seed, mutate).c_str());
+                  repro_command(minimal, mutate).c_str());
     }
   }
 

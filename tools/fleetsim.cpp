@@ -16,15 +16,14 @@
 //
 // Strategies: baseline catalyst catalyst+learn push-all push-learned
 //             push-digest early-hints rdr-proxy oracle
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 
+#include "args.h"
 #include "fleet/runner.h"
 #include "obs/selfprof.h"
 #include "util/strings.h"
@@ -51,47 +50,36 @@ constexpr std::string_view kSwitches[] = {
     "breakdown", "self-profile",      "oracle",
     "adversary", "vulnerable-keying", "edge-no-admission"};
 
-/// Minimal --flag/value parser: value flags may be "--name value" or
-/// "--name"; switches never consume the next token. Parsing stops at the
-/// first token that is not a known flag.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view token = argv[i];
-      const std::string_view name =
-          token.starts_with("--") ? token.substr(2) : std::string_view();
-      const bool takes_value =
-          std::ranges::find(kValueFlags, name) != std::end(kValueFlags);
-      if (!takes_value &&
-          std::ranges::find(kSwitches, name) == std::end(kSwitches)) {
-        bad_ = token;
-        return;
-      }
-      std::string& value = values_[std::string(name)];
-      if (takes_value && i + 1 < argc &&
-          !std::string_view(argv[i + 1]).starts_with("--")) {
-        value = argv[++i];
-      }
-    }
-  }
-
-  /// The first unrecognised token, or empty when the command line parsed.
-  const std::string& bad() const { return bad_; }
-
-  bool has(const std::string& key) const { return values_.contains(key); }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string bad_;
+// Every numeric flag given must parse into its range (bounds inclusive)
+// before it is cast to its field: a NaN or out-of-range value makes the
+// cast undefined, makes a worker thread throw, or runs a different fleet
+// than the one asked for. Times stay far inside the clock's 292 years of
+// int64 nanoseconds: horizons and TTLs up to a century, mean gaps up to a
+// year, latencies up to an hour. Mean gaps start at a minute, the
+// shortest gap drawn.
+constexpr tools::NumericFlag kRanges[] = {
+    {"users", 1, tools::kMaxU64},
+    {"threads", 1, 1024},
+    {"seed", 0, tools::kMaxU64},
+    {"sites", 1, tools::kMaxI32},
+    {"shard-size", 1, tools::kMaxU64},
+    {"horizon-days", 0, 36500},
+    {"mean-gap-hours", 1.0 / 60, 8760},
+    {"max-visits", 1, tools::kMaxI32},
+    {"loss", 0, 1},
+    {"outage", 0, 1},
+    {"fault-seed", 0, tools::kMaxU64},
+    {"edge-pops", 0, 1024},
+    {"edge-capacity-mb", 0, 65536},
+    {"edge-origin-rtt-ms", 0, 3.6e6},
+    {"edge-flash-mb", 1, 65536},
+    {"edge-flash-lat-us", 1, 3.6e9},
+    {"edge-flash-qd", 1, tools::kMaxI32},
+    {"negative-ttl-s", 1, 3.1536e9},
+    {"dead-links", 0, 1},
+    {"adversary-rate", 1, tools::kMaxI32},
+    {"adversary-seed", 0, tools::kMaxU64},
+    {"trace-users", 0, tools::kMaxU64},
 };
 
 std::optional<core::StrategyKind> parse_strategy(const std::string& name) {
@@ -182,59 +170,15 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  if (!args.bad().empty()) {
-    std::fprintf(stderr, "fleetsim: unknown argument '%s'\n",
-                 args.bad().c_str());
+  const tools::Args args(argc, argv, kValueFlags, kSwitches, kRanges);
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "fleetsim: %s\n", args.error().c_str());
     usage();
     return 2;
   }
   if (args.has("help")) {
     usage();
     return 0;
-  }
-
-  // Every numeric flag given must parse into its range (bounds inclusive)
-  // before it is cast to its field: a NaN or out-of-range value makes the
-  // cast undefined, makes a worker thread throw, or runs a different fleet
-  // than the one asked for.
-  constexpr double kU64 = 0x1p64 - 0x1p11;  // largest double below 2^64
-  constexpr double kI32 = 0x1p31 - 1;       // INT_MAX
-  // Times stay far inside the clock's 292 years of int64 nanoseconds:
-  // horizons and TTLs up to a century, mean gaps up to a year, latencies
-  // up to an hour. Mean gaps start at a minute, the shortest gap drawn.
-  const std::tuple<const char*, double, double> kRanges[] = {
-      {"users", 1, kU64},
-      {"threads", 1, 1024},
-      {"seed", 0, kU64},
-      {"sites", 1, kI32},
-      {"shard-size", 1, kU64},
-      {"horizon-days", 0, 36500},
-      {"mean-gap-hours", 1.0 / 60, 8760},
-      {"max-visits", 1, kI32},
-      {"loss", 0, 1},
-      {"outage", 0, 1},
-      {"fault-seed", 0, kU64},
-      {"edge-pops", 0, 1024},
-      {"edge-capacity-mb", 0, 65536},
-      {"edge-origin-rtt-ms", 0, 3.6e6},
-      {"edge-flash-mb", 1, 65536},
-      {"edge-flash-lat-us", 1, 3.6e9},
-      {"edge-flash-qd", 1, kI32},
-      {"negative-ttl-s", 1, 3.1536e9},
-      {"dead-links", 0, 1},
-      {"adversary-rate", 1, kI32},
-      {"adversary-seed", 0, kU64},
-      {"trace-users", 0, kU64},
-  };
-  for (const auto& [flag, min, max] : kRanges) {
-    const double v = args.num(flag, min);
-    if (!(v >= min && v <= max)) {
-      std::fprintf(stderr, "fleetsim: --%s must be in [%g, %g] (got \"%s\")\n",
-                   flag, min, max, args.get(flag, "").c_str());
-      usage();
-      return 2;
-    }
   }
 
   const auto users = static_cast<std::uint64_t>(args.num("users", 1000));

@@ -11,8 +11,9 @@
 #             rounds draw the browser protocol at random plus a forced
 #             --h2 sweep), the oracle-off / flash-off / breakdown-off / h2
 #             / cross-thread byte-identity checks (feature-on runs
-#             compared across thread counts), and fleetsim's rejection of
-#             bad input (exit 2 with the usage text)
+#             compared across thread counts), and fleetsim's and
+#             difftest's rejection of bad input (exit 2 with the usage
+#             text)
 #   perf    — engine_hotpath --smoke gated against bench/baselines/
 #             hotpath.json (fails on >20% macro throughput regression)
 #             plus the edge_offload --smoke flash sweep and the
@@ -178,13 +179,29 @@ stage_diff() {
       "--sites 0" "--mean-gap-hours 0" "--edge-pops 2 --edge-capacity-mb -5" \
       "--edge-pops 1e12" "--edge-pops -3" "--threads 1e12" \
       "--trace-users -1" "--edge-flash-qd 1e12" "--loss 2" "--loss -1" \
-      "--outage 3"; do
+      "--outage 3" "--loss abc"; do
     rc=0
     # shellcheck disable=SC2086
     "./$BUILD_DIR/tools/fleetsim" --users 8 $bad --json \
         >/dev/null 2>/tmp/bad_input.err || rc=$?
     if [ "$rc" -ne 2 ] || ! grep -q '^usage: fleetsim' /tmp/bad_input.err; then
       echo "FAIL: fleetsim $bad exited $rc without the usage text" >&2
+      exit 1
+    fi
+  done
+
+  echo "== difftest rejects bad input =="
+  # The same parser guards difftest: a typo in the gates above must exit
+  # 2, never pass having run no round or a different seed.
+  for bad in "--rounds abc" "--rounds 0" "--rounds 1 --sed 7" \
+      "--rounds 1 --users 0" "--rounds 1 --users x" "--rounds 1 --visits 0" \
+      "--rounds 1 --visits -2" "--rounds 1 --seed -1" "--rounds 1 stray"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "./$BUILD_DIR/tools/difftest" $bad >/dev/null 2>/tmp/bad_input.err \
+        || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q '^usage: difftest' /tmp/bad_input.err; then
+      echo "FAIL: difftest $bad exited $rc without the usage text" >&2
       exit 1
     fi
   done
