@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "client/page_loader.h"
+#include "http/conditional.h"
 #include "obs/recorder.h"
 #include "obs/selfprof.h"
 #include "server/session.h"
@@ -297,17 +298,8 @@ void Browser::network_fetch(const Url& url, bool is_navigation,
   }
 
   http::Request req = build_request(url, is_navigation, referer);
-  bool conditional = false;
-  if (have_entry) {
-    if (const auto etag = lookup.entry->etag()) {
-      req.headers.set(http::kIfNoneMatch, etag->to_string());
-      conditional = true;
-    } else if (const auto lm = lookup.entry->response.headers.get(
-                   http::kLastModified)) {
-      req.headers.set(http::kIfModifiedSince, *lm);
-      conditional = true;
-    }
-  }
+  const bool conditional =
+      have_entry && http::add_validators(req, lookup.entry->response);
 
   fetcher_.fetch(
       url.host, std::move(req),

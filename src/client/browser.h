@@ -91,7 +91,6 @@ class Browser {
   /// (browser caches and Service Workers persist).
   void end_visit();
 
-  netsim::Network& network() { return network_; }
   netsim::EventLoop& loop() { return network_.loop(); }
   const BrowserConfig& config() const { return config_; }
   const ProcessingModel& processing() const { return config_.processing; }

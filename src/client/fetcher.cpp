@@ -6,6 +6,17 @@ namespace catalyst::client {
 
 namespace {
 
+/// Per-request deadline. Silent faults (stalled transfers, dark
+/// origins) raise no error; this timer is the only recovery path.
+constexpr Duration kRequestTimeout = seconds(15);
+
+/// Retry budget per request after the first attempt. Only idempotent GETs
+/// are retried; anything else fails straight to a 504.
+constexpr int kMaxRetries = 2;
+
+/// Exponential backoff between attempts: this base, doubling per retry,
+/// capped at five seconds.
+constexpr Duration kBackoffBase = milliseconds(200);
 constexpr double kBackoffMultiplier = 2.0;
 constexpr Duration kBackoffCap = seconds(5);
 
@@ -67,85 +78,69 @@ netsim::Connection& Fetcher::pick_connection(
 
 void Fetcher::fetch(const std::string& origin_host, http::Request request,
                     ResponseCallback on_response) {
-  if (config_.resilience.enabled) {
+  if (config_.resilient) {
     auto pending = std::make_shared<PendingFetch>();
     pending->origin = origin_host;
     pending->request = std::move(request);
     pending->on_response = std::move(on_response);
-    pending->retries_left = config_.resilience.max_retries;
+    pending->retries_left = kMaxRetries;
     dispatch(pending);
     return;
   }
-  netsim::Connection& conn = pick_connection(origin_host);
+  send(pick_connection(origin_host), origin_host, std::move(request),
+       std::move(on_response));
+}
+
+void Fetcher::send(netsim::Connection& conn, const std::string& origin,
+                   http::Request request, ResponseCallback on_response,
+                   netsim::Connection::ErrorCallback on_error) {
   netsim::Connection::PushCallback push_cb;
   if (push_handler_) {
-    push_cb = [this, origin_host](netsim::PushedResponse push) {
-      if (push_handler_) push_handler_(origin_host, std::move(push));
+    push_cb = [this, origin](netsim::PushedResponse push) {
+      if (push_handler_) push_handler_(origin, std::move(push));
     };
   }
   netsim::Connection::PromiseCallback promise_cb;
   if (promise_handler_) {
-    promise_cb = [this, origin_host](const std::string& target) {
-      if (promise_handler_) promise_handler_(origin_host, target);
+    promise_cb = [this, origin](const std::string& target) {
+      if (promise_handler_) promise_handler_(origin, target);
     };
   }
   netsim::Connection::HintsCallback hints_cb;
   if (hints_handler_) {
-    hints_cb = [this, origin_host](const std::vector<std::string>& urls) {
-      if (hints_handler_) hints_handler_(origin_host, urls);
+    hints_cb = [this, origin](const std::vector<std::string>& urls) {
+      if (hints_handler_) hints_handler_(origin, urls);
     };
   }
   conn.send_request(std::move(request), std::move(on_response),
                     std::move(push_cb), std::move(promise_cb),
-                    std::move(hints_cb));
+                    std::move(hints_cb), std::move(on_error));
 }
 
 void Fetcher::dispatch(const std::shared_ptr<PendingFetch>& fetch) {
   netsim::Connection& conn = pick_connection(fetch->origin);
   fetch->conn = &conn;
   const int attempt = fetch->attempt;
-
-  netsim::Connection::PushCallback push_cb;
-  if (push_handler_) {
-    push_cb = [this, origin = fetch->origin](netsim::PushedResponse push) {
-      if (push_handler_) push_handler_(origin, std::move(push));
-    };
-  }
-  netsim::Connection::PromiseCallback promise_cb;
-  if (promise_handler_) {
-    promise_cb = [this, origin = fetch->origin](const std::string& target) {
-      if (promise_handler_) promise_handler_(origin, target);
-    };
-  }
-  netsim::Connection::HintsCallback hints_cb;
-  if (hints_handler_) {
-    hints_cb = [this,
-                origin = fetch->origin](const std::vector<std::string>& urls) {
-      if (hints_handler_) hints_handler_(origin, urls);
-    };
-  }
-
   auto self = fetch;
-  conn.send_request(
-      fetch->request,
+  send(
+      conn, fetch->origin, fetch->request,
       [this, self, attempt](http::Response response) {
         if (self->settled || self->attempt != attempt) return;
         self->settled = true;
         network_.loop().cancel(self->deadline);
         self->on_response(std::move(response));
       },
-      std::move(push_cb), std::move(promise_cb), std::move(hints_cb),
       [this, self, attempt] {
         if (self->settled || self->attempt != attempt) return;
         ++faults_.connection_failures;
         retry_or_fail(self);
       });
   fetch->deadline = network_.loop().schedule_after(
-      config_.resilience.request_timeout, [this, self, attempt] {
+      kRequestTimeout, [this, self, attempt] {
         if (self->settled || self->attempt != attempt) return;
         ++faults_.timeouts;
         // The connection carrying the attempt is wedged (stall or
-        // blackholed origin): break it so queued requests re-route and
+        // dark origin): break it so queued requests re-route and
         // the pool opens a replacement.
         if (self->conn != nullptr) self->conn->fail();
         retry_or_fail(self);
@@ -155,7 +150,6 @@ void Fetcher::dispatch(const std::shared_ptr<PendingFetch>& fetch) {
 void Fetcher::retry_or_fail(const std::shared_ptr<PendingFetch>& fetch) {
   ++fetch->attempt;  // invalidate any callbacks from the dead attempt
   network_.loop().cancel(fetch->deadline);
-  const ResilienceConfig& r = config_.resilience;
   if (fetch->request.method != http::Method::Get || fetch->retries_left <= 0) {
     // Budget exhausted (or non-idempotent request): settle with a
     // synthesized 504 so the page load completes and records the failure
@@ -172,10 +166,10 @@ void Fetcher::retry_or_fail(const std::shared_ptr<PendingFetch>& fetch) {
   }
   --fetch->retries_left;
   ++faults_.retries;
-  const int retries_done = r.max_retries - fetch->retries_left;
+  const int retries_done = kMaxRetries - fetch->retries_left;
   double scale = 1.0;
   for (int i = 1; i < retries_done; ++i) scale *= kBackoffMultiplier;
-  Duration delay = seconds_f(to_seconds(r.backoff_base) * scale);
+  Duration delay = seconds_f(to_seconds(kBackoffBase) * scale);
   if (delay > kBackoffCap) delay = kBackoffCap;
   if (auto* rec = network_.loop().recorder()) {
     rec->record(obs::Phase::kBackoff, delay);

@@ -20,30 +20,15 @@
 
 namespace catalyst::client {
 
-/// Client-side resilience knobs. Disabled by default, in which case the
-/// fetcher behaves exactly as it always has — no timers, no retries, no
-/// extra events — so zero-fault runs stay byte-identical.
-struct ResilienceConfig {
-  bool enabled = false;
-
-  /// Per-request deadline. Silent faults (stalled transfers, blackholed
-  /// origins) raise no error; this timer is the only recovery path.
-  Duration request_timeout = seconds(15);
-
-  /// Retry budget per request after the first attempt. Only idempotent
-  /// GETs are retried; anything else fails straight to a 504.
-  int max_retries = 2;
-
-  /// Exponential backoff between attempts: this base, doubling per retry,
-  /// capped at five seconds.
-  Duration backoff_base = milliseconds(200);
-};
-
 struct FetcherConfig {
   netsim::Protocol protocol = netsim::Protocol::H1;
   bool tls = true;
   std::size_t max_connections_per_origin = 6;
-  ResilienceConfig resilience;
+
+  /// Per-request deadlines and budgeted GET retries (fetcher.cpp holds
+  /// the schedule). Off by default, in which case the fetcher runs no
+  /// timers and no retries, so zero-fault runs stay byte-identical.
+  bool resilient = false;
 };
 
 class Fetcher {
@@ -98,6 +83,12 @@ class Fetcher {
   struct PendingFetch;
 
   netsim::Connection& pick_connection(const std::string& origin_host);
+
+  /// Sends `request` on `conn`, wrapping the push, promise and hints
+  /// handlers so they learn which origin the connection serves.
+  void send(netsim::Connection& conn, const std::string& origin,
+            http::Request request, ResponseCallback on_response,
+            netsim::Connection::ErrorCallback on_error = nullptr);
 
   /// Resilient path: dispatches one attempt with a deadline timer and
   /// attempt-token guards against late responses/errors.

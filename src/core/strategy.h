@@ -51,9 +51,6 @@ enum class StrategyKind {
 std::string_view to_string(StrategyKind kind);
 
 struct StrategyOptions {
-  /// Model TCP slow-start ramp-up (ablation; default off).
-  bool slow_start = false;
-
   /// Disable the CSS closure in the catalyst map (ablation: HTML-only
   /// scan, stylesheets' fonts/images left uncovered).
   bool catalyst_css_closure = true;

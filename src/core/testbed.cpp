@@ -28,7 +28,6 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
   tb.loop = std::make_unique<netsim::EventLoop>();
   tb.loop->set_recorder(options.phase_recorder);
   tb.network = std::make_unique<netsim::Network>(*tb.loop);
-  tb.network->set_model_slow_start(options.slow_start);
   tb.network->set_dns_lookup(options.dns_lookup);
 
   // Fault layer: pay-for-what-you-use. With all knobs zero, no plan is
@@ -101,7 +100,7 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
   }
   // Under injected faults the browser needs deadlines + retries to
   // guarantee every visit completes.
-  bc.fetcher.resilience.enabled = conditions.faults.any();
+  bc.fetcher.resilient = conditions.faults.any();
   bc.mutate_serve_stale = options.mutate_stale_serve;
   bc.negative = options.negative_cache;
   tb.browser = std::make_unique<client::Browser>(*tb.network, bc);
@@ -207,21 +206,19 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
       tb.network->add_host(workload::Adversary::kHost);
       tb.network->set_rtt(workload::Adversary::kHost, pop.host_name(),
                           attacker_rtt);
-      workload::AdversaryParams ap = options.adversary;
-      if (ap.probe_hit_threshold <= Duration::zero()) {
-        // Fresh H1+TLS connection: 2 handshake RTTs + 1 exchange RTT to
-        // the PoP; an edge miss additionally pays the PoP-origin leg.
-        // Halfway into that leg separates the two populations.
-        ap.probe_hit_threshold =
-            3 * attacker_rtt + options.edge_origin_rtt / 2;
-      }
+      // Fresh H1+TLS connection: 2 handshake RTTs + 1 exchange RTT to the
+      // PoP; an edge miss additionally pays the PoP-origin leg. Halfway
+      // into that leg separates the two populations.
+      const Duration hit_threshold =
+          3 * attacker_rtt + options.edge_origin_rtt / 2;
       std::vector<std::string> targets;
       targets.push_back(tb.site->index_path());
       for (const auto& [path, resource] : tb.site->resources()) {
         if (path != tb.site->index_path()) targets.push_back(path);
       }
       tb.adversary = std::make_unique<workload::Adversary>(
-          *tb.network, pop, std::move(targets), ap);
+          *tb.network, pop, std::move(targets), options.adversary,
+          hit_threshold);
     }
   }
 

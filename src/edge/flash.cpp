@@ -1,17 +1,23 @@
 #include "edge/flash.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace catalyst::edge {
 
-FlashTier::FlashTier(const FlashConfig& config) : config_(config) {
-  // A log that cannot hold four segments cannot garbage-collect without
-  // thrashing; shrink the segment, never the budget.
-  if (config_.segment * 4 > config_.capacity && config_.capacity > 0) {
-    config_.segment = config_.capacity / 4;
-  }
-  if (config_.segment == 0) config_.segment = 1;
-}
+namespace {
+
+/// GC reclaim granularity of a log large enough to hold four of them.
+constexpr ByteCount kSegmentBytes = MiB(2);
+
+}  // namespace
+
+FlashTier::FlashTier(const FlashConfig& config)
+    : capacity_(config.capacity),
+      // A log that cannot hold four segments cannot garbage-collect
+      // without thrashing; shrink the segment, never the budget.
+      segment_bytes_(
+          std::max<ByteCount>(1, std::min(kSegmentBytes, capacity_ / 4))) {}
 
 FlashTier::Record* FlashTier::locate(InternId key_id) {
   if (key_id == kNoIntern) return nullptr;
@@ -28,7 +34,7 @@ const FlashTier::Record* FlashTier::locate(InternId key_id) const {
 
 bool FlashTier::put(const std::string& key, cache::CacheEntry entry) {
   const ByteCount cost = entry.cost();
-  if (cost > config_.capacity) return false;
+  if (cost > capacity_) return false;
 
   const InternId key_id = tls_intern().intern(key);
   if (Record* old = locate(key_id)) {
@@ -47,7 +53,7 @@ bool FlashTier::put(const std::string& key, cache::CacheEntry entry) {
   append(std::move(record), /*host_write=*/true);
   ++stats_.stores;
 
-  while (log_bytes_ > config_.capacity && segments_.size() > 1) {
+  while (log_bytes_ > capacity_ && segments_.size() > 1) {
     reclaim_oldest();
   }
   return true;
@@ -76,7 +82,7 @@ bool FlashTier::erase(const std::string& key) {
 }
 
 FlashTier::Segment& FlashTier::open_segment() {
-  if (segments_.empty() || segments_.back().bytes >= config_.segment) {
+  if (segments_.empty() || segments_.back().bytes >= segment_bytes_) {
     Segment seg;
     seg.seq = next_seq_++;
     segments_.push_back(std::move(seg));

@@ -43,10 +43,6 @@ struct FlashConfig {
   /// anywhere: EdgePop behaves byte-identically to pre-flash builds.
   ByteCount capacity = 0;
 
-  /// GC reclaim granularity. Clamped so the log always holds at least
-  /// four segments (a one-segment log could never reclaim).
-  ByteCount segment = MiB(2);
-
   /// Async-I/O device model (queue depth + service latencies).
   io::AioDeviceConfig device;
 
@@ -99,7 +95,7 @@ class FlashTier {
 
   ByteCount live_bytes() const { return live_bytes_; }
   ByteCount log_bytes() const { return log_bytes_; }
-  ByteCount capacity() const { return config_.capacity; }
+  ByteCount capacity() const { return capacity_; }
   std::size_t entry_count() const { return index_.size(); }
   const FlashStats& stats() const { return stats_; }
 
@@ -129,7 +125,8 @@ class FlashTier {
   Segment& open_segment();
   void reclaim_oldest();
 
-  FlashConfig config_;
+  ByteCount capacity_;
+  ByteCount segment_bytes_;  // kSegmentBytes, clamped to capacity_ / 4
   FlashStats stats_;
   ByteCount live_bytes_ = 0;  // bytes of live records
   ByteCount log_bytes_ = 0;   // bytes on the log (live + dead)

@@ -6,28 +6,19 @@
 #include "http/date.h"
 #include "obs/recorder.h"
 #include "obs/selfprof.h"
-#include "util/strings.h"
 
 namespace catalyst::edge {
 
 namespace {
+
+/// Modeled per-request edge compute (lookup + response assembly).
+constexpr Duration kProcessingDelay = microseconds(300);
 
 /// Cache keys follow static-handler semantics: the query string does not
 /// select a different representation.
 std::string path_of(const std::string& target) {
   const auto q = target.find('?');
   return q == std::string::npos ? target : target.substr(0, q);
-}
-
-/// Headers a cache-served response (hit or 304) carries downstream:
-/// validators, freshness metadata, and the Catalyst validity map.
-bool forwarded_on_304(std::string_view name) {
-  return iequals(name, http::kEtagHeader) ||
-         iequals(name, http::kCacheControl) ||
-         iequals(name, http::kExpires) ||
-         iequals(name, http::kDate) ||
-         iequals(name, http::kLastModified) ||
-         iequals(name, http::kXEtagConfig);
 }
 
 }  // namespace
@@ -121,13 +112,7 @@ void EdgeNode::handle(const http::Request& request,
   // its own stored validators instead.
   http::Request upstream = build_upstream(request);
   if (found.decision == EdgeLookupDecision::Stale) {
-    const cache::CacheEntry& entry = *found.entry;
-    if (const auto etag = entry.etag()) {
-      upstream.headers.set(http::kIfNoneMatch, etag->to_string());
-    } else if (const auto lm =
-                   entry.response.headers.get(http::kLastModified)) {
-      upstream.headers.set(http::kIfModifiedSince, *lm);
-    }
+    http::add_validators(upstream, found.entry->response);
   }
 
   inflight_.insert_or_assign(key_id, std::move(fill));
@@ -159,13 +144,7 @@ void EdgeNode::on_flash_read(const std::string& key) {
   http::Request upstream =
       build_upstream(pending->waiters.front().request);
   if (rr.outcome == FlashReadOutcome::Stale) {
-    const cache::CacheEntry& entry = *rr.entry;
-    if (const auto etag = entry.etag()) {
-      upstream.headers.set(http::kIfNoneMatch, etag->to_string());
-    } else if (const auto lm =
-                   entry.response.headers.get(http::kLastModified)) {
-      upstream.headers.set(http::kIfModifiedSince, *lm);
-    }
+    http::add_validators(upstream, rr.entry->response);
   }
   launch_fetch(key, std::move(upstream));
 }
@@ -248,7 +227,7 @@ void EdgeNode::on_origin_error(const std::string& key) {
     netsim::ServerReply reply;
     reply.response = std::move(resp);
     network_.loop().schedule_after(
-        pop_.config().processing_delay,
+        kProcessingDelay,
         [respond = w.respond, reply = std::move(reply)]() mutable {
           respond(std::move(reply));
         });
@@ -277,7 +256,7 @@ void EdgeNode::reply_to_waiter(const Waiter& waiter,
     // caches compute apparent age from it, which is how resident time at
     // the edge stays visible without an Age header.
     for (const auto& field : source.headers.fields()) {
-      if (forwarded_on_304(field.name)) {
+      if (carried_on_304(field.name)) {
         reply.headers.set(field.name, field.value);
       }
     }
@@ -304,14 +283,14 @@ void EdgeNode::reply_to_waiter(const Waiter& waiter,
     // Server-side decomposition of the client's Ttfb: PoP arrival to
     // reply dispatch (including the processing delay about to be paid).
     rec->record(obs::Phase::kEdgeLookup,
-                network_.loop().now() + pop_.config().processing_delay -
+                network_.loop().now() + kProcessingDelay -
                     waiter.arrival);
   }
 
   netsim::ServerReply server_reply;
   server_reply.response = std::move(reply);
   network_.loop().schedule_after(
-      pop_.config().processing_delay,
+      kProcessingDelay,
       [respond = waiter.respond,
        server_reply = std::move(server_reply)]() mutable {
         respond(std::move(server_reply));

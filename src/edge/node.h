@@ -44,8 +44,6 @@ class EdgeNode {
   EdgeNode(const EdgeNode&) = delete;
   EdgeNode& operator=(const EdgeNode&) = delete;
 
-  const std::string& origin_host() const { return origin_host_; }
-
  private:
   /// How a resolved request was answered — drives EdgePop accounting.
   /// hit = RAM bytes, no upstream exchange; flash hit = stored bytes after
@@ -89,7 +87,7 @@ class EdgeNode {
 
   /// Answers one waiter from an authoritative response (stored entry or
   /// fresh origin fill): evaluates the waiter's own conditionals, then
-  /// schedules the reply after the configured processing delay.
+  /// schedules the reply after the edge's processing delay.
   void reply_to_waiter(const Waiter& waiter, const http::Response& source,
                        Served served);
 

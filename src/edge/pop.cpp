@@ -19,6 +19,14 @@ std::size_t expected_entries_for(ByteCount capacity) {
 
 }  // namespace
 
+bool carried_on_304(std::string_view name) {
+  return iequals(name, http::kEtagHeader) ||
+         iequals(name, http::kCacheControl) ||
+         iequals(name, http::kExpires) || iequals(name, http::kDate) ||
+         iequals(name, http::kLastModified) ||
+         iequals(name, http::kXEtagConfig);
+}
+
 EdgePop::EdgePop(EdgeConfig config)
     : config_(config),
       host_name_("edge.pop" + std::to_string(config.pop_id)),
@@ -99,18 +107,9 @@ bool EdgePop::admit_and_store(const std::string& key, http::Response response,
   const ByteCount cost = entry.cost();
   if (cost > store_.capacity()) return false;
 
-  // Make room, letting TinyLFU veto the fill: a candidate may only
-  // displace victims it has out-requested. With a flash tier, victims
-  // demote to the log instead of evaporating.
-  while (store_.needs_room(cost)) {
-    const auto victim = store_.victim_key();
-    if (!victim) break;
-    if (config_.tinylfu_admission && !admission_.admit(key, *victim)) {
-      ++stats_.admission_rejects;
-      return false;
-    }
-    demote_to_flash(*victim, aio);
-    store_.evict_victim();
+  if (!make_room(key, cost, aio)) {
+    ++stats_.admission_rejects;
+    return false;
   }
   if (store_.put(key, std::move(entry))) {
     ++stats_.stores;
@@ -121,6 +120,20 @@ bool EdgePop::admit_and_store(const std::string& key, http::Response response,
     return true;
   }
   return false;
+}
+
+bool EdgePop::make_room(const std::string& key, ByteCount cost,
+                        io::AioEngine* aio) {
+  while (store_.needs_room(cost)) {
+    const auto victim = store_.victim_key();
+    if (!victim) break;
+    if (config_.tinylfu_admission && !admission_.admit(key, *victim)) {
+      return false;
+    }
+    demote_to_flash(*victim, aio);
+    store_.evict_victim();
+  }
+  return true;
 }
 
 void EdgePop::demote_to_flash(const std::string& victim_key,
@@ -172,17 +185,7 @@ FlashReadResult EdgePop::complete_flash_read(const std::string& key,
   // RAM victims mutates the flash log and invalidates `entry`.
   cache::CacheEntry copy = *entry;
   const ByteCount cost = copy.cost();
-  bool admit = cost <= store_.capacity();
-  while (admit && store_.needs_room(cost)) {
-    const auto victim = store_.victim_key();
-    if (!victim) break;
-    if (config_.tinylfu_admission && !admission_.admit(key, *victim)) {
-      admit = false;
-      break;
-    }
-    demote_to_flash(*victim, aio);
-    store_.evict_victim();
-  }
+  const bool admit = cost <= store_.capacity() && make_room(key, cost, aio);
   if (admit && !store_.needs_room(cost) && store_.put(key, copy)) {
     flash_->erase(key);
     ++stats_.flash_promotions;
@@ -210,12 +213,7 @@ cache::CacheEntry* EdgePop::refresh_not_modified(
   // *stored* (possibly outdated) map would make downstream service workers
   // trust subresources the origin has since changed.
   for (const auto& field : not_modified.headers.fields()) {
-    if (iequals(field.name, http::kEtagHeader) ||
-        iequals(field.name, http::kCacheControl) ||
-        iequals(field.name, http::kExpires) ||
-        iequals(field.name, http::kDate) ||
-        iequals(field.name, http::kLastModified) ||
-        iequals(field.name, http::kXEtagConfig)) {
+    if (carried_on_304(field.name)) {
       entry->response.headers.set(field.name, field.value);
     }
   }

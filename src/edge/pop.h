@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "cache/entry.h"
 #include "cache/freshness.h"
@@ -34,9 +35,6 @@ struct EdgeConfig {
 
   /// TinyLFU admission (off = plain SLRU fills, the ablation arm).
   bool tinylfu_admission = true;
-
-  /// Modeled per-request edge compute (lookup + response assembly).
-  Duration processing_delay = microseconds(300);
 
   /// Flash tier behind the RAM SLRU (capacity 0 — the default — means
   /// RAM-only, byte-identical to pre-flash builds). Admission is RAM
@@ -149,6 +147,11 @@ struct EdgePopStats {
   void merge(const EdgePopStats& other);
 };
 
+/// Headers an origin 304 refreshes on a stored entry, and an edge-served
+/// 304 carries downstream: validators, freshness metadata, and the
+/// Catalyst validity map.
+bool carried_on_304(std::string_view name);
+
 enum class EdgeLookupDecision {
   Miss,   // nothing stored / nothing validatable
   Fresh,  // serve stored bytes, zero origin cost
@@ -256,7 +259,6 @@ class EdgePop {
   }
   void note_origin_not_modified() { ++stats_.origin_not_modified; }
   void note_origin_error() { ++stats_.origin_errors; }
-  void note_negative_hit() { ++stats_.negative_hits; }
   void note_adversary_request() { ++stats_.adversary_requests; }
   void note_adversary_probe(bool hit) {
     ++stats_.adversary_probes;
@@ -277,6 +279,12 @@ class EdgePop {
   /// the future-fill guard, then the bounded negative lifetime for stored
   /// 404/410s, then RFC 9111 §4.2 for everything else.
   bool entry_is_fresh(const cache::CacheEntry& entry, TimePoint now) const;
+
+  /// Evicts RAM victims until `cost` more bytes fit, unless TinyLFU
+  /// vetoes: a candidate may only displace victims it has out-requested.
+  /// With a flash tier, victims demote to the log instead of evaporating.
+  /// Returns false on a veto.
+  bool make_room(const std::string& key, ByteCount cost, io::AioEngine* aio);
 
   /// Hands a RAM eviction victim to the flash log (admission-by-demotion)
   /// and accounts the device write on `aio` when given.

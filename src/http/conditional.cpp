@@ -26,6 +26,18 @@ ConditionalOutcome evaluate_conditional(
   return ConditionalOutcome::NotConditional;
 }
 
+bool add_validators(Request& request, const Response& stored) {
+  if (const auto etag = stored.etag()) {
+    request.headers.set(kIfNoneMatch, etag->to_string());
+    return true;
+  }
+  if (const auto lm = stored.headers.get(kLastModified)) {
+    request.headers.set(kIfModifiedSince, *lm);
+    return true;
+  }
+  return false;
+}
+
 Response make_not_modified(const Etag& current_etag,
                            const Headers& cache_headers) {
   Response resp = Response::make(Status::NotModified);

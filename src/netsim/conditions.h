@@ -15,11 +15,6 @@ struct NetworkConditions {
   Bandwidth uplink = mbps(12);
   Duration rtt = milliseconds(40);  // client <-> origin round trip
 
-  /// When true, response transfers pay TCP slow-start ramp-up rounds in
-  /// addition to the fluid transmission time (ablation knob; the paper's
-  /// Chrome throttling shapes an underlying real TCP similarly).
-  bool model_slow_start = false;
-
   /// Fault-injection knobs; all zero by default (no fault layer wired).
   FaultSpec faults;
 

@@ -10,6 +10,10 @@ namespace {
 // Stream ids for the plan-level draws, disjoint from per-request ordinals
 // (which fork off `spec.stream` instead).
 constexpr std::uint64_t kOutagePhaseStream = 0x07a6'e000'0001ull;
+
+/// Outage windows repeat with this period; `outage_fraction` of each one
+/// is dark.
+constexpr Duration kOutagePeriod = hours(1);
 }  // namespace
 
 FaultPlan::FaultPlan(const FaultSpec& spec) : spec_(spec) {
@@ -17,7 +21,7 @@ FaultPlan::FaultPlan(const FaultSpec& spec) : spec_(spec) {
   // outages are an origin-side event, shared by every stream of the seed.
   outage_phase_seconds_ =
       Rng(spec_.fault_seed).fork(kOutagePhaseStream).next_double() *
-      to_seconds(spec_.outage_period);
+      to_seconds(kOutagePeriod);
 }
 
 FaultDecision FaultPlan::next_request() {
@@ -32,19 +36,12 @@ FaultDecision FaultPlan::next_request() {
   // changes between runs.
   Rng rng = Rng(spec_.fault_seed).fork(spec_.stream).fork(ordinal_++);
 
-  // One uniform partitions the mutually exclusive primary faults.
+  // One uniform partitions the mutually exclusive faults.
   const double x = rng.next_double();
   if (x < spec_.loss_rate) {
     d.drop_mid_stream = true;
   } else if (x < spec_.loss_rate + spec_.stall_rate) {
     d.stall = true;
-  } else if (x < spec_.loss_rate + spec_.stall_rate +
-                     spec_.server_error_rate) {
-    d.server_error = true;
-  }
-  if (spec_.latency_spike_rate > 0.0 &&
-      rng.bernoulli(spec_.latency_spike_rate)) {
-    d.extra_latency = spec_.latency_spike;
   }
   // How far a cut transfer gets before dying. Drawn unconditionally so
   // the draw count per request is fixed.
@@ -54,8 +51,7 @@ FaultDecision FaultPlan::next_request() {
 
 bool FaultPlan::origin_dark(TimePoint now) const {
   if (spec_.outage_fraction <= 0.0) return false;
-  const double period = to_seconds(spec_.outage_period);
-  if (period <= 0.0) return false;
+  const double period = to_seconds(kOutagePeriod);
   const double dark = spec_.outage_fraction * period;
   double pos = std::fmod(to_seconds(now.since_epoch()) + outage_phase_seconds_,
                          period);

@@ -14,11 +14,9 @@
 //   * stall            — the response is cut silently; nothing ever
 //     arrives and no error is raised. Only a client deadline timer
 //     recovers from this.
-//   * server error     — the origin answers 503 instead of invoking its
-//     handler (application down behind a live load balancer).
-// Orthogonally, a request may draw an extra latency spike, and the origin
-// may be inside a scheduled outage window, in which case requests reaching
-// it are blackholed (stall semantics) regardless of the per-request draw.
+// Orthogonally, the origin may be inside a scheduled outage window, in
+// which case requests reaching it vanish into a blackhole (stall
+// semantics) regardless of the per-request draw.
 #pragma once
 
 #include <cstdint>
@@ -39,19 +37,10 @@ struct FaultSpec {
   /// client's deadline timer is the only way out).
   double stall_rate = 0.0;
 
-  /// Probability the origin answers 503 Service Unavailable.
-  double server_error_rate = 0.0;
-
-  /// Probability a request pays `latency_spike` of extra delay before
-  /// its response transfer (bufferbloat / rerouting episodes).
-  double latency_spike_rate = 0.0;
-  Duration latency_spike = milliseconds(400);
-
-  /// Fraction of each `outage_period` during which origins are dark:
-  /// requests arriving at a dark origin are blackholed. The window's
-  /// phase within the period is derived from `fault_seed`.
+  /// Fraction of each hour during which origins are dark: requests
+  /// arriving at a dark origin get neither an answer nor an error. The
+  /// window's phase within the hour is derived from `fault_seed`.
   double outage_fraction = 0.0;
-  Duration outage_period = hours(1);
 
   /// Master seed for all fault decisions.
   std::uint64_t fault_seed = 2024;
@@ -63,8 +52,7 @@ struct FaultSpec {
   /// True when any knob is active (the testbed only wires the fault
   /// layer in then — pay-for-what-you-use).
   bool any() const {
-    return loss_rate > 0.0 || stall_rate > 0.0 || server_error_rate > 0.0 ||
-           latency_spike_rate > 0.0 || outage_fraction > 0.0;
+    return loss_rate > 0.0 || stall_rate > 0.0 || outage_fraction > 0.0;
   }
 };
 
@@ -72,8 +60,6 @@ struct FaultSpec {
 struct FaultDecision {
   bool drop_mid_stream = false;
   bool stall = false;
-  bool server_error = false;
-  Duration extra_latency{};
   /// Fraction of the response bytes that make it onto the wire before a
   /// drop/stall cuts the transfer (those bytes still occupy the link and
   /// are counted as waste).
@@ -95,17 +81,11 @@ class FaultPlan {
   /// (spec, now): all plans with the same seed agree on the schedule.
   bool origin_dark(TimePoint now) const;
 
-  const FaultSpec& spec() const { return spec_; }
   std::uint64_t requests_decided() const { return ordinal_; }
-
-  /// Requests that reached a dark origin and were blackholed (telemetry).
-  std::uint64_t blackholed() const { return blackholed_; }
-  void note_blackholed() { ++blackholed_; }
 
  private:
   FaultSpec spec_;
   std::uint64_t ordinal_ = 0;
-  std::uint64_t blackholed_ = 0;
   double outage_phase_seconds_ = 0.0;
 };
 

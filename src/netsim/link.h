@@ -34,7 +34,6 @@ class Link {
   /// on the next loop iteration at the current time.
   TransferId start_transfer(ByteCount bytes, EventFn on_done);
 
-  std::size_t active_transfers() const { return flows_.size(); }
   Bandwidth capacity() const { return capacity_; }
   const std::string& name() const { return name_; }
 

@@ -96,17 +96,10 @@ class Network {
   void send_bytes(const std::string& from, const std::string& to,
                   ByteCount bytes, EventFn on_delivered);
 
-  /// Slow-start modelling knobs (see NetworkConditions::model_slow_start).
-  void set_model_slow_start(bool enabled) { model_slow_start_ = enabled; }
-  bool model_slow_start() const { return model_slow_start_; }
-
   /// DNS resolution delay paid once per (client, origin) pair — the first
   /// connection to an origin resolves its name before the TCP handshake.
   void set_dns_lookup(Duration delay) { dns_lookup_ = delay; }
   Duration dns_lookup() const { return dns_lookup_; }
-
-  /// Initial congestion window (RFC 6928 default: 10 MSS).
-  ByteCount initial_cwnd() const { return 10 * 1460; }
 
   /// Total bytes moved through the network so far.
   ByteCount total_bytes_transferred() const { return total_bytes_; }
@@ -124,7 +117,6 @@ class Network {
   FlatHashMap<HostId, std::unique_ptr<Host>> hosts_;
   // Symmetric pair key: (lower id << 32) | higher id.
   FlatHashMap<std::uint64_t, Duration> rtts_;
-  bool model_slow_start_ = false;
   Duration dns_lookup_ = Duration::zero();
   ByteCount total_bytes_ = 0;
   FaultPlan* fault_plan_ = nullptr;

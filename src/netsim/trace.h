@@ -53,8 +53,6 @@ struct FetchTrace {
   std::uint32_t status = 200;     // HTTP status of the delivered response
   std::uint64_t body_digest = 0;  // FNV-1a over the delivered body bytes
   ServeClass oracle_class = ServeClass::Unchecked;
-
-  Duration elapsed() const { return finish - start; }
 };
 
 /// Collects fetch traces for one page load.

@@ -15,8 +15,7 @@ Connection::Connection(Network& network, std::string client,
       server_(std::move(server)),
       tls_(tls),
       protocol_(protocol),
-      resolve_dns_(resolve_dns),
-      cwnd_(network.initial_cwnd()) {}
+      resolve_dns_(resolve_dns) {}
 
 void Connection::connect(EventFn on_established) {
   if (state_ == State::Established) {
@@ -131,23 +130,12 @@ void Connection::start_exchange(PendingRequest pending) {
   // the reply (and any pushes) back.
   auto shared = std::make_shared<PendingRequest>(std::move(pending));
   network_.send_bytes(client_, server_, request_bytes, [this, shared] {
-    if (FaultPlan* plan = network_.fault_plan()) {
-      if (plan->origin_dark(network_.loop().now())) {
-        // Dark origin: the request's bytes crossed the wire but nothing
-        // answers and no error is raised — blackhole. The client deadline
-        // timer is the only way out; the exchange stays in flight.
-        plan->note_blackholed();
-        return;
-      }
-      if (shared->fault.server_error) {
-        // The load balancer is up but the application is down: a 503
-        // comes back without the origin handler ever running.
-        ServerReply reply;
-        reply.response = http::Response::make(http::Status::ServiceUnavailable);
-        reply.response.finalize(network_.loop().now());
-        deliver_reply(std::move(reply), *shared);
-        return;
-      }
+    const FaultPlan* plan = network_.fault_plan();
+    if (plan != nullptr && plan->origin_dark(network_.loop().now())) {
+      // Dark origin: the request's bytes crossed the wire but nothing
+      // answers and no error is raised — blackhole. The client deadline
+      // timer is the only way out; the exchange stays in flight.
+      return;
     }
     const RequestHandler& handler = network_.host(server_).handler();
     if (!handler) {
@@ -177,29 +165,20 @@ void Connection::deliver_reply(ServerReply reply, PendingRequest& pending) {
         1, static_cast<ByteCount>(
                static_cast<double>(full) * pending.fault.progress_fraction));
     bytes_received_ += cut;
-    const bool drop = pending.fault.drop_mid_stream;
-    auto transfer = [this, cut, drop,
-                     on_error = std::move(pending.on_error)]() mutable {
-      network_.send_bytes(server_, client_, cut,
-                          [this, drop, on_error = std::move(on_error)] {
-                            if (!drop) return;  // stall: silence
-                            --inflight_;
-                            if (protocol_ == Protocol::H1) {
-                              // Framing is broken mid-message; the whole
-                              // connection is unusable. H2 loses only the
-                              // stream (RST_STREAM).
-                              fail();
-                            }
-                            if (on_error) on_error();
-                            pump();
-                          });
-    };
-    if (pending.fault.extra_latency > Duration::zero()) {
-      network_.loop().schedule_after(pending.fault.extra_latency,
-                                     std::move(transfer));
-    } else {
-      transfer();
-    }
+    network_.send_bytes(server_, client_, cut,
+                        [this, drop = pending.fault.drop_mid_stream,
+                         on_error = std::move(pending.on_error)] {
+                          if (!drop) return;  // stall: silence
+                          --inflight_;
+                          if (protocol_ == Protocol::H1) {
+                            // Framing is broken mid-message; the whole
+                            // connection is unusable. H2 loses only the
+                            // stream (RST_STREAM).
+                            fail();
+                          }
+                          if (on_error) on_error();
+                          pump();
+                        });
     return;
   }
 
@@ -245,19 +224,8 @@ void Connection::deliver_reply(ServerReply reply, PendingRequest& pending) {
   const ByteCount response_bytes = reply.response.wire_size();
   bytes_received_ += response_bytes;
 
-  // Optional TCP slow-start model: the first RTTs of a transfer run below
-  // line rate; we charge them as extra latency before the fluid transfer.
-  Duration ramp_up = Duration::zero();
-  if (network_.model_slow_start()) {
-    ramp_up = network_.rtt(client_, server_) *
-              slow_start_rounds(response_bytes);
-  }
-  // Injected latency spike (bufferbloat / rerouting episode): extra
-  // delay before the response transfer starts.
-  ramp_up += pending.fault.extra_latency;
-
   // Close out the timeline: Ttfb ran from exchange start to this reply;
-  // everything from here to the last byte (ramp_up included) is Transfer.
+  // everything from here to the last byte is Transfer.
   obs::PhaseTimeline timeline = pending.timeline;
   TimePoint reply_at{};
   if (network_.loop().recorder() != nullptr) {
@@ -267,49 +235,20 @@ void Connection::deliver_reply(ServerReply reply, PendingRequest& pending) {
 
   auto shared_resp = std::make_shared<http::Response>(
       std::move(reply.response));
-  auto transfer = [this, response_bytes, shared_resp, reply_at, timeline,
-                   cb = std::move(on_response)]() mutable {
-    network_.send_bytes(
-        server_, client_, response_bytes,
-        [this, shared_resp, reply_at, timeline,
-         cb = std::move(cb)]() mutable {
-          --inflight_;
-          ++requests_completed_;
-          if (auto* rec = network_.loop().recorder()) {
-            timeline.add(obs::Phase::kTransfer,
-                         network_.loop().now() - reply_at);
-            rec->record(timeline);
-          }
-          cb(std::move(*shared_resp));
-          pump();
-        });
-  };
-  if (ramp_up > Duration::zero()) {
-    network_.loop().schedule_after(ramp_up, std::move(transfer));
-  } else {
-    transfer();
-  }
-}
-
-int Connection::slow_start_rounds(ByteCount bytes) {
-  // Bandwidth-delay product caps the useful window.
-  const Duration rtt = network_.rtt(client_, server_);
-  const double bdp_bytes =
-      network_.host(client_).downlink().capacity().bytes_per_second() *
-      to_seconds(rtt);
-  const ByteCount cap = std::max<ByteCount>(
-      network_.initial_cwnd(), static_cast<ByteCount>(bdp_bytes));
-  int rounds = 0;
-  ByteCount sent = 0;
-  ByteCount window = cwnd_;
-  while (sent + window < bytes && window < cap) {
-    sent += window;
-    window = std::min<ByteCount>(window * 2, cap);
-    ++rounds;
-  }
-  cwnd_ = window;
-  rtts_consumed_ += rounds;
-  return rounds;
+  network_.send_bytes(
+      server_, client_, response_bytes,
+      [this, shared_resp, reply_at, timeline,
+       cb = std::move(on_response)]() mutable {
+        --inflight_;
+        ++requests_completed_;
+        if (auto* rec = network_.loop().recorder()) {
+          timeline.add(obs::Phase::kTransfer,
+                       network_.loop().now() - reply_at);
+          rec->record(timeline);
+        }
+        cb(std::move(*shared_resp));
+        pump();
+      });
 }
 
 }  // namespace catalyst::netsim

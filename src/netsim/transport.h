@@ -35,7 +35,7 @@ class Connection {
       std::function<void(const std::vector<std::string>& urls)>;
   /// Fires when the request's exchange fails with a *detectable* error
   /// (connection reset mid-stream, or the connection broke while the
-  /// request was still queued). Silent faults — stalls, blackholed
+  /// request was still queued). Silent faults — stalls, dark
   /// origins — fire nothing; only a client deadline recovers those.
   using ErrorCallback = std::function<void()>;
 
@@ -119,9 +119,6 @@ class Connection {
   void deliver_reply(ServerReply reply, PendingRequest& pending);
   void pump();  // H1: issue the next queued request if idle
 
-  /// Extra slow-start rounds a response transfer pays (updates cwnd_).
-  int slow_start_rounds(ByteCount bytes);
-
   Network& network_;
   std::string client_;
   std::string server_;
@@ -133,7 +130,6 @@ class Connection {
   std::vector<EventFn> connect_waiters_;
   std::deque<PendingRequest> queue_;  // H1 serialization
   std::size_t inflight_ = 0;
-  ByteCount cwnd_;
   int rtts_consumed_ = 0;
   int requests_completed_ = 0;
   ByteCount bytes_received_ = 0;

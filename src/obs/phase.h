@@ -26,7 +26,7 @@ enum class Phase : std::uint8_t {
   kQueue,        // waiting for a free slot on an http/1.1 connection, or
                  // for an in-progress handshake the request rides on
   kTtfb,         // request upload + server think time, to first reply byte
-  kTransfer,     // reply bytes on the wire, incl. slow-start ramp
+  kTransfer,     // reply bytes on the wire
   kSwDecision,   // Service-Worker interception pipeline on an SW serve
   kCacheLookup,  // HTTP-cache / push-claim / oracle-hit lookup overhead
   kBackoff,      // retry backoff delay on the resilient fetch path

@@ -34,9 +34,6 @@ class Resource {
   ByteCount wire_size() const { return wire_size_; }
 
   const http::CacheControl& cache_policy() const { return cache_policy_; }
-  void set_cache_policy(http::CacheControl policy) {
-    cache_policy_ = std::move(policy);
-  }
 
   const ChangeProcess& changes() const { return changes_; }
 

@@ -8,6 +8,9 @@ namespace catalyst::server {
 
 namespace {
 
+/// Baseline request handling time (accept/parse/route/IO).
+constexpr Duration kProcessingDelay = microseconds(500);
+
 std::string path_of(const std::string& target) {
   const auto q = target.find('?');
   return q == std::string::npos ? target : target.substr(0, q);
@@ -53,7 +56,7 @@ void Server::handle(const http::Request& request,
   }
 
   netsim::ServerReply reply;
-  Duration compute = config_.processing_delay;
+  Duration compute = kProcessingDelay;
 
   if (config_.enable_catalyst && path == CatalystModule::kSwPath) {
     reply.response = catalyst_->serve_sw_script(now);

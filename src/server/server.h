@@ -16,9 +16,6 @@
 namespace catalyst::server {
 
 struct ServerConfig {
-  /// Baseline request handling time (accept/parse/route/IO).
-  Duration processing_delay = microseconds(500);
-
   bool enable_catalyst = false;
   CatalystConfig catalyst;
 

@@ -65,7 +65,6 @@ class Site {
     return std::find(gone_paths_.begin(), gone_paths_.end(), path) !=
            gone_paths_.end();
   }
-  const std::vector<std::string>& gone_paths() const { return gone_paths_; }
 
  private:
   void ensure_sorted() const;

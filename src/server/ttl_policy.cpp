@@ -12,8 +12,6 @@ std::string_view to_string(TtlProfile profile) {
       return "developer-tuned";
     case TtlProfile::AlwaysRevalidate:
       return "always-revalidate";
-    case TtlProfile::NeverCache:
-      return "never-cache";
   }
   return "?";
 }
@@ -105,8 +103,6 @@ http::CacheControl assign_cache_policy(TtlProfile profile,
       return developer_tuned(resource_class, mean_change_interval, rng);
     case TtlProfile::AlwaysRevalidate:
       return http::CacheControl::revalidate_always();
-    case TtlProfile::NeverCache:
-      return http::CacheControl::never_store();
   }
   return http::CacheControl{};
 }

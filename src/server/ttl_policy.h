@@ -26,8 +26,6 @@ enum class TtlProfile {
   DeveloperTuned,
   /// Everything revalidates every time (no-cache) — worst case for RTTs.
   AlwaysRevalidate,
-  /// Nothing is cacheable at all (no-store) — worst case overall.
-  NeverCache,
 };
 
 std::string_view to_string(TtlProfile profile);

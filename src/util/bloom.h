@@ -26,7 +26,6 @@ class BloomFilter {
   void insert(std::string_view key);
   bool may_contain(std::string_view key) const;
 
-  std::size_t bit_count() const { return bits_.size() * 8; }
   int hash_count() const { return hash_count_; }
   ByteCount byte_size() const { return bits_.size(); }
 

@@ -84,9 +84,4 @@ InternTable& tls_intern();
 /// Convenience: intern on the calling thread's table.
 inline InternId intern(std::string_view s) { return tls_intern().intern(s); }
 
-/// Convenience: the interned string for a calling-thread id.
-inline const std::string& interned_str(InternId id) {
-  return tls_intern().str(id);
-}
-
 }  // namespace catalyst

@@ -31,12 +31,9 @@ class Json {
   static Json object();
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::Null; }
   bool is_object() const { return type_ == Type::Object; }
-  bool is_array() const { return type_ == Type::Array; }
   bool is_string() const { return type_ == Type::String; }
   bool is_number() const { return type_ == Type::Number; }
-  bool is_bool() const { return type_ == Type::Bool; }
 
   /// Accessors; throw std::logic_error on type mismatch.
   double as_number() const;

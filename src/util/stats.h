@@ -53,7 +53,6 @@ class BinAxis {
   /// Throws std::invalid_argument on zero bins or hi <= lo.
   BinAxis(double lo, double hi, std::size_t bins);
 
-  std::size_t bins() const { return bins_; }
   double lo() const { return lo_; }
   double hi() const { return hi_; }
 

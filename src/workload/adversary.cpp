@@ -16,18 +16,19 @@ namespace {
 constexpr double kLeakPayloadFraction = 0.5;
 
 /// Plain timing probes per strike (no payload): each is classified
-/// hit/miss by elapsed virtual time against `probe_hit_threshold`.
+/// hit/miss by elapsed virtual time against the probe-hit threshold.
 constexpr int kTimingProbesPerStrike = 2;
 
 }  // namespace
 
 Adversary::Adversary(netsim::Network& network, edge::EdgePop& pop,
                      std::vector<std::string> target_paths,
-                     AdversaryParams params)
+                     AdversaryParams params, Duration hit_threshold)
     : network_(network),
       pop_(pop),
       paths_(std::move(target_paths)),
       params_(params),
+      hit_threshold_(hit_threshold),
       rng_(params.seed) {
   if (paths_.empty()) {
     throw std::invalid_argument("Adversary: target_paths must be non-empty");
@@ -72,7 +73,7 @@ void Adversary::send_probe(const std::string& path) {
   fresh_connection().send_request(
       std::move(request), [this, sent](http::Response) {
         const Duration elapsed = network_.loop().now() - sent;
-        pop_.note_adversary_probe(elapsed <= params_.probe_hit_threshold);
+        pop_.note_adversary_probe(elapsed <= hit_threshold_);
       });
 }
 

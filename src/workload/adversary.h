@@ -33,11 +33,6 @@ struct AdversaryParams {
   /// payload. The first always targets the page entry point (the serve a
   /// victim is guaranteed to consume); the rest pick random site paths.
   int requests_per_strike = 4;
-
-  /// Latency below which a probe response is counted as a cache hit.
-  /// Zero = auto: the testbed fills in 3×(attacker-PoP RTT) + half the
-  /// PoP-origin RTT (handshake + exchange vs. the extra origin leg).
-  Duration probe_hit_threshold = Duration::zero();
 };
 
 class Adversary {
@@ -48,8 +43,10 @@ class Adversary {
 
   /// `target_paths` must be non-empty; index 0 is the page entry point.
   /// The PoP reference is for attack telemetry only (note_adversary_*).
+  /// A probe answered within `hit_threshold` counts as a cache hit.
   Adversary(netsim::Network& network, edge::EdgePop& pop,
-            std::vector<std::string> target_paths, AdversaryParams params);
+            std::vector<std::string> target_paths, AdversaryParams params,
+            Duration hit_threshold);
 
   /// Fires one strike: poisoning requests issued at the current virtual
   /// time, then timing probes once every poison response has landed (a
@@ -71,6 +68,7 @@ class Adversary {
   edge::EdgePop& pop_;
   std::vector<std::string> paths_;
   AdversaryParams params_;
+  Duration hit_threshold_;
   Rng rng_;
   std::uint64_t strikes_ = 0;  // labels each strike's leak payload
   // Probe paths drawn at strike time (fixed draw order) but sent only

@@ -20,14 +20,12 @@ class RetryFixture : public ::testing::Test {
     net_.set_rtt("client", "origin", milliseconds(40));
   }
 
-  /// Fetcher with resilience on and a short deadline so tests stay fast.
+  /// Fetcher with the shipped deadline and retry schedule: 15 s per
+  /// attempt, two retries, 200 ms backoff doubling per retry.
   Fetcher make_fetcher() {
     FetcherConfig config;
     config.tls = false;
-    config.resilience.enabled = true;
-    config.resilience.request_timeout = seconds(1);
-    config.resilience.max_retries = 2;
-    config.resilience.backoff_base = milliseconds(200);
+    config.resilient = true;
     return Fetcher(net_, "client", config);
   }
 
@@ -95,6 +93,33 @@ TEST_F(RetryFixture, ExhaustedRetryBudgetSettlesWith504) {
   EXPECT_EQ(fetcher.faults().retries, 2u);
 }
 
+TEST_F(RetryFixture, ShippedScheduleTimesEveryAttempt) {
+  // Pins the shipped constants: each attempt waits out a 15 s deadline,
+  // the first retry backs off 200 ms and the second 400 ms, and the third
+  // timeout settles the 504. Every attempt opens a fresh connection (its
+  // predecessor was broken by the timeout), so arrivals at the origin
+  // are spaced by deadline plus backoff exactly.
+  std::vector<TimePoint> arrivals;
+  net_.host("origin").set_handler(
+      [this, &arrivals](const http::Request&, auto) {
+        arrivals.push_back(loop_.now());
+      });
+  Fetcher fetcher = make_fetcher();
+  TimePoint settled{};
+  http::Status status{};
+  fetcher.fetch("origin", http::Request::get("/", "origin"),
+                [&](http::Response resp) {
+                  settled = loop_.now();
+                  status = resp.status;
+                });
+  loop_.run();
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[1] - arrivals[0], milliseconds(15'200));
+  EXPECT_EQ(arrivals[2] - arrivals[0], milliseconds(30'600));
+  EXPECT_EQ(status, http::Status::GatewayTimeout);
+  EXPECT_EQ(settled - TimePoint{}, milliseconds(45'600));
+}
+
 TEST_F(RetryFixture, NonIdempotentRequestsAreNeverRetried) {
   net_.host("origin").set_handler(
       [this](const http::Request&, auto) { ++requests_seen_; });
@@ -121,7 +146,7 @@ TEST_F(RetryFixture, LateResponseFromAbandonedAttemptIsIgnored) {
   // retry's — and the late delivery on the broken connection is harmless.
   net_.host("origin").set_handler([this](const http::Request&, auto respond) {
     if (++requests_seen_ == 1) {
-      loop_.schedule_after(seconds(5), [this, respond]() mutable {
+      loop_.schedule_after(seconds(20), [this, respond]() mutable {
         netsim::ServerReply reply;
         reply.response = http::Response::make(http::Status::Ok);
         reply.response.body = "stale attempt";
@@ -160,10 +185,7 @@ TEST_F(RetryFixture, QueuedRequestsRerouteWhenTheirConnectionBreaks) {
   FetcherConfig config;
   config.tls = false;
   config.max_connections_per_origin = 1;  // force queueing behind the stall
-  config.resilience.enabled = true;
-  config.resilience.request_timeout = seconds(1);
-  config.resilience.max_retries = 2;
-  config.resilience.backoff_base = milliseconds(200);
+  config.resilient = true;
   Fetcher fetcher(net_, "client", config);
 
   int ok = 0;
@@ -172,7 +194,7 @@ TEST_F(RetryFixture, QueuedRequestsRerouteWhenTheirConnectionBreaks) {
                   if (resp.status == http::Status::Ok) ++ok;
                 });
   // Issued after the stalling request is in flight, so its own deadline
-  // (t=1.1s) is still pending when the stall's deadline (t=1.0s) breaks
+  // (t=15.1s) is still pending when the stall's deadline (t=15.0s) breaks
   // the shared connection — the queued request must recover via the
   // connection-error path, not its timer.
   loop_.schedule_after(milliseconds(100), [&] {

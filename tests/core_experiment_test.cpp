@@ -132,18 +132,6 @@ TEST(ExperimentTest, ImprovementGrowsWithLatency) {
   EXPECT_GT(high_gain, low_gain);
 }
 
-TEST(ExperimentTest, SlowStartOptionSlowsColdLoads) {
-  const auto site = test_site(5);
-  const auto c = netsim::NetworkConditions::median_5g();
-  StrategyOptions with_ss;
-  with_ss.slow_start = true;
-  const auto plain =
-      run_revisit_pair(site, c, StrategyKind::Baseline, hours(1));
-  const auto ss = run_revisit_pair(site, c, StrategyKind::Baseline,
-                                   hours(1), with_ss);
-  EXPECT_GT(ss.cold.plt(), plain.cold.plt());
-}
-
 TEST(ExperimentTest, CatalystLearnedCoversJsResourcesOnRevisit) {
   // Use a live site (dynamic fetches exist) and compare residual
   // revalidations.

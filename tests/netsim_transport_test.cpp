@@ -167,59 +167,5 @@ TEST_F(TransportFixture, MissingHandlerThrows) {
   EXPECT_THROW(loop_.run(), std::logic_error);
 }
 
-TEST_F(TransportFixture, SlowStartAddsRampUpRtts) {
-  net_.set_model_slow_start(true);
-  response_size_ = 200'000;  // ~14 initcwnd segments -> several rounds
-  Connection fresh(net_, "client", "origin", false, Protocol::H1);
-  TimePoint done_slow{};
-  fresh.send_request(request(),
-                     [&](http::Response) { done_slow = loop_.now(); });
-  loop_.run();
-
-  EventLoop loop2;
-  Network net2(loop2);
-  HostSpec client;
-  client.downlink = mbps(80);
-  client.uplink = mbps(80);
-  net2.add_host("client", client);
-  net2.add_host("origin");
-  net2.set_rtt("client", "origin", milliseconds(40));
-  net2.host("origin").set_handler([&](const http::Request&, auto respond) {
-    ServerReply reply;
-    reply.response = http::Response::make(http::Status::Ok);
-    reply.response.body = std::string(200'000, 'x');
-    reply.response.finalize(loop2.now());
-    respond(std::move(reply));
-  });
-  Connection no_ss(net2, "client", "origin", false, Protocol::H1);
-  TimePoint done_fast{};
-  no_ss.send_request(http::Request::get("/", "origin"),
-                     [&](http::Response) { done_fast = loop2.now(); });
-  loop2.run();
-
-  EXPECT_GT(done_slow - TimePoint{}, done_fast - TimePoint{});
-  // Ramp-up is a whole number of RTTs.
-  const Duration diff = (done_slow - TimePoint{}) - (done_fast - TimePoint{});
-  EXPECT_EQ(diff.count() % milliseconds(40).count(), 0);
-}
-
-TEST_F(TransportFixture, SlowStartWindowPersistsAcrossRequests) {
-  net_.set_model_slow_start(true);
-  response_size_ = 200'000;
-  Connection conn(net_, "client", "origin", false, Protocol::H1);
-  TimePoint first_done{}, second_start{}, second_done{};
-  conn.send_request(request(), [&](http::Response) {
-    first_done = loop_.now();
-    second_start = loop_.now();
-    conn.send_request(request(), [&](http::Response) {
-      second_done = loop_.now();
-    });
-  });
-  loop_.run();
-  // The grown congestion window makes the second identical transfer
-  // strictly faster.
-  EXPECT_LT(second_done - second_start, first_done - TimePoint{});
-}
-
 }  // namespace
 }  // namespace catalyst::netsim

@@ -235,7 +235,6 @@ TEST_P(StrategyProperties, TalliesAgreeWithTrace) {
   netsim::NetworkConditions faulty = conditions();
   faulty.faults.loss_rate = 0.02;
   faulty.faults.stall_rate = 0.005;
-  faulty.faults.server_error_rate = 0.02;
   faulty.faults.fault_seed = GetParam().seed;
   edge::EdgeConfig ec;
   ec.negative.enabled = true;

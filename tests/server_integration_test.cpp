@@ -71,13 +71,12 @@ TEST_F(ServerFixture, ServesStaticContent) {
 }
 
 TEST_F(ServerFixture, ProcessingDelayApplied) {
-  ServerConfig config;
-  config.processing_delay = milliseconds(5);
-  start_server(config);
+  start_server({});
   const TimePoint t0 = loop_.now();
   exchange(http::Request::get("/a.css", "example.com"));
-  // Handshake (1 RTT) + exchange (1 RTT) + processing + transmission.
-  EXPECT_GE(loop_.now() - t0, milliseconds(10 + 10 + 5));
+  // Handshake (1 RTT) + exchange (1 RTT) + 500 us processing +
+  // transmission.
+  EXPECT_GE(loop_.now() - t0, milliseconds(10 + 10) + microseconds(500));
 }
 
 TEST_F(ServerFixture, CatalystDecoratesHtmlOnly) {

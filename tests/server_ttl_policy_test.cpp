@@ -7,9 +7,6 @@ namespace {
 
 TEST(TtlPolicyTest, DegenerateProfiles) {
   Rng rng(1);
-  EXPECT_TRUE(assign_cache_policy(TtlProfile::NeverCache,
-                                  http::ResourceClass::Css, hours(1), rng)
-                  .no_store);
   EXPECT_TRUE(assign_cache_policy(TtlProfile::AlwaysRevalidate,
                                   http::ResourceClass::Css, hours(1), rng)
                   .no_cache);

@@ -233,6 +233,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "fleetsim: --edge-flash-* requires an edge tier; add "
                  "--edge-pops N\n");
+    usage();
     return 2;
   }
   params.edge.flash_capacity =
@@ -272,6 +273,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "fleetsim: --adversary/--vulnerable-keying target the "
                  "edge tier; add --edge-pops N\n");
+    usage();
     return 2;
   }
   if ((args.has("adversary-rate") || args.has("adversary-seed")) &&
@@ -279,6 +281,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "fleetsim: --adversary-rate/--adversary-seed require "
                  "--adversary\n");
+    usage();
     return 2;
   }
   if (args.has("adversary")) {
@@ -299,6 +302,12 @@ int main(int argc, char** argv) {
   params.options.byte_oracle = args.has("oracle");
   params.trace_users =
       static_cast<std::uint64_t>(args.num("trace-users", 0));
+  if (args.has("trace-out") && params.trace_users == 0) {
+    std::fprintf(stderr,
+                 "fleetsim: --trace-out requires --trace-users N (N >= 1)\n");
+    usage();
+    return 2;
+  }
 
   // Observability (default-off; both are pure observation).
   params.breakdown = args.has("breakdown");
@@ -329,7 +338,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(params.user_model.master_seed));
     std::printf("%s", report.render_table(title).c_str());
   }
-  if (params.trace_users > 0 && args.has("trace-out")) {
+  if (args.has("trace-out")) {
     const std::string path = args.get("trace-out", "-");
     const std::string jsonl = report.traces_jsonl();
     if (path == "-" || path.empty()) {

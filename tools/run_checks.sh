@@ -172,14 +172,17 @@ stage_diff() {
   "./$BUILD_DIR/tools/difftest" --rounds 10 --seed 1 --h2
 
   echo "== fleetsim rejects bad input =="
-  # An unknown flag, or a number outside its flag's range, must exit 2
-  # with the usage text: never run a different fleet than the one asked
-  # for, and never abort from a worker thread.
+  # An unknown flag, a number outside its flag's range, or a flag whose
+  # prerequisite is missing must exit 2 with the usage text: never run a
+  # different fleet than the one asked for, and never abort from a worker
+  # thread.
   for bad in "--edge-pop 4" "--shard-size -3" "--max-visits 0" \
       "--sites 0" "--mean-gap-hours 0" "--edge-pops 2 --edge-capacity-mb -5" \
       "--edge-pops 1e12" "--edge-pops -3" "--threads 1e12" \
       "--trace-users -1" "--edge-flash-qd 1e12" "--loss 2" "--loss -1" \
-      "--outage 3" "--loss abc"; do
+      "--outage 3" "--loss abc" "--trace-out /dev/null" \
+      "--edge-flash-mb 16" "--adversary" "--vulnerable-keying" \
+      "--edge-pops 2 --adversary-rate 3"; do
     rc=0
     # shellcheck disable=SC2086
     "./$BUILD_DIR/tools/fleetsim" --users 8 $bad --json \
