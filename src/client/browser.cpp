@@ -51,11 +51,11 @@ bool Browser::sw_registered(const std::string& host) {
 
 void Browser::register_service_worker(
     const std::string& host,
-    const std::map<std::string, http::Response>& observed) {
+    std::map<std::string, http::Response> observed) {
   if (!config_.service_workers_enabled) return;
   CatalystServiceWorker& sw = service_worker(host);
-  for (const auto& [path, response] : observed) {
-    sw.observe_response(path, response, loop().now());
+  for (auto& [path, response] : observed) {
+    sw.observe_response(path, std::move(response), loop().now());
   }
   sw.set_registered();
 }

@@ -127,10 +127,10 @@ class Browser {
 
   /// Seeds an origin's SW cache from responses observed in the completing
   /// page load (install-time precache; served from browser memory, no
-  /// network) and marks it registered.
+  /// network) and marks it registered. The responses move into the cache.
   void register_service_worker(
       const std::string& host,
-      const std::map<std::string, http::Response>& observed);
+      std::map<std::string, http::Response> observed);
 
  private:
   friend class PageLoader;

@@ -3,13 +3,19 @@
 #include <algorithm>
 
 #include "client/browser.h"
-#include "html/css.h"
+#include "html/scan.h"
 #include "obs/recorder.h"
-#include "util/hash.h"
-#include "html/link_extract.h"
-#include "html/parser.h"
 
 namespace catalyst::client {
+
+namespace {
+
+/// The `@fetch` directives of a script response, from the scan memo.
+const std::vector<std::string>& js_fetches(const http::Response& script) {
+  return html::scan_js(script.body, script.body_digest());
+}
+
+}  // namespace
 
 PageLoader::PageLoader(Browser& browser, Url page_url)
     : browser_(browser), page_url_(std::move(page_url)) {}
@@ -87,14 +93,13 @@ void PageLoader::on_html(const FetchOutcome& outcome) {
     return;  // navigation failed; onload fires with what we have
   }
 
-  const std::string body = outcome.response.body;
+  const http::Response& page = outcome.response;
+  const html::PageScan* scan = &html::scan_page(page.body, page.body_digest());
   begin_task();
   auto self = shared_from_this();
   browser_.loop().schedule_after(
-      browser_.processing().html_parse_cost(body.size()), [self, body] {
-        const auto document = html::parse(body);
-        const auto discovered = html::extract_resources(*document);
-        for (const html::DiscoveredResource& dr : discovered) {
+      browser_.processing().html_parse_cost(page.body.size()), [self, scan] {
+        for (const html::DiscoveredResource& dr : scan->resources) {
           const bool ordered_script =
               dr.resource_class == http::ResourceClass::Script &&
               dr.parser_blocking;
@@ -102,14 +107,9 @@ void PageLoader::on_html(const FetchOutcome& outcome) {
                                   ordered_script);
         }
         // Inline scripts can also carry @fetch directives.
-        document->for_each_element([&](const html::Node& el) {
-          if (el.is_element("script") && !el.has_attr("src")) {
-            for (const std::string& raw :
-                 html::extract_js_fetches(el.text_content())) {
-              self->handle_dynamic_fetch(self->page_url_, raw);
-            }
-          }
-        });
+        for (const std::string& raw : scan->inline_fetches) {
+          self->handle_dynamic_fetch(self->page_url_, raw);
+        }
         self->parse_done_ = true;
         self->maybe_mark_first_paint();
         self->try_execute_scripts();
@@ -212,8 +212,7 @@ void PageLoader::handle_discovered(const std::string& raw_url,
   if (rc == http::ResourceClass::Css) {
     if (fetch_subresource(url, rc,
                           [self, url](const FetchOutcome& outcome) {
-                            self->handle_css_arrival(
-                                url, outcome.response.body);
+                            self->handle_css_arrival(url, outcome.response);
                           })) {
       ++pending_css_;
     }
@@ -221,19 +220,21 @@ void PageLoader::handle_discovered(const std::string& raw_url,
   }
   if (rc == http::ResourceClass::Script) {
     if (ordered_script) {
-      ordered_scripts_.push_back(ScriptSlot{url, false, false, {}});
+      ordered_scripts_.push_back(ScriptSlot{url});
       const std::size_t index = ordered_scripts_.size() - 1;
       fetch_subresource(url, rc,
                         [self, index](const FetchOutcome& outcome) {
                           ScriptSlot& slot = self->ordered_scripts_[index];
                           slot.arrived = true;
-                          slot.content = outcome.response.body;
+                          slot.fetches = &js_fetches(outcome.response);
+                          slot.bytes = outcome.response.body.size();
                           self->try_execute_scripts();
                         });
     } else {
       // async/defer-like: execute on arrival, out of order.
       fetch_subresource(url, rc, [self, url](const FetchOutcome& outcome) {
-        self->execute_script_content(url, outcome.response.body);
+        self->execute_script_content(url, js_fetches(outcome.response),
+                                     outcome.response.body.size());
       });
     }
     return;
@@ -242,14 +243,15 @@ void PageLoader::handle_discovered(const std::string& raw_url,
 }
 
 void PageLoader::handle_css_arrival(const Url& url,
-                                    const std::string& content) {
+                                    const http::Response& stylesheet) {
+  const std::vector<html::CssReference>* refs =
+      &html::scan_css(stylesheet.body, stylesheet.body_digest());
   begin_task();
   auto self = shared_from_this();
   browser_.loop().schedule_after(
-      browser_.processing().css_parse_cost(content.size()),
-      [self, url, content] {
-        for (const html::CssReference& ref :
-             html::extract_css_references(content)) {
+      browser_.processing().css_parse_cost(stylesheet.body.size()),
+      [self, url, refs] {
+        for (const html::CssReference& ref : *refs) {
           const auto parsed = Url::parse(ref.url);
           if (!parsed) continue;
           const Url sub = url.resolve(*parsed);
@@ -257,8 +259,7 @@ void PageLoader::handle_css_arrival(const Url& url,
             if (self->fetch_subresource(
                     sub, http::ResourceClass::Css,
                     [self, sub](const FetchOutcome& outcome) {
-                      self->handle_css_arrival(sub,
-                                               outcome.response.body);
+                      self->handle_css_arrival(sub, outcome.response);
                     })) {
               ++self->pending_css_;
             }
@@ -284,13 +285,13 @@ void PageLoader::handle_dynamic_fetch(const Url& base,
   auto self = shared_from_this();
   if (rc == http::ResourceClass::Script) {
     fetch_subresource(url, rc, [self, url](const FetchOutcome& outcome) {
-      self->execute_script_content(url, outcome.response.body);
+      self->execute_script_content(url, js_fetches(outcome.response),
+                                   outcome.response.body.size());
     });
   } else if (rc == http::ResourceClass::Css) {
     if (fetch_subresource(url, rc,
                           [self, url](const FetchOutcome& outcome) {
-                            self->handle_css_arrival(
-                                url, outcome.response.body);
+                            self->handle_css_arrival(url, outcome.response);
                           })) {
       ++pending_css_;
     }
@@ -307,21 +308,20 @@ void PageLoader::try_execute_scripts() {
     ScriptSlot& slot = ordered_scripts_[next_script_];
     ++next_script_;
     slot.executed = true;
-    execute_script_content(slot.url, slot.content);
-    slot.content.clear();
+    execute_script_content(slot.url, *slot.fetches, slot.bytes);
   }
   executing_ = false;
 }
 
-void PageLoader::execute_script_content(const Url& url,
-                                        const std::string& content) {
+void PageLoader::execute_script_content(
+    const Url& url, const std::vector<std::string>& fetches,
+    std::size_t bytes) {
   begin_task();
   auto self = shared_from_this();
-  const auto fetches = html::extract_js_fetches(content);
   browser_.loop().schedule_after(
-      browser_.processing().js_exec_cost(content.size()),
-      [self, url, fetches] {
-        for (const std::string& raw : fetches) {
+      browser_.processing().js_exec_cost(bytes),
+      [self, url, fetches = &fetches] {
+        for (const std::string& raw : *fetches) {
           self->handle_dynamic_fetch(url, raw);
         }
         self->last_script_end_ = self->browser_.loop().now();
@@ -376,7 +376,7 @@ void PageLoader::post_onload_sw_registration() {
                  [self](FetchOutcome outcome) {
                    if (outcome.response.status != http::Status::Ok) return;
                    self->browser_.register_service_worker(
-                       self->page_url_.host, self->observed_);
+                       self->page_url_.host, std::move(self->observed_));
                  });
 }
 

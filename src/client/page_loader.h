@@ -48,7 +48,9 @@ class PageLoader : public std::enable_shared_from_this<PageLoader> {
     Url url;
     bool arrived = false;
     bool executed = false;
-    std::string content;
+    // Set on arrival: the script's `@fetch` scan (html/scan.h) and size.
+    const std::vector<std::string>* fetches = nullptr;
+    std::size_t bytes = 0;
   };
 
   void begin_task() { ++active_; }
@@ -62,10 +64,14 @@ class PageLoader : public std::enable_shared_from_this<PageLoader> {
   void on_html(const FetchOutcome& outcome);
   void handle_discovered(const std::string& raw_url,
                          http::ResourceClass rc, bool ordered_script);
-  void handle_css_arrival(const Url& url, const std::string& content);
+  void handle_css_arrival(const Url& url, const http::Response& stylesheet);
   void handle_dynamic_fetch(const Url& base, const std::string& raw_url);
   void try_execute_scripts();
-  void execute_script_content(const Url& url, const std::string& content);
+  /// Runs a script of `bytes` bytes whose `@fetch` directives are
+  /// `fetches` (a scan memo entry, so the reference outlives the load).
+  void execute_script_content(const Url& url,
+                              const std::vector<std::string>& fetches,
+                              std::size_t bytes);
   /// Marks first paint once the HTML is parsed and no render-blocking
   /// stylesheet remains outstanding.
   void maybe_mark_first_paint();

@@ -60,14 +60,14 @@ CatalystServiceWorker::InterceptResult CatalystServiceWorker::try_serve(
 }
 
 void CatalystServiceWorker::observe_response(
-    const std::string& path, const http::Response& response,
+    const std::string& path, http::Response response,
     TimePoint response_time) {
   if (response.status != http::Status::Ok) {
     if (negative_.enabled && cache::is_negative_status(response.status) &&
         !response.cache_control().no_store &&
         !response.cache_control().no_cache) {
       cache::CacheEntry entry;
-      entry.response = response;
+      entry.response = std::move(response);
       entry.request_time = response_time;
       entry.response_time = response_time;
       negative_entries_.insert_or_assign(path, std::move(entry));
@@ -76,7 +76,7 @@ void CatalystServiceWorker::observe_response(
   }
   // A path that exists again supersedes any remembered error.
   negative_entries_.erase(path);
-  cache_.put(path, response);
+  cache_.put(path, std::move(response));
 }
 
 }  // namespace catalyst::client

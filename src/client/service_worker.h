@@ -87,8 +87,7 @@ class CatalystServiceWorker {
   /// no-store; requires an ETag to be useful — both checked by SwCache).
   /// With negative caching enabled, 404/410 responses are remembered under
   /// the policy's bounded TTL (`response_time` anchors their age).
-  void observe_response(const std::string& path,
-                        const http::Response& response,
+  void observe_response(const std::string& path, http::Response response,
                         TimePoint response_time);
 
   const cache::SwCache& cache() const { return cache_; }

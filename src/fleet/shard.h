@@ -4,8 +4,13 @@
 // Shards own everything they touch — site catalog, testbeds, event loops —
 // so two shards never share a mutable object and can run on different
 // threads without synchronization. Site content memoization (Resource's
-// lazy version cache) is the reason sharing is off the table; regenerating
-// the catalog per shard is deterministic and costs microseconds per site.
+// lazy version cache) is the reason sharing is off the table. Regenerating
+// the catalog per shard is deterministic but not free: each shard builds
+// and hashes every content version it serves again (Resource::materialize,
+// 5-9% of CPU samples on perfbench's workloads, scripts/sample_profile.sh).
+// The thread-local scan memos (html/scan.h) are content-addressed, so which
+// shard filled an entry never shows in a report; run() clears them when its
+// users are done, so the catalogs a worker has replayed do not pile up.
 #pragma once
 
 #include <cstdint>

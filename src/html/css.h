@@ -15,6 +15,8 @@ namespace catalyst::html {
 struct CssReference {
   std::string url;
   bool is_import = false;  // @import (another stylesheet) vs url() asset
+
+  bool operator==(const CssReference&) const = default;
 };
 
 /// Scans stylesheet text for @import and url() references. Comments are

@@ -1,12 +1,11 @@
 #include "server/catalyst_module.h"
 
 #include <algorithm>
+#include <unordered_map>
 
-#include "html/css.h"
 #include "html/generate.h"
-#include "html/link_extract.h"
-#include "html/parser.h"
-#include "util/strings.h"
+#include "html/scan.h"
+#include "util/hash.h"
 #include "util/url.h"
 
 namespace catalyst::server {
@@ -22,6 +21,28 @@ std::string registration_snippet() {
   return std::string("<script>if('serviceWorker' in navigator)"
                      "navigator.serviceWorker.register('") +
          std::string(CatalystModule::kSwPath) + "');</script>";
+}
+
+/// Served body digest -> digest of that body after inject_registration.
+using DigestMemo = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+DigestMemo& tls_injected_digests() {
+  thread_local DigestMemo memo;
+  return memo;
+}
+
+/// FNV-1a digest of a served base-HTML body after inject_registration,
+/// memoized by the served body's digest. The injection is a pure function
+/// of the bytes, so the memo is thread-local like html/scan.h's and every
+/// user's module on the thread shares it; the client then never re-hashes
+/// the decorated page. Precondition: injected == the served body with the
+/// registration injected.
+std::uint64_t injected_digest(std::uint64_t served_digest,
+                              const std::string& injected) {
+  const auto [it, inserted] = tls_injected_digests().try_emplace(
+      served_digest);
+  if (inserted) it->second = fnv1a64(injected);
+  return it->second;
 }
 
 }  // namespace
@@ -47,8 +68,7 @@ CatalystModule::CatalystModule(const Site& site, CatalystConfig config)
 
 const std::vector<std::string>& CatalystModule::extract_links(
     const Resource& resource, TimePoint now, Duration& cost_accum) {
-  const std::string key =
-      resource.path() + "#" + std::to_string(resource.version_at(now));
+  const std::pair key{&resource, resource.version_at(now)};
   if (config_.memoize_scans) {
     if (const auto it = scan_memo_.find(key); it != scan_memo_.end()) {
       return it->second;
@@ -59,17 +79,16 @@ const std::vector<std::string>& CatalystModule::extract_links(
                           (static_cast<double>(content.size()) / 1024.0));
 
   std::vector<std::string> links;
+  const std::uint64_t digest = resource.content_digest_at(now);
   if (resource.resource_class() == http::ResourceClass::Html) {
-    const auto document = html::parse(content);
     for (const html::DiscoveredResource& dr :
-         html::extract_resources(*document)) {
+         html::scan_page(content, digest).resources) {
       std::string path =
           resolve_same_origin(site_.host(), resource.path(), dr.url);
       if (!path.empty()) links.push_back(std::move(path));
     }
   } else if (resource.resource_class() == http::ResourceClass::Css) {
-    for (const html::CssReference& ref :
-         html::extract_css_references(content)) {
+    for (const html::CssReference& ref : html::scan_css(content, digest)) {
       std::string path =
           resolve_same_origin(site_.host(), resource.path(), ref.url);
       if (!path.empty()) links.push_back(std::move(path));
@@ -143,15 +162,17 @@ Duration CatalystModule::decorate_html(
     http::Response& response, const Resource& html, TimePoint now,
     const std::vector<std::string>& learned_urls) {
   Duration cost = Duration::zero();
-  // Charge the scan cost through extract_links' accumulator by running the
-  // closure with cost tracking: first the HTML itself, then CSS children.
+  // The DOM-scan charge: only the page's own scan is charged, and only
+  // when it runs (every serve with memoize_scans off).
   extract_links(html, now, cost);
   const http::EtagConfig map = build_map(html, now, learned_urls);
   response.headers.set(http::kXEtagConfig, map.encode());
 
   if (response.status == http::Status::Ok) {
+    const std::uint64_t served = response.body_digest();
     const std::size_t before = response.body.size();
     inject_registration(response.body);
+    response.prime_body_digest(injected_digest(served, response.body));
     if (response.declared_body_size > 0) {
       response.declared_body_size += response.body.size() - before;
     }
@@ -160,6 +181,10 @@ Duration CatalystModule::decorate_html(
   // Map assembly cost: one ETag lookup per entry (~100ns each, modeled).
   cost += nanoseconds(static_cast<std::int64_t>(100 * map.size()));
   return cost;
+}
+
+void CatalystModule::clear_injected_digests() {
+  tls_injected_digests() = DigestMemo{};
 }
 
 void CatalystModule::inject_registration(std::string& body) {

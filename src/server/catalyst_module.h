@@ -14,9 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "http/etag_config.h"
@@ -60,7 +61,9 @@ class CatalystModule {
   /// Decorates an outgoing base-HTML response: sets X-Etag-Config (both
   /// 200 and 304 — subresources may have changed even when the HTML has
   /// not) and injects the SW registration into 200 bodies. Returns the
-  /// modeled extra server compute time for this serve.
+  /// modeled extra server compute time for this serve: the DOM-scan
+  /// charge (see memoize_scans) plus 100 ns per map entry. The injected
+  /// body's digest is primed from a memo, which changes no modeled cost.
   Duration decorate_html(http::Response& response, const Resource& html,
                          TimePoint now,
                          const std::vector<std::string>& learned_urls);
@@ -74,6 +77,11 @@ class CatalystModule {
   /// origin's transform on ground-truth content.
   static void inject_registration(std::string& body);
 
+  /// Drops this thread's memo of injected-page digests (decorate_html).
+  /// fleet::Shard::run calls it with html::clear_scan_memo() once its
+  /// users are replayed.
+  static void clear_injected_digests();
+
   const CatalystConfig& config() const { return config_; }
 
  private:
@@ -84,8 +92,10 @@ class CatalystModule {
 
   const Site& site_;
   CatalystConfig config_;
-  // Memo key: "<path>#<version>".
-  std::unordered_map<std::string, std::vector<std::string>> scan_memo_;
+  // Keyed by (resource, content version).
+  std::map<std::pair<const Resource*, std::uint64_t>,
+           std::vector<std::string>>
+      scan_memo_;
 };
 
 /// Resolves `url` against a base resource path; empty result for

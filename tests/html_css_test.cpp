@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "html/scan.h"
+#include "util/hash.h"
+
 namespace catalyst::html {
 namespace {
 
+/// extract_css_references(css), checked against the memoized scan_css.
+std::vector<CssReference> scanned(std::string_view css) {
+  std::vector<CssReference> direct = extract_css_references(css);
+  EXPECT_EQ(scan_css(css, fnv1a64(css)), direct) << css;
+  return direct;
+}
+
 TEST(CssTest, ExtractsUrlFunctions) {
-  const auto refs = extract_css_references(
+  const auto refs = scanned(
       ".a { background: url(\"/img/a.png\") }\n"
       ".b { background: url('/img/b.png') }\n"
       ".c { background: url(/img/c.png) }\n");
@@ -18,7 +28,7 @@ TEST(CssTest, ExtractsUrlFunctions) {
 }
 
 TEST(CssTest, ExtractsImports) {
-  const auto refs = extract_css_references(
+  const auto refs = scanned(
       "@import \"base.css\";\n"
       "@import url(\"theme.css\");\n"
       "@import url(print.css);\n");
@@ -30,14 +40,14 @@ TEST(CssTest, ExtractsImports) {
 }
 
 TEST(CssTest, SkipsComments) {
-  const auto refs = extract_css_references(
+  const auto refs = scanned(
       "/* url(\"/commented.png\") */ .a { background: url(\"/real.png\") }");
   ASSERT_EQ(refs.size(), 1u);
   EXPECT_EQ(refs[0].url, "/real.png");
 }
 
 TEST(CssTest, IgnoresDataUrls) {
-  const auto refs = extract_css_references(
+  const auto refs = scanned(
       ".a { background: url(data:image/png;base64,AAAA) }\n"
       ".b { background: url(/keep.png) }");
   ASSERT_EQ(refs.size(), 1u);
@@ -45,7 +55,7 @@ TEST(CssTest, IgnoresDataUrls) {
 }
 
 TEST(CssTest, FontFaceSources) {
-  const auto refs = extract_css_references(
+  const auto refs = scanned(
       "@font-face { font-family: F; src: url(\"/fonts/f.woff2\") "
       "format(\"woff2\"); }");
   // format("woff2") is a url-less function; only the font URL extracted.
@@ -54,24 +64,24 @@ TEST(CssTest, FontFaceSources) {
 }
 
 TEST(CssTest, CaseInsensitiveKeywords) {
-  const auto refs = extract_css_references(
+  const auto refs = scanned(
       "@IMPORT \"a.css\"; .x { background: URL(/b.png) }");
   ASSERT_EQ(refs.size(), 2u);
 }
 
 TEST(CssTest, EmptyAndMalformed) {
-  EXPECT_TRUE(extract_css_references("").empty());
-  EXPECT_TRUE(extract_css_references(".a { color: red }").empty());
+  EXPECT_TRUE(scanned("").empty());
+  EXPECT_TRUE(scanned(".a { color: red }").empty());
   // Unterminated url( at EOF must not crash or loop.
-  const auto refs = extract_css_references(".a { background: url(/x");
+  const auto refs = scanned(".a { background: url(/x");
   ASSERT_EQ(refs.size(), 1u);
   EXPECT_EQ(refs[0].url, "/x");
-  EXPECT_TRUE(extract_css_references("/* unterminated comment").empty());
+  EXPECT_TRUE(scanned("/* unterminated comment").empty());
 }
 
 TEST(CssTest, WhitespaceInsideUrl) {
   const auto refs =
-      extract_css_references(".a { background: url(  \"/padded.png\"  ) }");
+      scanned(".a { background: url(  \"/padded.png\"  ) }");
   ASSERT_EQ(refs.size(), 1u);
   EXPECT_EQ(refs[0].url, "/padded.png");
 }

@@ -2,16 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include "html/parser.h"
 #include "server/static_handler.h"
+#include "util/hash.h"
 
 namespace catalyst::server {
 namespace {
 
 /// index.html -> a.css (+ hero.webp via HTML), a.css -> f.woff2 + bg.webp
 /// and @imports sub.css; app.js is linked from HTML; lazy.json only ever
-/// fetched by JS (not statically discoverable).
-std::unique_ptr<Site> make_site() {
+/// fetched by JS (not statically discoverable). Only bg.webp may change.
+std::unique_ptr<Site> make_site(
+    ChangeProcess bg_changes = ChangeProcess::never()) {
   auto site = std::make_unique<Site>("example.com");
   auto add = [&](const std::string& path, http::ResourceClass rc,
                  std::string content) {
@@ -20,7 +21,8 @@ std::unique_ptr<Site> make_site() {
         [content = std::move(content)](std::uint64_t version) {
           return content + "<!-- v" + std::to_string(version) + " -->";
         },
-        ChangeProcess::never(), http::CacheControl::revalidate_always()));
+        path == "/bg.webp" ? bg_changes : ChangeProcess::never(),
+        http::CacheControl::revalidate_always()));
   };
   add("/index.html", http::ResourceClass::Html,
       "<html><head><link rel=\"stylesheet\" href=\"/a.css\"></head>"
@@ -145,6 +147,14 @@ TEST_F(CatalystModuleFixture, DecorateHtmlAddsHeaderAndSwSnippet) {
   EXPECT_LT(resp.body.find("serviceWorker"), resp.body.rfind("</body>"));
   EXPECT_EQ(resp.headers.get(http::kContentLength),
             std::to_string(resp.body.size()));
+  // The primed digest is the decorated body's, also when a second serve
+  // of the same version takes it from the memo.
+  EXPECT_EQ(resp.body_digest(), fnv1a64(resp.body));
+  http::Response again = handler.handle(
+      http::Request::get("/index.html", "example.com"), TimePoint{});
+  mod.decorate_html(again, *site_->find("/index.html"), TimePoint{}, {});
+  EXPECT_EQ(again.body, resp.body);
+  EXPECT_EQ(again.body_digest(), fnv1a64(again.body));
 }
 
 TEST_F(CatalystModuleFixture, Decorate304CarriesMapWithoutBody) {
@@ -180,6 +190,37 @@ TEST_F(CatalystModuleFixture, MemoizationOffRescansEveryServe) {
   const Duration first = decorate_cost(mod, *html);
   EXPECT_GT(first, nanoseconds(600));
   EXPECT_EQ(decorate_cost(mod, *html), first);
+}
+
+/// The X-Etag-Config a 304 for `html` carries at `now`.
+std::string map_header(CatalystModule& mod, const Resource& html,
+                       TimePoint now) {
+  http::Response resp = http::Response::make(http::Status::NotModified);
+  mod.decorate_html(resp, html, now, {});
+  return std::string(*resp.headers.get(http::kXEtagConfig));
+}
+
+TEST(CatalystModuleChangeTest, OneModuleFollowsLinkedResourceChanges) {
+  // bg.webp, reached only through a.css, changes at 1h, 3h, 5h, ...
+  const auto site =
+      make_site(ChangeProcess::periodic(hours(2), hours(1), days(1)));
+  const Resource& html = *site->find("/index.html");
+  const TimePoint change = TimePoint{} + hours(1);
+  const std::vector<TimePoint> times = {
+      TimePoint{}, change - nanoseconds(1), change, change + minutes(30)};
+  CatalystModule mod(*site, {});
+  std::vector<std::string> headers;
+  for (const TimePoint t : times) {
+    CatalystModule fresh(*site, {});
+    headers.push_back(map_header(mod, html, t));
+    EXPECT_EQ(headers.back(), map_header(fresh, html, t));
+    // Once the page's scan is memoized, a serve costs 100 ns per entry.
+    http::Response resp = http::Response::make(http::Status::NotModified);
+    EXPECT_EQ(mod.decorate_html(resp, html, t, {}), nanoseconds(600));
+  }
+  EXPECT_EQ(headers[0], headers[1]);
+  EXPECT_NE(headers[1], headers[2]);  // bg.webp's ETag moved
+  EXPECT_EQ(headers[2], headers[3]);
 }
 
 TEST_F(CatalystModuleFixture, SwScriptServedWithRevalidationPolicy) {
