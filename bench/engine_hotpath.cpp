@@ -3,9 +3,9 @@
 //
 //   engine_hotpath [--smoke] [--out FILE] [--baseline FILE] [--users N]
 //
-// Micro section: ns/op for the structures the hot path runs on — string
-// interning, open-addressing map lookups, the pooled event loop, slab
-// pool cycling, batched Zipf draws, and the memoized body digest.
+// Micro section: ns/op for the structures the hot path runs on —
+// open-addressing map lookups, the pooled event loop, slab pool cycling,
+// batched Zipf draws, and the memoized body digest.
 //
 // Macro section: a fleet replay through the full engine (faults + edge
 // tier on, catalyst vs baseline arms, the fleetsim reference shape) and
@@ -44,7 +44,6 @@
 #include "netsim/event_loop.h"
 #include "obs/selfprof.h"
 #include "util/flat_hash.h"
-#include "util/intern.h"
 #include "util/json.h"
 #include "util/pool.h"
 #include "util/strings.h"
@@ -80,18 +79,6 @@ double bench_ns(std::size_t iters, Fn&& op) {
   std::sort(reps.begin(), reps.end());
   best = reps[1];
   return best;
-}
-
-double bench_intern_hit(std::size_t iters) {
-  InternTable table;
-  std::vector<std::string> keys;
-  for (int i = 0; i < 4096; ++i) {
-    keys.push_back("/assets/chunk-" + std::to_string(i) + ".js");
-    table.intern(keys.back());
-  }
-  return bench_ns(iters, [&](std::size_t i) {
-    keep(table.intern(keys[i & 4095]));  // warm-hit path
-  });
 }
 
 double bench_flat_hash_lookup(std::size_t iters) {
@@ -307,7 +294,6 @@ int main(int argc, char** argv) {
 
   const std::size_t iters = smoke ? 200'000 : 2'000'000;
   Json micro = Json::object();
-  micro.set("intern_hit_ns", Json::number(bench_intern_hit(iters)));
   micro.set("flat_hash_lookup_ns",
             Json::number(bench_flat_hash_lookup(iters)));
   micro.set("event_loop_ns_per_event",

@@ -31,19 +31,18 @@ void LruStore::link_front(std::uint32_t slot) {
 
 void LruStore::release(std::uint32_t slot) {
   nodes_[slot].entry = CacheEntry{};  // drop body bytes now, not later
-  nodes_[slot].key = kNoIntern;
+  nodes_[slot].key.clear();
   free_.push_back(slot);
 }
 
 bool LruStore::put(const std::string& key, CacheEntry entry) {
   const ByteCount cost = entry.cost();
   if (cost > capacity_) return false;
-  const InternId id = tls_intern().intern(key);
-  if (const std::uint32_t* slot = index_.find(id)) {
+  if (const std::uint32_t* slot = index_.find(key)) {
     size_bytes_ -= nodes_[*slot].cost;
     unlink(*slot);
     release(*slot);
-    index_.erase(id);
+    index_.erase(key);
   }
   evict_to_fit(cost);
   std::uint32_t slot;
@@ -57,17 +56,15 @@ bool LruStore::put(const std::string& key, CacheEntry entry) {
   Node& node = nodes_[slot];
   node.entry = std::move(entry);
   node.cost = cost;
-  node.key = id;
+  node.key = key;
   link_front(slot);
-  index_.insert_or_assign(id, slot);
+  index_.insert_or_assign(key, slot);
   size_bytes_ += cost;
   return true;
 }
 
 CacheEntry* LruStore::get(const std::string& key) {
-  const InternId id = tls_intern().find(key);
-  if (id == kNoIntern) return nullptr;
-  const std::uint32_t* slot = index_.find(id);
+  const std::uint32_t* slot = index_.find(key);
   if (slot == nullptr) return nullptr;
   if (*slot != head_) {  // move to front
     unlink(*slot);
@@ -77,21 +74,17 @@ CacheEntry* LruStore::get(const std::string& key) {
 }
 
 const CacheEntry* LruStore::peek(const std::string& key) const {
-  const InternId id = tls_intern().find(key);
-  if (id == kNoIntern) return nullptr;
-  const std::uint32_t* slot = index_.find(id);
+  const std::uint32_t* slot = index_.find(key);
   return slot == nullptr ? nullptr : &nodes_[*slot].entry;
 }
 
 bool LruStore::erase(const std::string& key) {
-  const InternId id = tls_intern().find(key);
-  if (id == kNoIntern) return false;
-  const std::uint32_t* slot = index_.find(id);
+  const std::uint32_t* slot = index_.find(key);
   if (slot == nullptr) return false;
   size_bytes_ -= nodes_[*slot].cost;
   unlink(*slot);
   release(*slot);
-  index_.erase(id);
+  index_.erase(key);
   return true;
 }
 
@@ -109,7 +102,7 @@ std::vector<std::string> LruStore::keys_mru_order() const {
   std::vector<std::string> out;
   out.reserve(index_.size());
   for (std::uint32_t slot = head_; slot != kNil; slot = nodes_[slot].next) {
-    out.push_back(tls_intern().str(nodes_[slot].key));
+    out.push_back(nodes_[slot].key);
   }
   return out;
 }

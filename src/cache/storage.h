@@ -1,14 +1,11 @@
 // Keyed LRU store with byte-cost accounting — the storage engine under
 // both the browser HTTP cache and the Service Worker cache.
 //
-// Internally the store runs on interned keys: every URL key is mapped to
-// a dense InternId (util/intern.h) once, the index is an open-addressing
-// FlatHashMap<InternId, slot>, and entries live in a slab whose slots
-// form an intrusive doubly-linked recency list. A get() is one string
-// hash + one integer probe + four index writes; no tree walk, no list
-// node allocation, no per-operation malloc once the slab is warm. The
-// public API stays string-keyed, so callers and recency semantics are
-// unchanged from the std::list + unordered_map implementation.
+// The index is an open-addressing FlatHashMap from the key string to a
+// slot, and entries live in a slab whose slots form an intrusive
+// doubly-linked recency list; each node owns its key so lru_key() and
+// keys_mru_order() read it back. A get() is one string hash + one probe
+// + four index writes; no tree walk, no list node allocation.
 #pragma once
 
 #include <optional>
@@ -18,7 +15,6 @@
 
 #include "cache/entry.h"
 #include "util/flat_hash.h"
-#include "util/intern.h"
 #include "util/types.h"
 
 namespace catalyst::cache {
@@ -47,7 +43,7 @@ class LruStore {
   /// admission filters) pick victims without paying keys_mru_order().
   std::optional<std::string> lru_key() const {
     if (tail_ == kNil) return std::nullopt;
-    return tls_intern().str(nodes_[tail_].key);
+    return nodes_[tail_].key;
   }
 
   std::size_t entry_count() const { return index_.size(); }
@@ -63,7 +59,7 @@ class LruStore {
   struct Node {
     CacheEntry entry;
     ByteCount cost = 0;
-    InternId key = kNoIntern;
+    std::string key;
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
   };
@@ -79,7 +75,7 @@ class LruStore {
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;  // most recently used
   std::uint32_t tail_ = kNil;  // least recently used
-  FlatHashMap<InternId, std::uint32_t> index_;
+  FlatHashMap<std::string, std::uint32_t> index_;
 };
 
 }  // namespace catalyst::cache

@@ -19,30 +19,28 @@ FlashTier::FlashTier(const FlashConfig& config)
       segment_bytes_(
           std::max<ByteCount>(1, std::min(kSegmentBytes, capacity_ / 4))) {}
 
-FlashTier::Record* FlashTier::locate(InternId key_id) {
-  if (key_id == kNoIntern) return nullptr;
-  Location* loc = index_.find(key_id);
+FlashTier::Record* FlashTier::locate(const std::string& key) {
+  Location* loc = index_.find(key);
   if (loc == nullptr) return nullptr;
   const std::uint64_t front_seq = segments_.front().seq;
   Segment& seg = segments_[loc->segment_seq - front_seq];
   return &seg.records[loc->record];
 }
 
-const FlashTier::Record* FlashTier::locate(InternId key_id) const {
-  return const_cast<FlashTier*>(this)->locate(key_id);
+const FlashTier::Record* FlashTier::locate(const std::string& key) const {
+  return const_cast<FlashTier*>(this)->locate(key);
 }
 
 bool FlashTier::put(const std::string& key, cache::CacheEntry entry) {
   const ByteCount cost = entry.cost();
   if (cost > capacity_) return false;
 
-  const InternId key_id = tls_intern().intern(key);
-  if (Record* old = locate(key_id)) {
+  if (Record* old = locate(key)) {
     // Log caches never update in place: the old record goes dead where
     // it lies and its space comes back when its segment is reclaimed.
     old->live = false;
     live_bytes_ -= old->cost;
-    index_.erase(key_id);
+    index_.erase(key);
   }
 
   Record record;
@@ -60,24 +58,23 @@ bool FlashTier::put(const std::string& key, cache::CacheEntry entry) {
 }
 
 cache::CacheEntry* FlashTier::get(const std::string& key) {
-  Record* record = locate(tls_intern().find(key));
+  Record* record = locate(key);
   if (record == nullptr) return nullptr;
   record->referenced = true;
   return &record->entry;
 }
 
 const cache::CacheEntry* FlashTier::peek(const std::string& key) const {
-  const Record* record = locate(tls_intern().find(key));
+  const Record* record = locate(key);
   return record == nullptr ? nullptr : &record->entry;
 }
 
 bool FlashTier::erase(const std::string& key) {
-  const InternId key_id = tls_intern().find(key);
-  Record* record = locate(key_id);
+  Record* record = locate(key);
   if (record == nullptr) return false;
   record->live = false;
   live_bytes_ -= record->cost;
-  index_.erase(key_id);
+  index_.erase(key);
   return true;
 }
 
@@ -92,15 +89,14 @@ FlashTier::Segment& FlashTier::open_segment() {
 
 void FlashTier::append(Record record, bool host_write) {
   const ByteCount cost = record.cost;
-  const InternId key_id = tls_intern().intern(record.key);
   Segment& seg = open_segment();
   seg.records.push_back(std::move(record));
   seg.bytes += cost;
   log_bytes_ += cost;
   live_bytes_ += cost;
   index_.insert_or_assign(
-      key_id, Location{seg.seq,
-                       static_cast<std::uint32_t>(seg.records.size() - 1)});
+      seg.records.back().key,
+      Location{seg.seq, static_cast<std::uint32_t>(seg.records.size() - 1)});
   stats_.device_bytes_written += cost;
   if (host_write) stats_.host_bytes_written += cost;
 }
@@ -112,7 +108,7 @@ void FlashTier::reclaim_oldest() {
   for (Record& record : victim.records) {
     if (!record.live) continue;  // dead space reclaims for free
     live_bytes_ -= record.cost;
-    index_.erase(tls_intern().find(record.key));
+    index_.erase(record.key);
     if (record.referenced) {
       // CLOCK second chance: salvage to the log head, clearing the bit
       // so a second sweep without a reference evicts it. The rewrite is

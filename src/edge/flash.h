@@ -33,7 +33,6 @@
 #include "cache/entry.h"
 #include "io/aio.h"
 #include "util/flat_hash.h"
-#include "util/intern.h"
 #include "util/types.h"
 
 namespace catalyst::edge {
@@ -84,10 +83,7 @@ class FlashTier {
   /// Lookup without touching the reference bit.
   const cache::CacheEntry* peek(const std::string& key) const;
 
-  bool contains(const std::string& key) const {
-    const InternId id = tls_intern().find(key);
-    return id != kNoIntern && index_.find(id) != nullptr;
-  }
+  bool contains(const std::string& key) const { return index_.contains(key); }
 
   /// Marks the record dead (log caches never erase in place); space is
   /// reclaimed when its segment is. Returns false when absent.
@@ -119,8 +115,8 @@ class FlashTier {
     std::uint32_t record = 0;
   };
 
-  Record* locate(InternId key_id);
-  const Record* locate(InternId key_id) const;
+  Record* locate(const std::string& key);
+  const Record* locate(const std::string& key) const;
   void append(Record record, bool host_write);
   Segment& open_segment();
   void reclaim_oldest();
@@ -132,7 +128,7 @@ class FlashTier {
   ByteCount log_bytes_ = 0;   // bytes on the log (live + dead)
   std::uint64_t next_seq_ = 0;
   std::deque<Segment> segments_;  // front = oldest, back = open
-  FlatHashMap<InternId, Location> index_;
+  FlatHashMap<std::string, Location> index_;
 };
 
 }  // namespace catalyst::edge

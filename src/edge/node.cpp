@@ -75,8 +75,7 @@ void EdgeNode::handle(const http::Request& request,
   // Miss or stale: both need a fetch. Coalesce with any fill already in
   // flight for this key — that fetch's answer serves everyone, whether it
   // is coming from the origin or from the flash device.
-  const InternId key_id = tls_intern().intern(key);
-  if (Fill* pending = inflight_.find(key_id)) {
+  if (Fill* pending = inflight_.find(key)) {
     if (pending->flash_read) {
       pop_.note_flash_coalesced();
     } else {
@@ -96,7 +95,7 @@ void EdgeNode::handle(const http::Request& request,
     fill.request_time = now;
     fill.flash_read = true;
     fill.waiters.push_back(Waiter{request, std::move(respond), now});
-    inflight_.insert_or_assign(key_id, std::move(fill));
+    inflight_.insert_or_assign(key, std::move(fill));
     aio_->submit_read(key, pop_.flash_entry_cost(key),
                       [this, key]() { on_flash_read(key); });
     return;
@@ -115,20 +114,19 @@ void EdgeNode::handle(const http::Request& request,
     http::add_validators(upstream, found.entry->response);
   }
 
-  inflight_.insert_or_assign(key_id, std::move(fill));
+  inflight_.insert_or_assign(key, std::move(fill));
   launch_fetch(key, std::move(upstream));
 }
 
 void EdgeNode::on_flash_read(const std::string& key) {
   const TimePoint now = network_.loop().now();
-  const InternId key_id = tls_intern().find(key);
-  Fill* pending = key_id == kNoIntern ? nullptr : inflight_.find(key_id);
+  Fill* pending = inflight_.find(key);
   if (pending == nullptr || !pending->flash_read) return;
 
   const FlashReadResult rr = pop_.complete_flash_read(key, now, aio_.get());
   if (rr.outcome == FlashReadOutcome::Fresh) {
     Fill fill = std::move(*pending);
-    inflight_.erase(key_id);
+    inflight_.erase(key);
     for (const Waiter& w : fill.waiters) {
       reply_to_waiter(w, rr.entry->response, Served::FlashHit);
     }
@@ -165,8 +163,7 @@ void EdgeNode::on_origin_response(const std::string& key,
                                   http::Response response) {
   const TimePoint now = network_.loop().now();
   pop_.note_origin_response(response.wire_size());
-  const InternId key_id = tls_intern().find(key);
-  Fill* pending = key_id == kNoIntern ? nullptr : inflight_.find(key_id);
+  Fill* pending = inflight_.find(key);
   if (pending == nullptr) return;
 
   if (response.status == http::Status::NotModified) {
@@ -174,7 +171,7 @@ void EdgeNode::on_origin_response(const std::string& key,
     if (cache::CacheEntry* entry = pop_.refresh_not_modified(
             key, response, pending->request_time, now)) {
       Fill fill = std::move(*pending);
-      inflight_.erase(key_id);
+      inflight_.erase(key);
       for (const Waiter& w : fill.waiters) {
         reply_to_waiter(w, entry->response, Served::Revalidated);
       }
@@ -196,7 +193,7 @@ void EdgeNode::on_origin_response(const std::string& key,
   }
 
   Fill fill = std::move(*pending);
-  inflight_.erase(key_id);
+  inflight_.erase(key);
   // admit_and_store applies shared-cache policy (no-store/private/
   // uncacheable status) and TinyLFU admission; waiters are served from the
   // origin bytes either way. 5xx fills are guarded explicitly: a transient
@@ -213,11 +210,10 @@ void EdgeNode::on_origin_response(const std::string& key,
 }
 
 void EdgeNode::on_origin_error(const std::string& key) {
-  const InternId key_id = tls_intern().find(key);
-  Fill* pending = key_id == kNoIntern ? nullptr : inflight_.find(key_id);
+  Fill* pending = inflight_.find(key);
   if (pending == nullptr) return;
   Fill fill = std::move(*pending);
-  inflight_.erase(key_id);
+  inflight_.erase(key);
   pop_.note_origin_error();
   for (const Waiter& w : fill.waiters) {
     pop_.note_miss();

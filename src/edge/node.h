@@ -99,8 +99,8 @@ class EdgeNode {
   EdgePop& pop_;
   netsim::Network& network_;
   std::string origin_host_;
-  // Keyed by interned cache key; coalescing lookups happen per request.
-  FlatHashMap<InternId, Fill> inflight_;
+  // Keyed by cache key; coalescing lookups happen per request.
+  FlatHashMap<std::string, Fill> inflight_;
   /// Device queue for this testbed's flash reads/writes (null when the
   /// PoP has no flash tier). Per-node because completions schedule on
   /// this testbed's loop; the RNG and telemetry it drives live in the

@@ -9,14 +9,14 @@
 // of the body it came from. Only host CPU is saved: callers still charge
 // their modeled parse and scan costs in virtual time on every visit.
 //
-// Scope: thread-local, like tls_intern() and the Zipf table cache. A
-// result is a pure function of the bytes, so it does not matter which
-// shard scanned a body first, and reports stay byte-identical for any
-// --threads. The maps are node-based: a returned reference stays valid
-// until clear_scan_memo() runs on the same thread, which lets a page load
-// hold it across scheduled callbacks. fleet::Shard::run clears the memo
-// once its users are replayed, so a worker thread keeps the scans of one
-// shard's catalog, not of every catalog it has replayed.
+// Scope: thread-local, like the Zipf table cache. A result is a pure
+// function of the bytes, so it does not matter which shard scanned a body
+// first, and reports stay byte-identical for any --threads. The maps are
+// node-based: a returned reference stays valid until clear_scan_memo()
+// runs on the same thread, which lets a page load hold it across
+// scheduled callbacks. fleet::Shard::run clears the memo once its users
+// are replayed, so a worker thread keeps the scans of one shard's
+// catalog, not of every catalog it has replayed.
 //
 // Precondition of every function: digest == fnv1a64(body), the digest
 // the origin memoizes per content version and http::Response::

@@ -7,37 +7,32 @@
 
 namespace catalyst::http {
 
-void EtagConfig::add(std::string path, Etag etag) {
-  const InternId id = tls_intern().intern(path);
-  if (const std::uint32_t* pos = index_.find(id)) {
-    entries_[*pos].etag = std::move(etag);
-    return;
-  }
-  if (!entries_.empty() && path < entries_.back().path) sorted_ = false;
-  index_.insert_or_assign(id, static_cast<std::uint32_t>(entries_.size()));
-  entries_.push_back(Entry{std::move(path), std::move(etag)});
+namespace {
+
+bool path_less(const EtagConfig::Entry& entry, std::string_view path) {
+  return entry.path < path;
 }
 
-void EtagConfig::ensure_sorted() const {
-  if (sorted_) return;
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) { return a.path < b.path; });
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    index_.insert_or_assign(tls_intern().intern(entries_[i].path), i);
+}  // namespace
+
+void EtagConfig::add(std::string path, Etag etag) {
+  const auto pos =
+      std::lower_bound(entries_.begin(), entries_.end(), path, path_less);
+  if (pos != entries_.end() && pos->path == path) {
+    pos->etag = std::move(etag);
+    return;
   }
-  sorted_ = true;
+  entries_.insert(pos, Entry{std::move(path), std::move(etag)});
 }
 
 std::optional<Etag> EtagConfig::find(std::string_view path) const {
-  const InternId id = tls_intern().find(path);
-  if (id == kNoIntern) return std::nullopt;
-  const std::uint32_t* pos = index_.find(id);
-  if (pos == nullptr) return std::nullopt;
-  return entries_[*pos].etag;
+  const auto pos =
+      std::lower_bound(entries_.begin(), entries_.end(), path, path_less);
+  if (pos == entries_.end() || pos->path != path) return std::nullopt;
+  return pos->etag;
 }
 
 std::string EtagConfig::encode() const {
-  ensure_sorted();
   Json object = Json::object();
   for (const Entry& entry : entries_) {
     object.set(entry.path, Json::string(entry.etag.to_string()));

@@ -4,11 +4,9 @@
 // tags, attached to base-HTML responses. The Service Worker decodes it and
 // serves matching cached resources without any network round trip.
 //
-// Storage: entries sit in a vector sorted by path — encode() must emit
-// keys in sorted order, byte-identically to the std::map implementation —
-// with an interned-key FlatHashMap index backing find(), the per-resource
-// lookup every Service Worker serve performs. Sorting is lazy: adds
-// append, the first sorted read pays one sort.
+// Storage: entries sit in a vector kept sorted by path on insert, so
+// entries() is in wire order and find(), the per-resource lookup every
+// Service Worker serve performs, is a binary search.
 #pragma once
 
 #include <optional>
@@ -17,16 +15,13 @@
 #include <vector>
 
 #include "http/etag.h"
-#include "util/flat_hash.h"
-#include "util/intern.h"
 #include "util/types.h"
 
 namespace catalyst::http {
 
 class EtagConfig {
  public:
-  /// One path → ETag binding. Named members (not std::pair) so existing
-  /// `for (const auto& [path, etag] : config.entries())` keeps compiling.
+  /// One path → ETag binding.
   struct Entry {
     std::string path;
     Etag etag;
@@ -34,6 +29,7 @@ class EtagConfig {
 
   EtagConfig() = default;
 
+  /// Adds or replaces: the last add for a path wins.
   void add(std::string path, Etag etag);
 
   /// ETag for a path, if the map covers it.
@@ -43,10 +39,7 @@ class EtagConfig {
   std::size_t size() const { return entries_.size(); }
 
   /// Entries sorted by path (the encode()/wire order).
-  const std::vector<Entry>& entries() const {
-    ensure_sorted();
-    return entries_;
-  }
+  const std::vector<Entry>& entries() const { return entries_; }
 
   /// Serializes to the header value (compact JSON object
   /// {"/a.css":"W/\"abc\"", ...}).
@@ -61,13 +54,7 @@ class EtagConfig {
   ByteCount header_wire_size() const;
 
  private:
-  void ensure_sorted() const;
-
-  // Sorted by path once ensure_sorted() ran; appended unsorted by add().
-  // mutable: sorting is a cache-consistency detail of the accessors.
-  mutable std::vector<Entry> entries_;
-  mutable FlatHashMap<InternId, std::uint32_t> index_;
-  mutable bool sorted_ = true;
+  std::vector<Entry> entries_;  // sorted by path
 };
 
 }  // namespace catalyst::http

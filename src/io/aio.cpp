@@ -27,8 +27,7 @@ AioEngine::AioEngine(netsim::EventLoop& loop, const AioDeviceConfig& config,
 
 void AioEngine::submit_read(const std::string& key, ByteCount bytes,
                             Completion done) {
-  const InternId key_id = tls_intern().intern(key);
-  if (std::uint64_t* pending = read_by_key_.find(key_id)) {
+  if (std::uint64_t* pending = read_by_key_.find(key)) {
     // Merge: the device will read these bytes once; everyone interested
     // completes together.
     ++stats_.merged_reads;
@@ -37,11 +36,11 @@ void AioEngine::submit_read(const std::string& key, ByteCount bytes,
   }
   Op op;
   op.read = true;
-  op.key = key_id;
+  op.key = key;
   op.bytes = bytes;
   op.completions.push_back(std::move(done));
   const std::uint64_t id = enqueue(std::move(op));
-  read_by_key_.insert_or_assign(key_id, id);
+  read_by_key_.insert_or_assign(key, id);
 }
 
 void AioEngine::submit_write(ByteCount bytes, Completion done) {

@@ -34,7 +34,6 @@
 
 #include "netsim/event_loop.h"
 #include "util/flat_hash.h"
-#include "util/intern.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -95,7 +94,7 @@ class AioEngine {
  private:
   struct Op {
     bool read = false;
-    InternId key = kNoIntern;  // merge identity (reads only)
+    std::string key;  // merge identity (reads only)
     ByteCount bytes = 0;
     TimePoint submitted{};  // queue wait + service = FlashIo obs phase
     std::vector<Completion> completions;
@@ -118,7 +117,7 @@ class AioEngine {
   std::vector<std::uint64_t> waiting_;
   std::size_t waiting_head_ = 0;
   // Pending (queued or in-service) read per key, for merging.
-  FlatHashMap<InternId, std::uint64_t> read_by_key_;
+  FlatHashMap<std::string, std::uint64_t> read_by_key_;
 };
 
 }  // namespace catalyst::io

@@ -1,19 +1,9 @@
 #include "netsim/network.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace catalyst::netsim {
-
-namespace {
-
-/// Order-independent key for an (a, b) host pair.
-std::uint64_t pair_key(InternId a, InternId b) {
-  const InternId lo = a < b ? a : b;
-  const InternId hi = a < b ? b : a;
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-}  // namespace
 
 Host::Host(EventLoop& loop, std::string name, const HostSpec& spec)
     : name_(std::move(name)),
@@ -22,27 +12,22 @@ Host::Host(EventLoop& loop, std::string name, const HostSpec& spec)
 }
 
 Host& Network::add_host(const std::string& name, const HostSpec& spec) {
-  const HostId id = tls_intern().intern(name);
-  if (hosts_.contains(id)) {
+  if (hosts_.contains(name)) {
     throw std::invalid_argument("Network: duplicate host " + name);
   }
   auto host = std::make_unique<Host>(loop_, name, spec);
   Host& ref = *host;
-  hosts_.insert_or_assign(id, std::move(host));
+  hosts_.insert_or_assign(name, std::move(host));
   return ref;
 }
 
 Host& Network::host(const std::string& name) {
-  const HostId id = tls_intern().find(name);
-  if (id != kNoIntern) {
-    if (auto* host = hosts_.find(id)) return **host;
-  }
+  if (auto* host = hosts_.find(name)) return **host;
   throw std::out_of_range("Network: unknown host " + name);
 }
 
 bool Network::has_host(const std::string& name) const {
-  const HostId id = tls_intern().find(name);
-  return id != kNoIntern && hosts_.contains(id);
+  return hosts_.contains(name);
 }
 
 void Network::set_rtt(const std::string& a, const std::string& b,
@@ -50,15 +35,20 @@ void Network::set_rtt(const std::string& a, const std::string& b,
   if (!has_host(a) || !has_host(b)) {
     throw std::out_of_range("Network: set_rtt on unknown host");
   }
-  rtts_.insert_or_assign(
-      pair_key(tls_intern().intern(a), tls_intern().intern(b)), rtt);
+  const auto [lo, hi] = std::minmax(a, b);
+  for (RttPair& pair : rtts_) {
+    if (pair.lo == lo && pair.hi == hi) {
+      pair.rtt = rtt;
+      return;
+    }
+  }
+  rtts_.push_back(RttPair{lo, hi, rtt});
 }
 
 Duration Network::rtt(const std::string& a, const std::string& b) const {
-  const InternId ia = tls_intern().find(a);
-  const InternId ib = tls_intern().find(b);
-  if (ia != kNoIntern && ib != kNoIntern) {
-    if (const Duration* d = rtts_.find(pair_key(ia, ib))) return *d;
+  const auto [lo, hi] = std::minmax(a, b);
+  for (const RttPair& pair : rtts_) {
+    if (pair.lo == lo && pair.hi == hi) return pair.rtt;
   }
   throw std::out_of_range("Network: no RTT configured for " + a + "<->" + b);
 }

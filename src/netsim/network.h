@@ -17,7 +17,6 @@
 #include "netsim/event_loop.h"
 #include "netsim/link.h"
 #include "util/flat_hash.h"
-#include "util/intern.h"
 #include "util/types.h"
 
 namespace catalyst::netsim {
@@ -111,12 +110,17 @@ class Network {
   FaultPlan* fault_plan() const { return fault_plan_; }
 
  private:
+  // One symmetric RTT, names ordered lo < hi.
+  struct RttPair {
+    std::string lo;
+    std::string hi;
+    Duration rtt;
+  };
+
   EventLoop& loop_;
-  // Host names are interned once; every per-request host()/rtt() lookup
-  // is then an integer flat-hash probe instead of a string tree walk.
-  FlatHashMap<HostId, std::unique_ptr<Host>> hosts_;
-  // Symmetric pair key: (lower id << 32) | higher id.
-  FlatHashMap<std::uint64_t, Duration> rtts_;
+  FlatHashMap<std::string, std::unique_ptr<Host>> hosts_;
+  // A testbed links a handful of hosts, so rtt() scans.
+  std::vector<RttPair> rtts_;
   Duration dns_lookup_ = Duration::zero();
   ByteCount total_bytes_ = 0;
   FaultPlan* fault_plan_ = nullptr;

@@ -5,42 +5,30 @@
 
 namespace catalyst::server {
 
-Resource& Site::add_resource(std::unique_ptr<Resource> resource) {
-  const std::string& path = resource->path();
-  const InternId id = tls_intern().intern(path);
-  if (index_.contains(id)) {
-    throw std::invalid_argument("Site: duplicate resource " + path);
-  }
-  // Appending may break path order; resources() restores it lazily. The
-  // returned reference is heap-stable across both growth and sorting.
-  if (!entries_.empty() && path < entries_.back().path) sorted_ = false;
-  index_.insert_or_assign(id, static_cast<std::uint32_t>(entries_.size()));
-  entries_.push_back(Entry{path, std::move(resource)});
-  return *entries_.back().resource;
+namespace {
+
+bool path_less(const Site::Entry& entry, const std::string& path) {
+  return entry.path < path;
 }
 
-void Site::ensure_sorted() const {
-  if (sorted_) return;
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) { return a.path < b.path; });
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    index_.insert_or_assign(tls_intern().intern(entries_[i].path), i);
+}  // namespace
+
+Resource& Site::add_resource(std::unique_ptr<Resource> resource) {
+  const std::string& path = resource->path();
+  const auto pos =
+      std::lower_bound(entries_.begin(), entries_.end(), path, path_less);
+  if (pos != entries_.end() && pos->path == path) {
+    throw std::invalid_argument("Site: duplicate resource " + path);
   }
-  sorted_ = true;
+  // The returned reference is heap-stable across later inserts.
+  return *entries_.insert(pos, Entry{path, std::move(resource)})->resource;
 }
 
 const Resource* Site::find(const std::string& path) const {
-  const InternId id = tls_intern().find(path);
-  if (id == kNoIntern) return nullptr;
-  const std::uint32_t* pos = index_.find(id);
-  return pos == nullptr ? nullptr : entries_[*pos].resource.get();
-}
-
-Resource* Site::find(const std::string& path) {
-  const InternId id = tls_intern().find(path);
-  if (id == kNoIntern) return nullptr;
-  const std::uint32_t* pos = index_.find(id);
-  return pos == nullptr ? nullptr : entries_[*pos].resource.get();
+  const auto pos =
+      std::lower_bound(entries_.begin(), entries_.end(), path, path_less);
+  return pos != entries_.end() && pos->path == path ? pos->resource.get()
+                                                    : nullptr;
 }
 
 ByteCount Site::total_bytes() const {

@@ -4,11 +4,9 @@
 // reference each other; the same Site object backs every strategy's origin
 // server so comparisons are apples-to-apples.
 //
-// Storage: resources live in a vector sorted by path (iteration order is
-// the old std::map order, which downstream byte-identity depends on) with
-// an interned-key FlatHashMap index for the per-request find() — the
-// single hottest origin-side lookup. The sort is maintained lazily so
-// site construction stays O(n log n).
+// Storage: resources live in a vector kept sorted by path on insert, so
+// iteration is in path order (which downstream byte-identity depends on)
+// and the per-request find() is a binary search.
 #pragma once
 
 #include <algorithm>
@@ -17,16 +15,12 @@
 #include <vector>
 
 #include "server/resource.h"
-#include "util/flat_hash.h"
-#include "util/intern.h"
 
 namespace catalyst::server {
 
 class Site {
  public:
-  /// One path → resource binding. Named members (not std::pair) so
-  /// `for (const auto& [path, resource] : site.resources())` keeps
-  /// working across the container change.
+  /// One path → resource binding.
   struct Entry {
     std::string path;
     std::unique_ptr<Resource> resource;
@@ -40,17 +34,14 @@ class Site {
   const std::string& index_path() const { return index_path_; }
   void set_index_path(std::string path) { index_path_ = std::move(path); }
 
+  /// Throws std::invalid_argument when the path is already present.
   Resource& add_resource(std::unique_ptr<Resource> resource);
 
   /// nullptr when the path is unknown.
   const Resource* find(const std::string& path) const;
-  Resource* find(const std::string& path);
 
   /// Entries sorted by path (stable, deterministic iteration order).
-  const std::vector<Entry>& resources() const {
-    ensure_sorted();
-    return entries_;
-  }
+  const std::vector<Entry>& resources() const { return entries_; }
   std::size_t resource_count() const { return entries_.size(); }
 
   /// Total declared wire size of all resources (page weight).
@@ -67,15 +58,9 @@ class Site {
   }
 
  private:
-  void ensure_sorted() const;
-
   std::string host_;
   std::string index_path_ = "/index.html";
-  // Sorted by path once ensure_sorted() ran; appended unsorted by
-  // add_resource. mutable: sorting is a cache-consistency detail.
-  mutable std::vector<Entry> entries_;
-  mutable FlatHashMap<InternId, std::uint32_t> index_;
-  mutable bool sorted_ = true;
+  std::vector<Entry> entries_;  // sorted by path
   std::vector<std::string> gone_paths_;
 };
 

@@ -11,8 +11,8 @@
 // this codebase:
 //   - Iteration order is slot order, i.e. a function of insertion history
 //     and hashing — NOT sorted, NOT insertion order. Never iterate a
-//     FlatHashMap to produce report/trace output; keep a sorted sidecar
-//     (see http::EtagConfig, server::Site) when output order matters.
+//     FlatHashMap to produce report/trace output; use a sorted container
+//     when output order matters.
 //   - No pointer stability: any insert may rehash. Take values out or use
 //     indices/handles when you need stable references.
 #pragma once

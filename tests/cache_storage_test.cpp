@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace catalyst::cache {
 namespace {
 
@@ -90,6 +94,45 @@ TEST(LruStoreTest, MruOrderReflectsAccess) {
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0], "a");
   EXPECT_EQ(keys[1], "b");
+}
+
+TEST(LruStoreTest, LookupWorksFromAnotherThread) {
+  LruStore store(KiB(64));
+  store.put("a", entry_of_size(100));
+  store.put("b", entry_of_size(200));
+  const CacheEntry* peeked = nullptr;
+  const CacheEntry* got = nullptr;
+  std::thread reader([&] {
+    peeked = store.peek("a");
+    got = store.get("b");
+  });
+  reader.join();
+  ASSERT_NE(peeked, nullptr);
+  EXPECT_EQ(peeked->response.body.size(), 100u);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->response.body.size(), 200u);
+}
+
+TEST(LruStoreTest, KeysStayRightAfterReplaceAndEviction) {
+  LruStore store(3000);  // room for three 700-byte entries, not four
+  store.put("a", entry_of_size(700));
+  store.put("b", entry_of_size(700));
+  store.put("c", entry_of_size(700));
+  EXPECT_EQ(store.lru_key(), "a");
+
+  // Replacing "a" frees its slot, reuses it and moves "a" to the front.
+  store.put("a", entry_of_size(600));
+  EXPECT_EQ(store.lru_key(), "b");
+  EXPECT_EQ(store.keys_mru_order(),
+            (std::vector<std::string>{"a", "c", "b"}));
+
+  // "d" evicts the LRU "b" and takes its slot.
+  store.put("d", entry_of_size(700));
+  EXPECT_EQ(store.get("b"), nullptr);
+  EXPECT_EQ(store.lru_key(), "c");
+  EXPECT_EQ(store.keys_mru_order(),
+            (std::vector<std::string>{"d", "a", "c"}));
+  EXPECT_EQ(store.entry_count(), 3u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/hash.h"
 
@@ -82,6 +85,51 @@ TEST(SiteTest, DuplicatePathRejected) {
   site.add_resource(versioned_resource("/a.css"));
   EXPECT_THROW(site.add_resource(versioned_resource("/a.css")),
                std::invalid_argument);
+}
+
+TEST(SiteTest, FindWorksFromAnotherThread) {
+  Site site("example.com");
+  site.add_resource(versioned_resource("/a.css"));
+  site.add_resource(versioned_resource("/b.css"));
+  const Resource* found = nullptr;
+  const Resource* missing = nullptr;
+  std::thread reader([&] {
+    found = site.find("/b.css");
+    missing = site.find("/missing");
+  });
+  reader.join();
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->path(), "/b.css");
+  EXPECT_EQ(missing, nullptr);
+}
+
+TEST(SiteTest, ResourcesStayInPathOrderWhateverTheAddOrder) {
+  const std::vector<std::string> sorted = {"/a.css", "/b.js", "/c/d.png",
+                                           "/index.html", "/z.css"};
+  const std::vector<std::string> reversed(sorted.rbegin(), sorted.rend());
+  const std::vector<std::string> shuffled = {"/index.html", "/z.css",
+                                             "/a.css", "/c/d.png", "/b.js"};
+  for (const auto& order : {reversed, shuffled}) {
+    Site site("example.com");
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      site.add_resource(versioned_resource(order[i]));
+      for (std::size_t j = 0; j < order.size(); ++j) {
+        const Resource* found = site.find(order[j]);
+        if (j <= i) {
+          ASSERT_NE(found, nullptr) << order[j];
+          EXPECT_EQ(found->path(), order[j]);
+        } else {
+          EXPECT_EQ(found, nullptr) << order[j];
+        }
+      }
+    }
+    std::vector<std::string> paths;
+    for (const auto& [path, resource] : site.resources()) {
+      EXPECT_EQ(resource->path(), path);
+      paths.push_back(path);
+    }
+    EXPECT_EQ(paths, sorted);
+  }
 }
 
 TEST(SiteTest, IndexPathDefaultsAndOverrides) {

@@ -344,14 +344,23 @@ int main(int argc, char** argv) {
     if (path == "-" || path.empty()) {
       std::fwrite(jsonl.data(), 1, jsonl.size(), stdout);
     } else if (std::FILE* f = std::fopen(path.c_str(), "wb")) {
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
+      const bool written =
+          std::fwrite(jsonl.data(), 1, jsonl.size(), f) == jsonl.size();
+      if (std::fclose(f) != 0 || !written) {
+        std::fprintf(stderr, "fleetsim: cannot write %s\n", path.c_str());
+        return 1;
+      }
       std::fprintf(stderr, "fleetsim: wrote %zu trace bytes to %s\n",
                    jsonl.size(), path.c_str());
     } else {
       std::fprintf(stderr, "fleetsim: cannot open %s\n", path.c_str());
       return 1;
     }
+  }
+  // Every diff gate compares this output with cmp: a lost write must fail.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    std::fprintf(stderr, "fleetsim: cannot write stdout\n");
+    return 1;
   }
   std::fprintf(stderr,
                "fleetsim: %.2f s wall, %.1f users/sec, %.0f events/sec\n",

@@ -11,9 +11,9 @@
 #             rounds draw the browser protocol at random plus a forced
 #             --h2 sweep), the oracle-off / flash-off / breakdown-off / h2
 #             / cross-thread byte-identity checks (feature-on runs
-#             compared across thread counts), and fleetsim's and
+#             compared across thread counts), fleetsim's and
 #             difftest's rejection of bad input (exit 2 with the usage
-#             text)
+#             text), and fleetsim's exit 1 when a write to /dev/full fails
 #   perf    — engine_hotpath --smoke gated against bench/baselines/
 #             hotpath.json (fails on >20% macro throughput regression)
 #             plus the edge_offload --smoke flash sweep and the
@@ -193,6 +193,24 @@ stage_diff() {
     fi
   done
 
+  echo "== fleetsim fails when its output is lost =="
+  # A trace or report that cannot be written must exit 1 with "cannot
+  # write", never 0: the gates above compare fleetsim output with cmp.
+  rc=0
+  "./$BUILD_DIR/tools/fleetsim" --users 8 --trace-users 2 \
+      --trace-out /dev/full --json >/dev/null 2>/tmp/lost_output.err || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q 'cannot write' /tmp/lost_output.err; then
+    echo "FAIL: fleetsim --trace-out /dev/full exited $rc" >&2
+    exit 1
+  fi
+  rc=0
+  "./$BUILD_DIR/tools/fleetsim" --users 8 --json >/dev/full \
+      2>/tmp/lost_output.err || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q 'cannot write' /tmp/lost_output.err; then
+    echo "FAIL: fleetsim --json >/dev/full exited $rc" >&2
+    exit 1
+  fi
+
   echo "== difftest rejects bad input =="
   # The same parser guards difftest: a typo in the gates above must exit
   # 2, never pass having run no round or a different seed.
@@ -245,7 +263,7 @@ stage_asan() {
   cmake --build "$ASAN_BUILD_DIR" -j"$JOBS" --target \
       check_oracle_test check_replay_test robustness_test \
       netsim_faults_test client_retry_test \
-      util_intern_test util_flat_hash_test util_pool_test
+      util_flat_hash_test util_pool_test
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
       --timeout "$CTEST_TIMEOUT" -L 'oracle|robustness|perf'
 }
