@@ -18,7 +18,8 @@
 # HTML/CSS/JS scan memo came in: its functions are all reached. 97 since
 # the string intern table was deleted: `intern()` and three of the
 # table's accessors went, and FlashTier's index `size()` is now keyed by
-# string. A new function no binary calls ships with the binary that
+# string. The same 97 after response bodies became shared `http::Body`
+# handles. A new function no binary calls ships with the binary that
 # calls it.
 #
 #   scripts/link_audit.sh [BUILD_DIR]    (default: build-audit)

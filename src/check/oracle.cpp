@@ -124,15 +124,15 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
   // classified body came from some other request's input. Markers whose
   // payload self-identifies as another user ("uid:...") are the
   // confidentiality flavor; everything else is integrity poisoning.
-  const auto marker = outcome.response.body.find(kReflectPrefix);
+  const std::string& body = outcome.response.body.str();
+  const auto marker = body.find(kReflectPrefix);
   if (marker != std::string::npos) {
     const std::size_t value_begin = marker + kReflectPrefix.size();
-    const std::size_t value_end =
-        outcome.response.body.find("-->", value_begin);
+    const std::size_t value_end = body.find("-->", value_begin);
     std::string_view value;
     if (value_end != std::string::npos) {
-      value = std::string_view(outcome.response.body)
-                  .substr(value_begin, value_end - value_begin);
+      value = std::string_view(body).substr(value_begin,
+                                            value_end - value_begin);
     }
     return violation(value.substr(0, 4) == "uid:"
                          ? netsim::ServeClass::CrossUserLeak

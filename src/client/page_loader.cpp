@@ -12,7 +12,7 @@ namespace {
 
 /// The `@fetch` directives of a script response, from the scan memo.
 const std::vector<std::string>& js_fetches(const http::Response& script) {
-  return html::scan_js(script.body, script.body_digest());
+  return html::scan_js(script.body.str(), script.body_digest());
 }
 
 }  // namespace
@@ -94,7 +94,8 @@ void PageLoader::on_html(const FetchOutcome& outcome) {
   }
 
   const http::Response& page = outcome.response;
-  const html::PageScan* scan = &html::scan_page(page.body, page.body_digest());
+  const html::PageScan* scan =
+      &html::scan_page(page.body.str(), page.body_digest());
   begin_task();
   auto self = shared_from_this();
   browser_.loop().schedule_after(
@@ -245,7 +246,7 @@ void PageLoader::handle_discovered(const std::string& raw_url,
 void PageLoader::handle_css_arrival(const Url& url,
                                     const http::Response& stylesheet) {
   const std::vector<html::CssReference>* refs =
-      &html::scan_css(stylesheet.body, stylesheet.body_digest());
+      &html::scan_css(stylesheet.body.str(), stylesheet.body_digest());
   begin_task();
   auto self = shared_from_this();
   browser_.loop().schedule_after(

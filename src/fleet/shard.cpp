@@ -183,7 +183,7 @@ FleetReport Shard::run() {
   // bodies, and the next shard it runs regenerates its own catalog: drop
   // them, so a worker keeps one shard's worth (no page load is in flight).
   html::clear_scan_memo();
-  server::CatalystModule::clear_injected_digests();
+  server::CatalystModule::clear_injected_bodies();
   return report;
 }
 

@@ -19,8 +19,7 @@
 // catalog, not of every catalog it has replayed.
 //
 // Precondition of every function: digest == fnv1a64(body), the digest
-// the origin memoizes per content version and http::Response::
-// body_digest() returns.
+// an http::Body takes once when its bytes are set (Body::digest()).
 #pragma once
 
 #include <cstdint>

@@ -24,6 +24,12 @@ std::optional<IfNoneMatch> Request::if_none_match() const {
   return IfNoneMatch::parse(*field);
 }
 
+Body::Body(std::string bytes) {
+  if (bytes.empty()) return;
+  const std::uint64_t digest = fnv1a64(bytes);
+  rep_ = std::make_shared<const Rep>(Rep{std::move(bytes), digest});
+}
+
 Response Response::make(Status s) {
   Response r;
   r.status = s;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -40,11 +41,44 @@ class Request {
   std::optional<IfNoneMatch> if_none_match() const;
 };
 
+/// An immutable response body, shared by handle. A body travels from the
+/// origin's per-version memo through the edge, the HTTP cache, the Service
+/// Worker cache and the page loader; copying a Body copies one pointer,
+/// not the bytes. The FNV-1a digest is taken once, when the bytes are set,
+/// so ETags, replay traces, the SW integrity check, the oracle and the
+/// scan memo all read it for free. Nothing writes through a Body: a
+/// changed body is a new Body.
+class Body {
+ public:
+  /// The empty body.
+  Body() = default;
+  /// Takes the bytes and digests them. Implicit: a Body is assigned like
+  /// the string it holds.
+  Body(std::string bytes);
+  Body(const char* bytes) : Body(std::string(bytes)) {}
+
+  const std::string& str() const {
+    static const std::string empty;
+    return rep_ ? rep_->bytes : empty;
+  }
+  std::size_t size() const { return rep_ ? rep_->bytes.size() : 0; }
+
+  /// fnv1a64(str()), taken at construction.
+  std::uint64_t digest() const { return rep_ ? rep_->digest : fnv1a64({}); }
+
+ private:
+  struct Rep {
+    std::string bytes;
+    std::uint64_t digest;
+  };
+  std::shared_ptr<const Rep> rep_;  // null for the empty body
+};
+
 class Response {
  public:
   Status status = Status::Ok;
   Headers headers;
-  std::string body;  // actual content (parsed by the client when relevant)
+  Body body;  // actual content (parsed by the client when relevant)
 
   /// Declared wire size of the body; when 0 the actual body size is used.
   ByteCount declared_body_size = 0;
@@ -65,39 +99,11 @@ class Response {
   /// Parsed ETag header, if present and well-formed.
   std::optional<Etag> etag() const;
 
-  /// FNV-1a digest of `body`, memoized. Replay traces, the Service Worker
-  /// integrity check and the byte-equivalence oracle all digest response
-  /// bodies, and a body is typically digested several times as the
-  /// response travels origin → caches → client; the memo (which copies
-  /// travel with the response) makes every digest after the first free.
-  /// The cache revalidates on body-size change, which covers every write
-  /// pattern in the simulator (bodies are assigned whole, before first
-  /// digest); a same-length in-place rewrite after a digest call would
-  /// have to call prime_body_digest() — no such writer exists.
-  std::uint64_t body_digest() const {
-    if (!digest_valid_ || digest_size_ != body.size()) {
-      digest_ = fnv1a64(body);
-      digest_size_ = body.size();
-      digest_valid_ = true;
-    }
-    return digest_;
-  }
-
-  /// Seeds the digest memo with an externally computed value (e.g. the
-  /// origin's per-version content digest). Precondition: d == fnv1a64(body).
-  void prime_body_digest(std::uint64_t d) const {
-    digest_ = d;
-    digest_size_ = body.size();
-    digest_valid_ = true;
-  }
+  /// FNV-1a digest of `body`, taken when the body was set.
+  std::uint64_t body_digest() const { return body.digest(); }
 
   /// Sets Content-Length from the wire body size and Date from `now`.
   void finalize(TimePoint now);
-
- private:
-  mutable std::uint64_t digest_ = 0;
-  mutable ByteCount digest_size_ = 0;
-  mutable bool digest_valid_ = false;
 };
 
 }  // namespace catalyst::http

@@ -34,7 +34,7 @@ std::string serialize(const Response& response) {
     out.append("\r\n");
   }
   out.append("\r\n");
-  out.append(response.body);
+  out.append(response.body.str());
   return out;
 }
 

@@ -5,7 +5,6 @@
 
 #include "html/generate.h"
 #include "html/scan.h"
-#include "util/hash.h"
 #include "util/url.h"
 
 namespace catalyst::server {
@@ -23,25 +22,27 @@ std::string registration_snippet() {
          std::string(CatalystModule::kSwPath) + "');</script>";
 }
 
-/// Served body digest -> digest of that body after inject_registration.
-using DigestMemo = std::unordered_map<std::uint64_t, std::uint64_t>;
+/// Served body digest -> that body after inject_registration.
+using InjectedMemo = std::unordered_map<std::uint64_t, http::Body>;
 
-DigestMemo& tls_injected_digests() {
-  thread_local DigestMemo memo;
+InjectedMemo& tls_injected_bodies() {
+  thread_local InjectedMemo memo;
   return memo;
 }
 
-/// FNV-1a digest of a served base-HTML body after inject_registration,
-/// memoized by the served body's digest. The injection is a pure function
-/// of the bytes, so the memo is thread-local like html/scan.h's and every
-/// user's module on the thread shares it; the client then never re-hashes
-/// the decorated page. Precondition: injected == the served body with the
-/// registration injected.
-std::uint64_t injected_digest(std::uint64_t served_digest,
-                              const std::string& injected) {
-  const auto [it, inserted] = tls_injected_digests().try_emplace(
-      served_digest);
-  if (inserted) it->second = fnv1a64(injected);
+/// `served` after inject_registration, memoized by the served body's
+/// digest. The injection is a pure function of the bytes, so the memo is
+/// thread-local like html/scan.h's and every user's module on the thread
+/// shares it: each page version is copied, edited and hashed once, and
+/// every later serve of it shares one buffer.
+const http::Body& injected_body(const http::Body& served) {
+  const auto [it, inserted] =
+      tls_injected_bodies().try_emplace(served.digest());
+  if (inserted) {
+    std::string page = served.str();
+    CatalystModule::inject_registration(page);
+    it->second = std::move(page);
+  }
   return it->second;
 }
 
@@ -169,10 +170,8 @@ Duration CatalystModule::decorate_html(
   response.headers.set(http::kXEtagConfig, map.encode());
 
   if (response.status == http::Status::Ok) {
-    const std::uint64_t served = response.body_digest();
     const std::size_t before = response.body.size();
-    inject_registration(response.body);
-    response.prime_body_digest(injected_digest(served, response.body));
+    response.body = injected_body(response.body);
     if (response.declared_body_size > 0) {
       response.declared_body_size += response.body.size() - before;
     }
@@ -183,8 +182,8 @@ Duration CatalystModule::decorate_html(
   return cost;
 }
 
-void CatalystModule::clear_injected_digests() {
-  tls_injected_digests() = DigestMemo{};
+void CatalystModule::clear_injected_bodies() {
+  tls_injected_bodies() = InjectedMemo{};
 }
 
 void CatalystModule::inject_registration(std::string& body) {
@@ -198,15 +197,18 @@ void CatalystModule::inject_registration(std::string& body) {
 }
 
 http::Response CatalystModule::serve_sw_script(TimePoint now) const {
+  // Every module serves the same script: build and digest it once.
+  static const http::Body script =
+      html::make_js({}, kSwScriptSize, /*seed=*/0xCC57);
   http::Response resp = http::Response::make(http::Status::Ok);
-  resp.body = html::make_js({}, kSwScriptSize, /*seed=*/0xCC57);
+  resp.body = script;
   resp.headers.set(http::kContentType,
                    http::mime_type(http::ResourceClass::Script));
   // The SW script itself revalidates (browsers special-case SW updates).
   resp.headers.set(http::kCacheControl,
                    http::CacheControl::revalidate_always().to_string());
   resp.headers.set(http::kEtagHeader,
-                   http::make_content_etag(resp.body).to_string());
+                   http::make_digest_etag(script.digest()).to_string());
   resp.finalize(now);
   return resp;
 }

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/hash.h"
-
 namespace catalyst::server {
 
 Resource::Resource(std::string path, http::ResourceClass resource_class,
@@ -25,18 +23,13 @@ const Resource::VersionData& Resource::materialize(
   const auto it = versions_.find(version);
   if (it != versions_.end()) return it->second;
   VersionData data;
-  data.content = generator_(version);
-  data.content_digest = fnv1a64(data.content);
-  data.etag = http::make_digest_etag(data.content_digest);
+  data.body = generator_(version);
+  data.etag = http::make_digest_etag(data.body.digest());
   return versions_.emplace(version, std::move(data)).first->second;
 }
 
-const std::string& Resource::content_at(TimePoint t) const {
-  return materialize(version_at(t)).content;
-}
-
-std::uint64_t Resource::content_digest_at(TimePoint t) const {
-  return materialize(version_at(t)).content_digest;
+const http::Body& Resource::body_at(TimePoint t) const {
+  return materialize(version_at(t)).body;
 }
 
 const http::Etag& Resource::etag_at(TimePoint t) const {

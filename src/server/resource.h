@@ -9,6 +9,7 @@
 
 #include "http/cache_control.h"
 #include "http/etag.h"
+#include "http/message.h"
 #include "http/mime.h"
 #include "server/change_model.h"
 #include "util/types.h"
@@ -41,13 +42,19 @@ class Resource {
     return changes_.version_at(t);
   }
 
-  /// Body content at time t (memoized per version).
-  const std::string& content_at(TimePoint t) const;
+  /// Body at time t, memoized per version: every 200 that serves the
+  /// version shares this one buffer and its digest.
+  const http::Body& body_at(TimePoint t) const;
 
-  /// FNV-1a digest of content_at(t) (memoized per version): lets serve
-  /// paths prime http::Response::body_digest() so each distinct body is
-  /// digested once per origin lifetime, not once per serve.
-  std::uint64_t content_digest_at(TimePoint t) const;
+  /// Body content at time t: body_at(t).str().
+  const std::string& content_at(TimePoint t) const {
+    return body_at(t).str();
+  }
+
+  /// FNV-1a digest of content_at(t): body_at(t).digest().
+  std::uint64_t content_digest_at(TimePoint t) const {
+    return body_at(t).digest();
+  }
 
   /// Entity tag at time t: the hex rendering of content_digest_at(t)
   /// (memoized per version).
@@ -60,9 +67,8 @@ class Resource {
 
  private:
   struct VersionData {
-    std::string content;
+    http::Body body;
     http::Etag etag;
-    std::uint64_t content_digest = 0;
   };
 
   const VersionData& materialize(std::uint64_t version) const;

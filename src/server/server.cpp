@@ -118,14 +118,16 @@ void Server::handle(const http::Request& request,
 
   // Unkeyed-input reflection: X-Forwarded-Host lands in the body after
   // any HTML decoration so the marker survives into whatever a cache
-  // stores. Content-Length is re-derived; the body-digest memo
-  // invalidates itself on the size change.
+  // stores. The reflected page is a new Body (the served one is the
+  // origin's shared version), and Content-Length is re-derived.
   if (config_.reflect_forwarded_host &&
       reply.response.status == http::Status::Ok) {
     if (const auto xfh = request.headers.get(http::kXForwardedHost)) {
-      reply.response.body += "\n<!--reflect:";
-      reply.response.body += *xfh;
-      reply.response.body += "-->";
+      std::string reflected = reply.response.body.str();
+      reflected += "\n<!--reflect:";
+      reflected += *xfh;
+      reflected += "-->";
+      reply.response.body = std::move(reflected);
       reply.response.headers.set(
           http::kContentLength,
           std::to_string(reply.response.body_wire_size()));

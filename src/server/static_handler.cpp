@@ -52,8 +52,7 @@ http::Response StaticHandler::handle(const http::Request& request,
   }
 
   http::Response resp = http::Response::make(http::Status::Ok);
-  resp.body = resource->content_at(now);
-  resp.prime_body_digest(resource->content_digest_at(now));
+  resp.body = resource->body_at(now);
   // Opaque classes declare a larger wire size than the stand-in content.
   if (resource->wire_size() > resp.body.size()) {
     resp.declared_body_size = resource->wire_size();

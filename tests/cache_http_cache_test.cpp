@@ -37,7 +37,7 @@ TEST(HttpCacheTest, FreshHitWithinMaxAge) {
   const auto hit = cache.lookup("u", TimePoint{} + seconds(30));
   EXPECT_EQ(hit.decision, LookupDecision::FreshHit);
   ASSERT_NE(hit.entry, nullptr);
-  EXPECT_EQ(hit.entry->response.body, "content");
+  EXPECT_EQ(hit.entry->response.body.str(), "content");
 
   const auto stale = cache.lookup("u", TimePoint{} + seconds(61));
   EXPECT_EQ(stale.decision, LookupDecision::NeedsRevalidation);
@@ -114,7 +114,7 @@ TEST(HttpCacheTest, ApplyNotModifiedRefreshesMetadata) {
       "u", not_modified, TimePoint{} + seconds(60),
       TimePoint{} + seconds(60));
   ASSERT_NE(refreshed, nullptr);
-  EXPECT_EQ(refreshed->response.body, "content");  // body kept
+  EXPECT_EQ(refreshed->response.body.str(), "content");  // body kept
 
   // Fresh again for another 10 s window.
   EXPECT_EQ(cache.lookup("u", TimePoint{} + seconds(65)).decision,

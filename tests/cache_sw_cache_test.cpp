@@ -26,7 +26,7 @@ TEST(SwCacheTest, MatchRequiresEqualEtag) {
   ASSERT_TRUE(cache.put("/a.css", response_with_etag("v1")));
   const Response* hit = cache.match("/a.css", Etag{"v1", false}).response;
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->body, "payload-v1");
+  EXPECT_EQ(hit->body.str(), "payload-v1");
 
   const SwCache::Match mismatch = cache.match("/a.css", Etag{"v2", false});
   EXPECT_EQ(mismatch.response, nullptr);

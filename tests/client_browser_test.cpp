@@ -84,7 +84,7 @@ TEST_F(BrowserFixture, StaleUnchangedRevalidatesTo304) {
   const auto outcome = fetch_now(browser, TimePoint{} + hours(1));
   EXPECT_EQ(outcome.source, netsim::FetchSource::NotModified);
   EXPECT_EQ(outcome.response.status, http::Status::Ok);  // cached body
-  EXPECT_FALSE(outcome.response.body.empty());
+  EXPECT_FALSE(outcome.response.body.str().empty());
   // The 304 refreshed freshness: immediately fresh again.
   const auto again = fetch_now(browser, TimePoint{} + hours(1) + minutes(5));
   EXPECT_EQ(again.source, netsim::FetchSource::BrowserCache);
@@ -97,7 +97,7 @@ TEST_F(BrowserFixture, StaleChangedDownloadsNewVersion) {
   // Content changes at +10h.
   const auto outcome = fetch_now(browser, TimePoint{} + hours(11));
   EXPECT_EQ(outcome.source, netsim::FetchSource::Network);
-  EXPECT_NE(outcome.response.body, v0.response.body);
+  EXPECT_NE(outcome.response.body.str(), v0.response.body.str());
 }
 
 TEST_F(BrowserFixture, OracleValidatesWithoutNetwork) {

@@ -163,7 +163,7 @@ TEST_F(RetryFixture, LateResponseFromAbandonedAttemptIsIgnored) {
   fetcher.fetch("origin", http::Request::get("/", "origin"),
                 [&](http::Response resp) {
                   ++responses;
-                  body = resp.body;
+                  body = resp.body.str();
                 });
   loop_.run();
   EXPECT_EQ(responses, 1);

@@ -70,7 +70,7 @@ TEST(ServiceWorkerTest, ServesOnlyMapVouchedCacheHits) {
   const auto hit = sw.try_serve("/a.css", TimePoint{});
   EXPECT_EQ(hit.decision, Decision::ServeFromCache);
   ASSERT_NE(hit.response, nullptr);
-  EXPECT_EQ(hit.response->body, "body-v1");
+  EXPECT_EQ(hit.response->body.str(), "body-v1");
   // Covered but changed on origin: forwarded with revalidation (the map
   // overrides any TTL freshness).
   EXPECT_EQ(sw.try_serve("/b.js", TimePoint{}).decision, Decision::ForwardRevalidate);

@@ -76,7 +76,7 @@ TEST_P(CacheProperties, StoreLookupInvariants) {
     // 3. Whatever the decision, any returned entry carries the body we
     //    stored.
     if (now_result.entry != nullptr) {
-      EXPECT_EQ(now_result.entry->response.body, resp.body);
+      EXPECT_EQ(now_result.entry->response.body.str(), resp.body.str());
     }
 
     // 4. Far in the future everything is stale: either revalidate (a

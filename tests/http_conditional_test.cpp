@@ -86,7 +86,7 @@ TEST(MakeNotModifiedTest, CarriesValidatorsAndCacheHeaders) {
   EXPECT_EQ(resp.headers.get(kCacheControl), "max-age=60");
   EXPECT_TRUE(resp.headers.contains(kLastModified));
   EXPECT_FALSE(resp.headers.contains("X-Unrelated"));
-  EXPECT_TRUE(resp.body.empty());
+  EXPECT_TRUE(resp.body.str().empty());
 }
 
 }  // namespace

@@ -142,19 +142,20 @@ TEST_F(CatalystModuleFixture, DecorateHtmlAddsHeaderAndSwSnippet) {
   EXPECT_EQ(map->size(), 6u);
   // SW registration injected before </body>, Content-Length refreshed.
   EXPECT_GT(resp.body.size(), before);
-  EXPECT_NE(resp.body.find("serviceWorker"), std::string::npos);
-  EXPECT_NE(resp.body.find(CatalystModule::kSwPath), std::string::npos);
-  EXPECT_LT(resp.body.find("serviceWorker"), resp.body.rfind("</body>"));
+  EXPECT_NE(resp.body.str().find("serviceWorker"), std::string::npos);
+  EXPECT_NE(resp.body.str().find(CatalystModule::kSwPath), std::string::npos);
+  EXPECT_LT(resp.body.str().find("serviceWorker"),
+            resp.body.str().rfind("</body>"));
   EXPECT_EQ(resp.headers.get(http::kContentLength),
             std::to_string(resp.body.size()));
-  // The primed digest is the decorated body's, also when a second serve
+  // The digest is the decorated body's, also when a second serve
   // of the same version takes it from the memo.
-  EXPECT_EQ(resp.body_digest(), fnv1a64(resp.body));
+  EXPECT_EQ(resp.body_digest(), fnv1a64(resp.body.str()));
   http::Response again = handler.handle(
       http::Request::get("/index.html", "example.com"), TimePoint{});
   mod.decorate_html(again, *site_->find("/index.html"), TimePoint{}, {});
-  EXPECT_EQ(again.body, resp.body);
-  EXPECT_EQ(again.body_digest(), fnv1a64(again.body));
+  EXPECT_EQ(again.body.str(), resp.body.str());
+  EXPECT_EQ(again.body_digest(), fnv1a64(again.body.str()));
 }
 
 TEST_F(CatalystModuleFixture, Decorate304CarriesMapWithoutBody) {
@@ -162,7 +163,7 @@ TEST_F(CatalystModuleFixture, Decorate304CarriesMapWithoutBody) {
   http::Response resp = http::Response::make(http::Status::NotModified);
   mod.decorate_html(resp, *site_->find("/index.html"), TimePoint{}, {});
   EXPECT_TRUE(resp.headers.contains(http::kXEtagConfig));
-  EXPECT_TRUE(resp.body.empty());
+  EXPECT_TRUE(resp.body.str().empty());
 }
 
 /// Modeled compute of decorating one 304 for /index.html: the DOM scan

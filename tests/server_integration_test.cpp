@@ -91,7 +91,7 @@ TEST_F(ServerFixture, CatalystDecoratesHtmlOnly) {
   ASSERT_TRUE(map);
   EXPECT_TRUE(map->find("/a.css"));
   EXPECT_TRUE(map->find("/b.js"));
-  EXPECT_NE(html.body.find("serviceWorker"), std::string::npos);
+  EXPECT_NE(html.body.str().find("serviceWorker"), std::string::npos);
 
   const auto css = exchange(http::Request::get("/a.css", "example.com"));
   EXPECT_FALSE(css.headers.contains(http::kXEtagConfig));
@@ -114,7 +114,7 @@ TEST_F(ServerFixture, CatalystDecorates304) {
   const auto revalidated = exchange(std::move(conditional));
   EXPECT_EQ(revalidated.status, http::Status::NotModified);
   EXPECT_TRUE(revalidated.headers.contains(http::kXEtagConfig));
-  EXPECT_TRUE(revalidated.body.empty());
+  EXPECT_TRUE(revalidated.body.str().empty());
   (void)first;
 }
 

@@ -32,7 +32,7 @@ TEST_F(StaticHandlerFixture, ServesFullResponseWithValidators) {
   const auto resp = handler_.handle(
       http::Request::get("/a.css", "example.com"), TimePoint{});
   EXPECT_EQ(resp.status, http::Status::Ok);
-  EXPECT_EQ(resp.body, "css v0");
+  EXPECT_EQ(resp.body.str(), "css v0");
   EXPECT_TRUE(resp.etag());
   EXPECT_EQ(resp.headers.get(http::kCacheControl), "max-age=600");
   EXPECT_TRUE(resp.headers.contains(http::kLastModified));
@@ -69,7 +69,7 @@ TEST_F(StaticHandlerFixture, ConditionalGetMatchingEtagYields304) {
 
   const auto resp = handler_.handle(conditional, TimePoint{} + minutes(30));
   EXPECT_EQ(resp.status, http::Status::NotModified);
-  EXPECT_TRUE(resp.body.empty());
+  EXPECT_TRUE(resp.body.str().empty());
   EXPECT_EQ(*resp.etag(), *full.etag());
   // Cache-refresh headers ride along.
   EXPECT_EQ(resp.headers.get(http::kCacheControl), "max-age=600");
@@ -85,7 +85,7 @@ TEST_F(StaticHandlerFixture, ConditionalGetAfterChangeYields200) {
   const auto resp =
       handler_.handle(conditional, TimePoint{} + hours(1) + minutes(1));
   EXPECT_EQ(resp.status, http::Status::Ok);
-  EXPECT_EQ(resp.body, "css v1");
+  EXPECT_EQ(resp.body.str(), "css v1");
   EXPECT_NE(resp.etag()->value, full.etag()->value);
 }
 

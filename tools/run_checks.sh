@@ -21,10 +21,13 @@
 #             Both BENCH_*.json artifacts are written before the gate
 #             verdict so a regression still uploads its numbers
 #   asan    — ASan+UBSan build, oracle/robustness/perf labels (the
-#             fault and pooling paths are where lifetime bugs hide)
+#             fault, pooling and shared-body paths are where lifetime
+#             bugs hide)
 #   tsan    — TSan build, oracle/fleet/edge labels (trace recording and
 #             oracle counters ride the fleet's shard merge; prove they
 #             stay race-free)
+#   Each sanitizer stage builds every test target tests/CMakeLists.txt
+#   gives one of its labels (sanitizer_stage below).
 #
 # Usage: tools/run_checks.sh [stage ...]
 #   No arguments runs every stage in the order above.
@@ -257,26 +260,37 @@ stage_perf() {
   fi
 }
 
+# Builds and runs, in sanitizer tree $1, every test target whose LABELS
+# in tests/CMakeLists.txt match $2, a `ctest -L` regex such as
+# 'oracle|robustness|perf'. Building exactly those matters: ctest
+# registers an unbuilt test target as an unlabelled *_NOT_BUILT
+# placeholder, so `ctest -L` would skip it without saying so.
+sanitizer_stage() {
+  local targets
+  targets=$(sed -n 's/^catalyst_test(\([a-z0-9_]*\) .*LABELS \([^)]*\)).*/\1 \2/p' \
+      tests/CMakeLists.txt | awk -v re="$2" '{
+        for (i = 2; i <= NF; ++i) if ($i ~ "^(" re ")$") { print $1; next }
+      }')
+  if [ -z "$targets" ]; then
+    echo "FAIL: no test in tests/CMakeLists.txt carries a label in '$2'" >&2
+    exit 1
+  fi
+  # shellcheck disable=SC2086
+  cmake --build "$1" -j"$JOBS" --target $targets
+  ctest --test-dir "$1" --output-on-failure --timeout "$CTEST_TIMEOUT" \
+      -L "$2"
+}
+
 stage_asan() {
   echo "== ASan+UBSan — oracle + robustness + perf labels =="
   configure "$ASAN_BUILD_DIR" -DCATALYST_SANITIZE=address
-  cmake --build "$ASAN_BUILD_DIR" -j"$JOBS" --target \
-      check_oracle_test check_replay_test robustness_test \
-      netsim_faults_test client_retry_test \
-      util_flat_hash_test util_pool_test
-  ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure \
-      --timeout "$CTEST_TIMEOUT" -L 'oracle|robustness|perf'
+  sanitizer_stage "$ASAN_BUILD_DIR" 'oracle|robustness|perf'
 }
 
 stage_tsan() {
   echo "== TSan — oracle + fleet + edge labels =="
   configure "$TSAN_BUILD_DIR" -DCATALYST_SANITIZE=thread
-  cmake --build "$TSAN_BUILD_DIR" -j"$JOBS" --target \
-      check_replay_test fleet_determinism_test fleet_report_test \
-      fleet_user_model_test edge_tier_test edge_fleet_test \
-      edge_flash_test edge_flash_fleet_test obs_fleet_test
-  ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
-      --timeout "$CTEST_TIMEOUT" -L 'oracle|fleet|edge'
+  sanitizer_stage "$TSAN_BUILD_DIR" 'oracle|fleet|edge'
 }
 
 stages=()
