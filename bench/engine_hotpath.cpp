@@ -4,9 +4,8 @@
 //   engine_hotpath [--smoke] [--out FILE] [--baseline FILE] [--users N]
 //
 // Micro section: ns/op for the structures the hot path runs on —
-// open-addressing map lookups, the pooled event loop, slab pool cycling,
-// batched Zipf draws, and a Response copy (its 30,000-byte body shared
-// by handle).
+// open-addressing map lookups, the pooled event loop, slab pool cycling
+// and batched Zipf draws.
 //
 // Macro section: a fleet replay through the full engine (faults + edge
 // tier on, catalyst vs baseline arms, the fleetsim reference shape) and
@@ -118,15 +117,6 @@ double bench_zipf_draw(std::size_t iters) {
   Rng rng(2024);
   return bench_ns(iters, [&](std::size_t) {
     keep(workload::draw_zipf_rank(40, 0.9, rng));
-  });
-}
-
-double bench_response_copy(std::size_t iters) {
-  http::Response response;
-  response.body = std::string(30'000, 'x');
-  return bench_ns(iters, [&](std::size_t) {
-    const http::Response copy = response;  // shares the body buffer
-    keep(copy);
   });
 }
 
@@ -301,7 +291,6 @@ int main(int argc, char** argv) {
             Json::number(bench_event_loop(iters)));
   micro.set("pool_cycle_ns", Json::number(bench_pool_cycle(iters)));
   micro.set("zipf_draw_ns", Json::number(bench_zipf_draw(iters / 10)));
-  micro.set("response_copy_ns", Json::number(bench_response_copy(iters)));
 
   std::fprintf(stderr, "engine_hotpath: macro fleet %llu users%s...\n",
                static_cast<unsigned long long>(users), h2 ? " (h2)" : "");

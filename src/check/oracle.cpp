@@ -69,7 +69,7 @@ void ByteOracle::add_alias(std::string host,
     if (r == nullptr) return std::nullopt;
     if (!html_transform ||
         r->resource_class() != http::ResourceClass::Html) {
-      return r->content_digest_at(t);
+      return r->body_at(t).digest();
     }
     auto [it, inserted] = memo->try_emplace({path, r->version_at(t)});
     if (inserted) {

@@ -5,7 +5,6 @@
 #include "check/replay.h"
 #include "html/scan.h"
 #include "obs/selfprof.h"
-#include "server/catalyst_module.h"
 #include "workload/sitegen.h"
 
 namespace catalyst::fleet {
@@ -179,11 +178,11 @@ FleetReport Shard::run() {
     report.baseline_phases = base_recorder_.breakdown();
   }
   report.prof = obs::tls_prof().delta(prof_before);
-  // This thread's content-addressed memos hold entries for this shard's
-  // bodies, and the next shard it runs regenerates its own catalog: drop
-  // them, so a worker keeps one shard's worth (no page load is in flight).
+  // This thread's content-addressed scan memo holds entries for this
+  // shard's bodies, and the next shard it runs regenerates its own
+  // catalog: drop them, so a worker keeps one shard's worth (no page load
+  // is in flight).
   html::clear_scan_memo();
-  server::CatalystModule::clear_injected_bodies();
   return report;
 }
 

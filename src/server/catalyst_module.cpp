@@ -1,7 +1,6 @@
 #include "server/catalyst_module.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "html/generate.h"
 #include "html/scan.h"
@@ -20,30 +19,6 @@ std::string registration_snippet() {
   return std::string("<script>if('serviceWorker' in navigator)"
                      "navigator.serviceWorker.register('") +
          std::string(CatalystModule::kSwPath) + "');</script>";
-}
-
-/// Served body digest -> that body after inject_registration.
-using InjectedMemo = std::unordered_map<std::uint64_t, http::Body>;
-
-InjectedMemo& tls_injected_bodies() {
-  thread_local InjectedMemo memo;
-  return memo;
-}
-
-/// `served` after inject_registration, memoized by the served body's
-/// digest. The injection is a pure function of the bytes, so the memo is
-/// thread-local like html/scan.h's and every user's module on the thread
-/// shares it: each page version is copied, edited and hashed once, and
-/// every later serve of it shares one buffer.
-const http::Body& injected_body(const http::Body& served) {
-  const auto [it, inserted] =
-      tls_injected_bodies().try_emplace(served.digest());
-  if (inserted) {
-    std::string page = served.str();
-    CatalystModule::inject_registration(page);
-    it->second = std::move(page);
-  }
-  return it->second;
 }
 
 }  // namespace
@@ -75,21 +50,21 @@ const std::vector<std::string>& CatalystModule::extract_links(
       return it->second;
     }
   }
-  const std::string& content = resource.content_at(now);
+  const http::Body& body = resource.body_at(now);
   cost_accum += seconds_f(to_seconds(kScanCostPerKib) *
-                          (static_cast<double>(content.size()) / 1024.0));
+                          (static_cast<double>(body.size()) / 1024.0));
 
   std::vector<std::string> links;
-  const std::uint64_t digest = resource.content_digest_at(now);
   if (resource.resource_class() == http::ResourceClass::Html) {
     for (const html::DiscoveredResource& dr :
-         html::scan_page(content, digest).resources) {
+         html::scan_page(body.str(), body.digest()).resources) {
       std::string path =
           resolve_same_origin(site_.host(), resource.path(), dr.url);
       if (!path.empty()) links.push_back(std::move(path));
     }
   } else if (resource.resource_class() == http::ResourceClass::Css) {
-    for (const html::CssReference& ref : html::scan_css(content, digest)) {
+    for (const html::CssReference& ref :
+         html::scan_css(body.str(), body.digest())) {
       std::string path =
           resolve_same_origin(site_.host(), resource.path(), ref.url);
       if (!path.empty()) links.push_back(std::move(path));
@@ -170,20 +145,19 @@ Duration CatalystModule::decorate_html(
   response.headers.set(http::kXEtagConfig, map.encode());
 
   if (response.status == http::Status::Ok) {
-    const std::size_t before = response.body.size();
-    response.body = injected_body(response.body);
+    // The served body is the origin's shared version: inject into a copy.
+    std::string page = response.body.str();
+    const std::size_t before = page.size();
+    inject_registration(page);
     if (response.declared_body_size > 0) {
-      response.declared_body_size += response.body.size() - before;
+      response.declared_body_size += page.size() - before;
     }
+    response.body = std::move(page);
     response.finalize(now);  // refresh Content-Length
   }
   // Map assembly cost: one ETag lookup per entry (~100ns each, modeled).
   cost += nanoseconds(static_cast<std::int64_t>(100 * map.size()));
   return cost;
-}
-
-void CatalystModule::clear_injected_bodies() {
-  tls_injected_bodies() = InjectedMemo{};
 }
 
 void CatalystModule::inject_registration(std::string& body) {

@@ -63,7 +63,7 @@ class CatalystModule {
   /// not) and injects the SW registration into 200 bodies. Returns the
   /// modeled extra server compute time for this serve: the DOM-scan
   /// charge (see memoize_scans) plus 100 ns per map entry. The injected
-  /// body comes from a memo, which changes no modeled cost.
+  /// page is a new Body: the origin's shared version is never written.
   Duration decorate_html(http::Response& response, const Resource& html,
                          TimePoint now,
                          const std::vector<std::string>& learned_urls);
@@ -76,11 +76,6 @@ class CatalystModule {
   /// Public and static so the byte-equivalence oracle can reproduce the
   /// origin's transform on ground-truth content.
   static void inject_registration(std::string& body);
-
-  /// Drops this thread's memo of injected pages (decorate_html).
-  /// fleet::Shard::run calls it with html::clear_scan_memo() once its
-  /// users are replayed.
-  static void clear_injected_bodies();
 
   const CatalystConfig& config() const { return config_; }
 

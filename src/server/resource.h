@@ -51,12 +51,7 @@ class Resource {
     return body_at(t).str();
   }
 
-  /// FNV-1a digest of content_at(t): body_at(t).digest().
-  std::uint64_t content_digest_at(TimePoint t) const {
-    return body_at(t).digest();
-  }
-
-  /// Entity tag at time t: the hex rendering of content_digest_at(t)
+  /// Entity tag at time t: the hex rendering of body_at(t).digest()
   /// (memoized per version).
   const http::Etag& etag_at(TimePoint t) const;
 

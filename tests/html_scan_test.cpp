@@ -40,7 +40,7 @@ TEST(ScanMemoTest, MatchesDirectScansOnEveryCatalogBody) {
       for (const int hours_in : {0, 30, 24 * 40}) {
         const TimePoint t = TimePoint{} + hours(hours_in);
         const std::string& body = resource->content_at(t);
-        const std::uint64_t digest = resource->content_digest_at(t);
+        const std::uint64_t digest = resource->body_at(t).digest();
         switch (resource->resource_class()) {
           case http::ResourceClass::Html:
             expect_page_scan_matches(body);

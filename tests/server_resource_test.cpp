@@ -44,9 +44,9 @@ TEST(ResourceTest, EtagIsHexOfContentDigest) {
   for (const TimePoint t : {TimePoint{}, TimePoint{} + hours(1)}) {
     char hex[17]{};
     std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(r->content_digest_at(t)));
+                  static_cast<unsigned long long>(r->body_at(t).digest()));
     EXPECT_EQ(r->etag_at(t).value, hex);
-    EXPECT_EQ(r->content_digest_at(t), fnv1a64(r->content_at(t)));
+    EXPECT_EQ(r->body_at(t).digest(), fnv1a64(r->content_at(t)));
   }
 }
 

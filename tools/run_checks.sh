@@ -26,8 +26,8 @@
 #   tsan    — TSan build, oracle/fleet/edge labels (trace recording and
 #             oracle counters ride the fleet's shard merge; prove they
 #             stay race-free)
-#   Each sanitizer stage builds every test target tests/CMakeLists.txt
-#   gives one of its labels (sanitizer_stage below).
+#   Each sanitizer stage builds every test carrying one of its labels
+#   (the tests_<label> targets of tests/CMakeLists.txt).
 #
 # Usage: tools/run_checks.sh [stage ...]
 #   No arguments runs every stage in the order above.
@@ -260,37 +260,31 @@ stage_perf() {
   fi
 }
 
-# Builds and runs, in sanitizer tree $1, every test target whose LABELS
-# in tests/CMakeLists.txt match $2, a `ctest -L` regex such as
-# 'oracle|robustness|perf'. Building exactly those matters: ctest
-# registers an unbuilt test target as an unlabelled *_NOT_BUILT
-# placeholder, so `ctest -L` would skip it without saying so.
+# Builds and runs, in sanitizer tree $1, every test carrying one of the
+# labels $2...: each label's tests_<label> target (tests/CMakeLists.txt)
+# builds them all, and an unknown label fails the build. Building exactly
+# those matters: ctest registers an unbuilt test target as an unlabelled
+# *_NOT_BUILT placeholder, so `ctest -L` would skip it without saying so.
 sanitizer_stage() {
-  local targets
-  targets=$(sed -n 's/^catalyst_test(\([a-z0-9_]*\) .*LABELS \([^)]*\)).*/\1 \2/p' \
-      tests/CMakeLists.txt | awk -v re="$2" '{
-        for (i = 2; i <= NF; ++i) if ($i ~ "^(" re ")$") { print $1; next }
-      }')
-  if [ -z "$targets" ]; then
-    echo "FAIL: no test in tests/CMakeLists.txt carries a label in '$2'" >&2
-    exit 1
-  fi
-  # shellcheck disable=SC2086
-  cmake --build "$1" -j"$JOBS" --target $targets
-  ctest --test-dir "$1" --output-on-failure --timeout "$CTEST_TIMEOUT" \
-      -L "$2"
+  local dir=$1 label labels targets=()
+  shift
+  for label in "$@"; do targets+=("tests_$label"); done
+  labels=$(IFS='|'; echo "$*")
+  cmake --build "$dir" -j"$JOBS" --target "${targets[@]}"
+  ctest --test-dir "$dir" --output-on-failure --timeout "$CTEST_TIMEOUT" \
+      -L "^($labels)\$"
 }
 
 stage_asan() {
   echo "== ASan+UBSan — oracle + robustness + perf labels =="
   configure "$ASAN_BUILD_DIR" -DCATALYST_SANITIZE=address
-  sanitizer_stage "$ASAN_BUILD_DIR" 'oracle|robustness|perf'
+  sanitizer_stage "$ASAN_BUILD_DIR" oracle robustness perf
 }
 
 stage_tsan() {
   echo "== TSan — oracle + fleet + edge labels =="
   configure "$TSAN_BUILD_DIR" -DCATALYST_SANITIZE=thread
-  sanitizer_stage "$TSAN_BUILD_DIR" 'oracle|fleet|edge'
+  sanitizer_stage "$TSAN_BUILD_DIR" oracle fleet edge
 }
 
 stages=()
