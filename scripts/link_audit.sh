@@ -19,8 +19,11 @@
 # the string intern table was deleted: `intern()` and three of the
 # table's accessors went, and FlashTier's index `size()` is now keyed by
 # string. The same 97 after response bodies became shared `http::Body`
-# handles. A new function no binary calls ships with the binary that
-# calls it.
+# handles. 91 since each hop kept one path: `EventLoop::empty()` and
+# `Connection::{server,protocol,established,busy,inflight}()`, which only
+# tests called or nothing did, went with the batched dispatch and the
+# per-request push handlers. A new function no binary calls ships with
+# the binary that calls it.
 #
 #   scripts/link_audit.sh [BUILD_DIR]    (default: build-audit)
 set -euo pipefail

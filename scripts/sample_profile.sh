@@ -24,6 +24,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-sample}"
+# Absolute from here on: LD_PRELOAD needs a path that resolves anywhere.
+[[ "$BUILD_DIR" == /* ]] || BUILD_DIR="$PWD/$BUILD_DIR"
 OUT="$BUILD_DIR/profile"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
@@ -46,8 +48,13 @@ mkdir -p "$OUT"
   cc -O2 -shared -fPIC -o "$BUILD_DIR/sigprof.so" scripts/sampler/sigprof.c
 } >"$OUT/build.log" 2>&1 || { cat "$OUT/build.log" >&2; exit 1; }
 
-SAMPLE_OUT="$OUT/samples.raw" LD_PRELOAD="$PWD/$BUILD_DIR/sigprof.so" \
+rm -f "$OUT/samples.raw"
+SAMPLE_OUT="$OUT/samples.raw" LD_PRELOAD="$BUILD_DIR/sigprof.so" \
   "$BUILD_DIR/fleet_bench" "$@" >"$OUT/fleet_bench.out"
+if [[ ! -s "$OUT/samples.raw" ]]; then
+  echo "$0: no samples in $OUT/samples.raw (run too short?)" >&2
+  exit 1
+fi
 python3 scripts/sampler/symbolize.py "$OUT/samples.raw" \
   --binary "$BUILD_DIR/fleet_bench" --folded "$OUT/folded.txt" \
   "${symbolize_args[@]}" | tee "$OUT/report.txt"

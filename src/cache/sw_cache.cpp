@@ -7,7 +7,7 @@ namespace catalyst::cache {
 bool SwCache::put(const std::string& url, http::Response response) {
   if (response.cache_control().no_store || !response.etag()) return false;
   CacheEntry entry;
-  entry.body_digest = response.body_digest();
+  entry.body_digest = response.body.digest();
   entry.response = std::move(response);
   return store_.put(url, std::move(entry));
 }
@@ -16,7 +16,7 @@ SwCache::Match SwCache::match(const std::string& url,
                               const http::Etag& expected_etag) {
   CacheEntry* entry = store_.get(url);
   if (entry == nullptr) return {};
-  if (entry->body_digest != entry->response.body_digest()) {
+  if (entry->body_digest != entry->response.body.digest()) {
     // The stored bytes rotted: evict, never serve. The caller falls back
     // to a conditional GET regardless of what the map says.
     store_.erase(url);

@@ -58,7 +58,9 @@ void ByteOracle::add_alias(std::string host,
                            BodyTransform html_transform) {
   // Transformed HTML digests are memoized per (path, version) so repeat
   // audits of the same content cost a map lookup, mirroring Resource's
-  // own per-version digest.
+  // own per-version digest. Only one user's later visits reuse an entry,
+  // yet rebuilding the page per audit cost 2.9% of churn CPU per user
+  // (BENCHMARKS.md, 2026-10-18).
   auto memo = std::make_shared<
       std::map<std::pair<std::string, std::uint64_t>, std::uint64_t>>();
   origins_[std::move(host)] =
@@ -94,7 +96,7 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
       it->second(url.path, outcome.finish);
   if (!truth) return netsim::ServeClass::Unchecked;
 
-  const std::uint64_t served = outcome.response.body_digest();
+  const std::uint64_t served = outcome.response.body.digest();
   if (served == *truth) return netsim::ServeClass::Fresh;
   // The content changed mid-flight cases: a fetch started before a version
   // flip can legitimately deliver the version current at its start time.

@@ -217,45 +217,18 @@ void Browser::network_fetch(const Url& url, bool is_navigation,
   const std::string key = url.to_string();
   const cache::LookupResult lookup = http_cache_.lookup(key, loop().now());
 
-  // Oracle short-circuit: perfect validation knowledge, zero RTTs.
-  if (oracle_ && lookup.entry != nullptr) {
-    const auto cached_etag = lookup.entry->etag();
-    if (cached_etag && oracle_(url, *cached_etag)) {
-      FetchOutcome outcome;
-      outcome.response = lookup.entry->response;
-      outcome.source = netsim::FetchSource::BrowserCache;
-      if (auto* rec = loop().recorder()) {
-        rec->record(obs::Phase::kCacheLookup,
-                    config_.processing.cache_hit_overhead);
-      }
-      deliver(start, config_.processing.cache_hit_overhead,
-              std::move(outcome), std::move(on_done));
-      return;
-    }
-    // Changed on origin: a plain fetch (the oracle knows a conditional
-    // request would miss anyway).
-    http::Request req = build_request(url, is_navigation, referer);
-    fetcher_.fetch(url.host, std::move(req),
-                   [this, key, url, start, on_done = std::move(on_done)](
-                       http::Response response) mutable {
-                     const TimePoint now = loop().now();
-                     http_cache_.store(key, response, start, now);
-                     FetchOutcome outcome;
-                     outcome.response = std::move(response);
-                     outcome.source = netsim::FetchSource::Network;
-                     deliver(start, Duration::zero(), std::move(outcome),
-                             std::move(on_done));
-                   });
-    return;
-  }
-
   const bool have_entry = lookup.entry != nullptr;
   // mutate_serve_stale is the StaleServeStrategy oracle self-test: any
   // cached entry counts as fresh, skipping the revalidation RFC 9111
   // requires once the freshness lifetime has lapsed.
-  const bool fresh_hit =
-      lookup.decision == cache::LookupDecision::FreshHit ||
-      (config_.mutate_serve_stale && have_entry);
+  bool fresh_hit = lookup.decision == cache::LookupDecision::FreshHit ||
+                   (config_.mutate_serve_stale && have_entry);
+  if (oracle_ && have_entry) {
+    // Perfect validation knowledge, zero RTTs: the oracle's verdict
+    // replaces the cache's freshness decision.
+    const auto cached_etag = lookup.entry->etag();
+    fresh_hit = cached_etag && oracle_(url, *cached_etag);
+  }
 
   if (fresh_hit && !force_revalidate) {
     FetchOutcome outcome;
@@ -297,9 +270,11 @@ void Browser::network_fetch(const Url& url, bool is_navigation,
     return;
   }
 
+  // A changed entry is fetched in full under the oracle: it knows a
+  // conditional request would miss anyway.
   http::Request req = build_request(url, is_navigation, referer);
-  const bool conditional =
-      have_entry && http::add_validators(req, lookup.entry->response);
+  const bool conditional = have_entry && !oracle_ &&
+                           http::add_validators(req, lookup.entry->response);
 
   fetcher_.fetch(
       url.host, std::move(req),

@@ -70,7 +70,7 @@ netsim::Connection& Fetcher::pick_connection(
     const bool resolve_dns = dns_resolved_.insert(origin_host).second;
     pool.push_back(std::make_unique<netsim::Connection>(
         network_, client_host_, origin_host, config_.tls,
-        config_.protocol, resolve_dns));
+        config_.protocol, resolve_dns, events_));
     return *pool.back();
   }
   return *least_loaded;
@@ -87,34 +87,8 @@ void Fetcher::fetch(const std::string& origin_host, http::Request request,
     dispatch(pending);
     return;
   }
-  send(pick_connection(origin_host), origin_host, std::move(request),
-       std::move(on_response));
-}
-
-void Fetcher::send(netsim::Connection& conn, const std::string& origin,
-                   http::Request request, ResponseCallback on_response,
-                   netsim::Connection::ErrorCallback on_error) {
-  netsim::Connection::PushCallback push_cb;
-  if (push_handler_) {
-    push_cb = [this, origin](netsim::PushedResponse push) {
-      if (push_handler_) push_handler_(origin, std::move(push));
-    };
-  }
-  netsim::Connection::PromiseCallback promise_cb;
-  if (promise_handler_) {
-    promise_cb = [this, origin](const std::string& target) {
-      if (promise_handler_) promise_handler_(origin, target);
-    };
-  }
-  netsim::Connection::HintsCallback hints_cb;
-  if (hints_handler_) {
-    hints_cb = [this, origin](const std::vector<std::string>& urls) {
-      if (hints_handler_) hints_handler_(origin, urls);
-    };
-  }
-  conn.send_request(std::move(request), std::move(on_response),
-                    std::move(push_cb), std::move(promise_cb),
-                    std::move(hints_cb), std::move(on_error));
+  pick_connection(origin_host)
+      .send_request(std::move(request), std::move(on_response));
 }
 
 void Fetcher::dispatch(const std::shared_ptr<PendingFetch>& fetch) {
@@ -122,8 +96,8 @@ void Fetcher::dispatch(const std::shared_ptr<PendingFetch>& fetch) {
   fetch->conn = &conn;
   const int attempt = fetch->attempt;
   auto self = fetch;
-  send(
-      conn, fetch->origin, fetch->request,
+  conn.send_request(
+      fetch->request,
       [this, self, attempt](http::Response response) {
         if (self->settled || self->attempt != attempt) return;
         self->settled = true;

@@ -34,9 +34,6 @@ struct FetcherConfig {
 class Fetcher {
  public:
   using ResponseCallback = std::function<void(http::Response)>;
-  /// Receives (origin host, pushed response).
-  using PushCallback =
-      std::function<void(const std::string&, netsim::PushedResponse)>;
 
   Fetcher(netsim::Network& network, std::string client_host,
           FetcherConfig config);
@@ -46,23 +43,21 @@ class Fetcher {
   void fetch(const std::string& origin_host, http::Request request,
              ResponseCallback on_response);
 
-  /// Receives HTTP/2 server pushes from any connection.
-  void set_push_handler(PushCallback handler) {
-    push_handler_ = std::move(handler);
+  /// Server events, bound to each connection when the pool opens it (so
+  /// set them before the first fetch). Receives (origin host, pushed
+  /// response) for each HTTP/2 server push.
+  void set_push_handler(netsim::Connection::PushCallback handler) {
+    events_.on_push = std::move(handler);
   }
 
   /// Receives (origin host, promised target) when a PUSH_PROMISE lands.
-  using PromiseCallback =
-      std::function<void(const std::string&, const std::string&)>;
-  void set_promise_handler(PromiseCallback handler) {
-    promise_handler_ = std::move(handler);
+  void set_promise_handler(netsim::Connection::PromiseCallback handler) {
+    events_.on_promise = std::move(handler);
   }
 
   /// Receives (origin host, hinted URLs) when a 103 Early Hints lands.
-  using HintsCallback = std::function<void(const std::string&,
-                                           const std::vector<std::string>&)>;
-  void set_hints_handler(HintsCallback handler) {
-    hints_handler_ = std::move(handler);
+  void set_hints_handler(netsim::Connection::HintsCallback handler) {
+    events_.on_hints = std::move(handler);
   }
 
   /// Drops all connections (between visits).
@@ -84,12 +79,6 @@ class Fetcher {
 
   netsim::Connection& pick_connection(const std::string& origin_host);
 
-  /// Sends `request` on `conn`, wrapping the push, promise and hints
-  /// handlers so they learn which origin the connection serves.
-  void send(netsim::Connection& conn, const std::string& origin,
-            http::Request request, ResponseCallback on_response,
-            netsim::Connection::ErrorCallback on_error = nullptr);
-
   /// Resilient path: dispatches one attempt with a deadline timer and
   /// attempt-token guards against late responses/errors.
   void dispatch(const std::shared_ptr<PendingFetch>& fetch);
@@ -100,9 +89,7 @@ class Fetcher {
   FetcherConfig config_;
   std::map<std::string, std::vector<std::unique_ptr<netsim::Connection>>>
       pools_;
-  PushCallback push_handler_;
-  PromiseCallback promise_handler_;
-  HintsCallback hints_handler_;
+  netsim::Connection::ServerEvents events_;
   std::set<std::string> dns_resolved_;  // origins already resolved
   FaultCounters faults_;
 };

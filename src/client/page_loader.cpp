@@ -5,6 +5,7 @@
 #include "client/browser.h"
 #include "html/scan.h"
 #include "obs/recorder.h"
+#include "server/catalyst_module.h"
 
 namespace catalyst::client {
 
@@ -12,7 +13,7 @@ namespace {
 
 /// The `@fetch` directives of a script response, from the scan memo.
 const std::vector<std::string>& js_fetches(const http::Response& script) {
-  return html::scan_js(script.body.str(), script.body_digest());
+  return html::scan_js(script.body.str(), script.body.digest());
 }
 
 }  // namespace
@@ -53,7 +54,7 @@ void PageLoader::record(const Url& url, http::ResourceClass rc,
                  ? outcome.response.headers.wire_size() + 19
                  : 0);
   trace.status = http::code(outcome.response.status);
-  trace.body_digest = outcome.response.body_digest();
+  trace.body_digest = outcome.response.body.digest();
   trace.oracle_class = verdict;
   if (outcome.stale) ++result_.counters.stale_served;
   if (outcome.sw_fallback) ++result_.faults.fallback_revalidations;
@@ -95,7 +96,7 @@ void PageLoader::on_html(const FetchOutcome& outcome) {
 
   const http::Response& page = outcome.response;
   const html::PageScan* scan =
-      &html::scan_page(page.body.str(), page.body_digest());
+      &html::scan_page(page.body.str(), page.body.digest());
   begin_task();
   auto self = shared_from_this();
   browser_.loop().schedule_after(
@@ -246,7 +247,7 @@ void PageLoader::handle_discovered(const std::string& raw_url,
 void PageLoader::handle_css_arrival(const Url& url,
                                     const http::Response& stylesheet) {
   const std::vector<html::CssReference>* refs =
-      &html::scan_css(stylesheet.body.str(), stylesheet.body_digest());
+      &html::scan_css(stylesheet.body.str(), stylesheet.body.digest());
   begin_task();
   auto self = shared_from_this();
   browser_.loop().schedule_after(
@@ -370,7 +371,7 @@ void PageLoader::post_onload_sw_registration() {
     return;
   }
   Url sw_url = page_url_;
-  sw_url.path = "/cc-sw.js";
+  sw_url.path = server::CatalystModule::kSwPath;
   sw_url.query.clear();
   auto self = shared_from_this();
   browser_.fetch(sw_url, /*is_navigation=*/false, page_url_,

@@ -38,9 +38,7 @@ void RdrProxy::handle(const http::Request& request,
   Url page;
   page.scheme = "https";
   page.host = site_->host();
-  const auto q = request.target.find('?');
-  page.path = q == std::string::npos ? request.target
-                                     : request.target.substr(0, q);
+  page.path = request.path();
 
   headless->load_page(
       page, [this, headless, respond = std::move(respond)](

@@ -14,13 +14,6 @@ namespace {
 /// Modeled per-request edge compute (lookup + response assembly).
 constexpr Duration kProcessingDelay = microseconds(300);
 
-/// Cache keys follow static-handler semantics: the query string does not
-/// select a different representation.
-std::string path_of(const std::string& target) {
-  const auto q = target.find('?');
-  return q == std::string::npos ? target : target.substr(0, q);
-}
-
 }  // namespace
 
 EdgeNode::EdgeNode(EdgePop& pop, netsim::Network& network,
@@ -39,7 +32,9 @@ EdgeNode::EdgeNode(EdgePop& pop, netsim::Network& network,
 }
 
 std::string EdgeNode::cache_key(const http::Request& request) const {
-  std::string key = origin_host_ + path_of(request.target);
+  // Cache keys follow static-handler semantics: the query string does not
+  // select a different representation.
+  std::string key = origin_host_ + request.path();
   if (!pop_.config().vulnerable_keying) {
     if (const auto xfh = request.headers.get(http::kXForwardedHost)) {
       key += "|xfh=";
@@ -154,8 +149,6 @@ void EdgeNode::launch_fetch(const std::string& key, http::Request upstream) {
       [this, key](http::Response response) {
         on_origin_response(key, std::move(response));
       },
-      /*on_push=*/nullptr,  // pushes die at the edge (see header comment)
-      /*on_promise=*/nullptr, /*on_hints=*/nullptr,
       [this, key]() { on_origin_error(key); });
 }
 
@@ -300,6 +293,8 @@ netsim::Connection& EdgeNode::origin_connection() {
     graveyard_.push_back(std::move(origin_conn_));
   }
   if (!origin_conn_) {
+    // No server-event handlers: origin pushes die at the edge (see
+    // header comment).
     origin_conn_ = std::make_unique<netsim::Connection>(
         network_, pop_.host_name(), origin_host_, /*tls=*/true,
         netsim::Protocol::H2);

@@ -24,6 +24,10 @@ std::optional<IfNoneMatch> Request::if_none_match() const {
   return IfNoneMatch::parse(*field);
 }
 
+std::string Request::path() const {
+  return target.substr(0, target.find('?'));
+}
+
 Body::Body(std::string bytes) {
   if (bytes.empty()) return;
   const std::uint64_t digest = fnv1a64(bytes);

@@ -39,6 +39,10 @@ class Request {
 
   /// Parsed If-None-Match header, if present and well-formed.
   std::optional<IfNoneMatch> if_none_match() const;
+
+  /// The target without its query string: origins and edge caches address
+  /// resources by path.
+  std::string path() const;
 };
 
 /// An immutable response body, shared by handle. A body travels from the
@@ -98,9 +102,6 @@ class Response {
 
   /// Parsed ETag header, if present and well-formed.
   std::optional<Etag> etag() const;
-
-  /// FNV-1a digest of `body`, taken when the body was set.
-  std::uint64_t body_digest() const { return body.digest(); }
 
   /// Sets Content-Length from the wire body size and Date from `now`.
   void finalize(TimePoint now);

@@ -5,26 +5,17 @@
 // paper does for its revisit delays.
 //
 // Engine layout: callbacks live in a SlabPool (one recycled slot per
-// in-flight event, zero steady-state allocation) and the ready queue is a
-// flat binary heap of {when, seq, handle} triples. The pool's generation
-// check gives O(1) cancel — a cancelled event's handle goes stale, and
-// the heap simply skips stale entries when they surface at the top.
+// in-flight event, zero steady-state allocation) and every event, due-now
+// ones included, sits in one flat binary heap of {when, seq, handle}
+// triples. run() pops one event at a time in (when, seq) order, so events
+// at equal times run in scheduling order. The pool's generation check
+// gives O(1) cancel: a cancelled event's handle goes stale, and run()
+// skips stale entries when they surface at the top.
 //
-// Dispatch is batched by virtual timestamp: all events scheduled at the
-// earliest pending time pop off the heap in one tight run (ascending seq,
-// so ordering is identical to one-at-a-time dispatch — the golden traces
-// verify this), then execute back to back with the clock set once and the
-// self-profile scope opened once. Events due immediately — zero-delay
-// schedules and past times clamped to now — bypass the heap into a ready
-// FIFO whose append order *is* (when, seq) order for the current
-// timestamp; since the clock never moves backwards, the heap only ever
-// holds strictly-future events and the two structures never interleave.
-// Cancellation stays correct inside a batch because execution re-checks
-// each handle against the pool: an event cancelled by an earlier member
-// of its own batch dereferences to nullptr and is skipped. Events a
-// callback schedules at the still-current timestamp land in the next
-// batch pass, which matches the unbatched (when, seq) order exactly
-// because their seq is necessarily higher.
+// Events are not batched by timestamp: a FIFO of due-now events beside
+// the heap is a second ordering path that must match this one, and in
+// interleaved A/B runs removing it moved no end-to-end metric beyond the
+// runs' own spread (BENCHMARKS.md, 2026-10-18).
 //
 // Callbacks are SmallFn, not std::function: the 48-byte inline buffer
 // keeps the fetch path's capturing closures out of the heap (libstdc++'s
@@ -82,7 +73,6 @@ class EventLoop {
   /// queue; throws otherwise). Used to simulate time between page visits.
   void advance_to(TimePoint when);
 
-  bool empty() const { return pool_.live() == 0; }
   std::size_t pending() const { return pool_.live(); }
 
   /// Non-owning phase recorder hook. Every subsystem holds a loop (or a
@@ -105,20 +95,10 @@ class EventLoop {
     }
   };
 
-  /// Runs every event at the earliest pending timestamp in one batched
-  /// pass. Returns events executed (0: nothing runnable).
-  std::size_t run_batch();
-
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
-  std::vector<Entry> heap_;  // strictly-future events only
-  // Events due at the current timestamp, in scheduling order: the next
-  // batch to execute. Zero-delay schedules append here, skipping the heap.
-  std::vector<EventId> ready_;
+  std::vector<Entry> heap_;
   SlabPool<EventFn> pool_;
-  // Recycled batch buffers (a stack so re-entrant run() calls from inside
-  // a callback each get their own scratch without allocating).
-  std::vector<std::vector<EventId>> scratch_;
   obs::Recorder* recorder_ = nullptr;
 };
 

@@ -9,23 +9,16 @@ namespace catalyst::netsim {
 
 Connection::Connection(Network& network, std::string client,
                        std::string server, bool tls, Protocol protocol,
-                       bool resolve_dns)
+                       bool resolve_dns, ServerEvents events)
     : network_(network),
       client_(std::move(client)),
       server_(std::move(server)),
       tls_(tls),
       protocol_(protocol),
-      resolve_dns_(resolve_dns) {}
+      resolve_dns_(resolve_dns),
+      events_(std::move(events)) {}
 
-void Connection::connect(EventFn on_established) {
-  if (state_ == State::Established) {
-    network_.loop().schedule_after(Duration::zero(),
-                                   std::move(on_established));
-    return;
-  }
-  if (state_ == State::Broken) return;  // pool must open a fresh connection
-  connect_waiters_.push_back(std::move(on_established));
-  if (state_ == State::Connecting) return;
+void Connection::start_handshake() {
   state_ = State::Connecting;
   // TCP handshake costs one RTT before data can flow; TLS 1.3 adds one
   // more. Handshake packets are tiny — propagation dominates, so we charge
@@ -37,7 +30,7 @@ void Connection::connect(EventFn on_established) {
   if (resolve_dns_) handshake += network_.dns_lookup();
   if (auto* rec = network_.loop().recorder()) {
     // Handshake phases are charged once per connection, at initiation;
-    // the request that triggered the connect owns them (its queue phase
+    // the request that triggered the handshake owns them (its queue phase
     // starts at establishment — see PendingRequest::handshake_owner).
     rec->record(obs::Phase::kConnect, rtt);
     if (tls_) rec->record(obs::Phase::kTls, rtt);
@@ -47,9 +40,6 @@ void Connection::connect(EventFn on_established) {
     if (state_ != State::Connecting) return;  // failed during handshake
     state_ = State::Established;
     established_at_ = network_.loop().now();
-    auto waiters = std::move(connect_waiters_);
-    connect_waiters_.clear();
-    for (auto& waiter : waiters) waiter();
     pump();
   });
 }
@@ -57,7 +47,6 @@ void Connection::connect(EventFn on_established) {
 void Connection::fail() {
   if (state_ == State::Broken) return;
   state_ = State::Broken;
-  connect_waiters_.clear();
   // Error out queued requests via the loop: fail() can run inside a
   // transfer callback, and the error handlers typically re-enter the
   // pool to retry on a fresh connection.
@@ -72,9 +61,6 @@ void Connection::fail() {
 
 void Connection::send_request(http::Request request,
                               ResponseCallback on_response,
-                              PushCallback on_push,
-                              PromiseCallback on_promise,
-                              HintsCallback on_hints,
                               ErrorCallback on_error) {
   if (state_ == State::Broken) {
     if (on_error) {
@@ -82,18 +68,14 @@ void Connection::send_request(http::Request request,
     }
     return;
   }
-  const bool initiates_handshake = state_ == State::Idle;
-  queue_.push_back(PendingRequest{std::move(request), std::move(on_response),
-                                  std::move(on_push), std::move(on_promise),
-                                  std::move(on_hints), std::move(on_error),
-                                  FaultDecision{}});
-  queue_.back().enqueued = network_.loop().now();
-  queue_.back().handshake_owner = initiates_handshake;
-  if (state_ != State::Established) {
-    connect([] {});
-    return;  // pump() runs on establishment
-  }
-  pump();
+  PendingRequest& pending = queue_.emplace_back();
+  pending.request = std::move(request);
+  pending.on_response = std::move(on_response);
+  pending.on_error = std::move(on_error);
+  pending.enqueued = network_.loop().now();
+  pending.handshake_owner = state_ == State::Idle;
+  if (pending.handshake_owner) start_handshake();
+  pump();  // waits for establishment
 }
 
 void Connection::pump() {
@@ -151,8 +133,6 @@ void Connection::start_exchange(PendingRequest pending) {
 void Connection::deliver_reply(ServerReply reply, PendingRequest& pending) {
   obs::ScopedTimer prof_timer(obs::Sub::kTransport);
   ResponseCallback on_response = std::move(pending.on_response);
-  PushCallback on_push = std::move(pending.on_push);
-  PromiseCallback on_promise = std::move(pending.on_promise);
 
   if (pending.fault.drop_mid_stream || pending.fault.stall) {
     // The response transfer dies partway: a fraction of the bytes occupy
@@ -185,7 +165,7 @@ void Connection::deliver_reply(ServerReply reply, PendingRequest& pending) {
   // 103 Early Hints: a ~150-byte interim response races ahead of the
   // body (it shares the downlink, but its transmission time is
   // negligible next to the full response).
-  if (!reply.early_hint_urls.empty() && pending.on_hints) {
+  if (!reply.early_hint_urls.empty() && events_.on_hints) {
     ByteCount hint_bytes = 60;  // status line + Link header boilerplate
     for (const std::string& url : reply.early_hint_urls) {
       hint_bytes += url.size() + 24;
@@ -193,31 +173,36 @@ void Connection::deliver_reply(ServerReply reply, PendingRequest& pending) {
     bytes_received_ += hint_bytes;
     network_.send_bytes(
         server_, client_, hint_bytes,
-        [cb = std::move(pending.on_hints),
-         urls = std::move(reply.early_hint_urls)] { cb(urls); });
+        [this, urls = std::move(reply.early_hint_urls)] {
+          events_.on_hints(server_, urls);
+        });
   }
   // Server pushes: H2 only. The tiny PUSH_PROMISE frames race ahead
   // (propagation-dominated), telling the client not to request those
   // targets; the pushed bodies then transfer multiplexed with the main
   // response (concurrent flows share the downlink via processor sharing).
-  if (protocol_ == Protocol::H2 && !reply.pushes.empty() && on_push) {
+  if (protocol_ == Protocol::H2 && !reply.pushes.empty() &&
+      events_.on_push) {
     const Duration propagation = network_.one_way(server_, client_);
     for (PushedResponse& push : reply.pushes) {
       // PUSH_PROMISE frame: 9-octet frame header + promised stream id +
       // a header block announcing the request (~ :path + :method).
       const ByteCount promise_bytes = 9 + 4 + 32 + push.target.size();
       bytes_received_ += promise_bytes + push.response.wire_size();
-      if (on_promise) {
+      if (events_.on_promise) {
         network_.loop().schedule_after(
-            propagation,
-            [cb = on_promise, target = push.target] { cb(target); });
+            propagation, [this, target = push.target] {
+              events_.on_promise(server_, target);
+            });
       }
       auto shared_push = std::make_shared<PushedResponse>(std::move(push));
       const ByteCount push_bytes =
           promise_bytes + shared_push->response.wire_size();
       network_.send_bytes(
           server_, client_, push_bytes,
-          [cb = on_push, shared_push] { cb(std::move(*shared_push)); });
+          [this, shared_push] {
+            events_.on_push(server_, std::move(*shared_push));
+          });
     }
   }
 

@@ -23,55 +23,52 @@ enum class Protocol { H1, H2 };
 class Connection {
  public:
   using ResponseCallback = std::function<void(http::Response)>;
-  using PushCallback = std::function<void(PushedResponse)>;
+  /// Server-initiated events. Each handler receives the connection's
+  /// server host name first, so one handler can serve every origin.
+  using PushCallback =
+      std::function<void(const std::string& server, PushedResponse)>;
   /// Announces a PUSH_PROMISE: the tiny promise frame races ahead of the
   /// response bodies, so the client learns "don't request this target,
   /// it is on its way" roughly one propagation delay after the server
   /// commits to pushing.
-  using PromiseCallback = std::function<void(const std::string& target)>;
+  using PromiseCallback = std::function<void(const std::string& server,
+                                             const std::string& target)>;
   /// Delivers a 103 Early Hints interim response: the hinted preload
   /// targets arrive ahead of the main response body.
-  using HintsCallback =
-      std::function<void(const std::vector<std::string>& urls)>;
+  using HintsCallback = std::function<void(
+      const std::string& server, const std::vector<std::string>& urls)>;
   /// Fires when the request's exchange fails with a *detectable* error
   /// (connection reset mid-stream, or the connection broke while the
   /// request was still queued). Silent faults — stalls, dark
   /// origins — fire nothing; only a client deadline recovers those.
   using ErrorCallback = std::function<void()>;
 
+  /// The server events a connection delivers, bound once when it opens.
+  /// An unset handler drops its event: pushes also drop on H1, which
+  /// cannot express them.
+  struct ServerEvents {
+    PushCallback on_push;
+    PromiseCallback on_promise;
+    HintsCallback on_hints;
+  };
+
   /// `client`/`server` are host names registered in `network`. When
   /// `resolve_dns` is set, the handshake additionally pays the network's
   /// DNS lookup delay (the pool sets it on the first connection to an
   /// origin; later connections hit the resolver cache).
   Connection(Network& network, std::string client, std::string server,
-             bool tls, Protocol protocol, bool resolve_dns = false);
+             bool tls, Protocol protocol, bool resolve_dns = false,
+             ServerEvents events = {});
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Starts the handshake if needed; `on_established` runs (possibly
-  /// immediately via the loop) once the connection is usable.
-  void connect(EventFn on_established);
-
-  bool established() const { return state_ == State::Established; }
-
-  /// H1: a request is in flight (new sends queue). H2: never busy.
-  bool busy() const {
-    return protocol_ == Protocol::H1 && inflight_ > 0;
-  }
-  std::size_t inflight() const { return inflight_; }
-
   /// Requests in flight plus queued (pool load-balancing metric).
   std::size_t pending() const { return inflight_ + queue_.size(); }
 
-  /// Sends a request; auto-connects when idle. `on_push` receives any
-  /// server-pushed responses (H2 only; ignored on H1 connections because
-  /// the protocol cannot express them); `on_promise` fires earlier, when
-  /// the PUSH_PROMISE frame reaches the client.
+  /// Sends a request; the first one on an idle connection starts the
+  /// handshake, and requests sent before it completes wait for it.
   void send_request(http::Request request, ResponseCallback on_response,
-                    PushCallback on_push = nullptr,
-                    PromiseCallback on_promise = nullptr,
-                    HintsCallback on_hints = nullptr,
                     ErrorCallback on_error = nullptr);
 
   /// Marks the connection dead: queued requests error out, in-flight
@@ -81,9 +78,6 @@ class Connection {
   /// destruction waits for close_all() after the loop drains.
   void fail();
   bool broken() const { return state_ == State::Broken; }
-
-  Protocol protocol() const { return protocol_; }
-  const std::string& server() const { return server_; }
 
   /// RTTs consumed so far (handshake + one per completed exchange).
   int rtts_consumed() const { return rtts_consumed_; }
@@ -97,16 +91,13 @@ class Connection {
   struct PendingRequest {
     http::Request request;
     ResponseCallback on_response;
-    PushCallback on_push;
-    PromiseCallback on_promise;
-    HintsCallback on_hints;
     ErrorCallback on_error;
     FaultDecision fault;  // decided when the exchange starts
     // Phase-breakdown bookkeeping (inert unless a recorder is attached).
     // A request that initiated the connection's handshake charges that
-    // wait to the Dns/Connect/Tls phases recorded at connect() time, so
-    // its queue phase starts at establishment; a request that merely
-    // rides an in-progress handshake (or waits behind h1 traffic)
+    // wait to the Dns/Connect/Tls phases recorded when the handshake
+    // starts, so its queue phase starts at establishment; a request that
+    // merely rides an in-progress handshake (or waits behind h1 traffic)
     // charges the whole wait to kQueue. Together the client phases of a
     // fetch sum exactly to its duration.
     TimePoint enqueued{};
@@ -115,6 +106,7 @@ class Connection {
     obs::PhaseTimeline timeline;
   };
 
+  void start_handshake();
   void start_exchange(PendingRequest pending);
   void deliver_reply(ServerReply reply, PendingRequest& pending);
   void pump();  // H1: issue the next queued request if idle
@@ -125,9 +117,9 @@ class Connection {
   bool tls_;
   Protocol protocol_;
   bool resolve_dns_;
+  ServerEvents events_;
   State state_ = State::Idle;
   TimePoint established_at_{};
-  std::vector<EventFn> connect_waiters_;
   std::deque<PendingRequest> queue_;  // H1 serialization
   std::size_t inflight_ = 0;
   int rtts_consumed_ = 0;

@@ -11,11 +11,6 @@ namespace {
 /// Baseline request handling time (accept/parse/route/IO).
 constexpr Duration kProcessingDelay = microseconds(500);
 
-std::string path_of(const std::string& target) {
-  const auto q = target.find('?');
-  return q == std::string::npos ? target : target.substr(0, q);
-}
-
 }  // namespace
 
 Server::Server(netsim::Network& network, std::shared_ptr<Site> site,
@@ -48,7 +43,7 @@ Server::Server(netsim::Network& network, std::shared_ptr<Site> site,
 void Server::handle(const http::Request& request,
                     std::function<void(netsim::ServerReply)> respond) {
   const TimePoint now = network_.loop().now();
-  const std::string path = path_of(request.target);
+  const std::string path = request.path();
 
   std::string session_id;
   if (const auto cookie = request.headers.get("Cookie")) {

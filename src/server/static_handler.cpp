@@ -4,19 +4,9 @@
 
 namespace catalyst::server {
 
-namespace {
-
-/// Strips the query string: the virtual filesystem is keyed by path.
-std::string path_of(const std::string& target) {
-  const auto q = target.find('?');
-  return q == std::string::npos ? target : target.substr(0, q);
-}
-
-}  // namespace
-
 http::Response StaticHandler::handle(const http::Request& request,
                                      TimePoint now) {
-  const std::string path = path_of(request.target);
+  const std::string path = request.path();
   if (site_.is_gone(path)) {
     http::Response resp = http::Response::make(http::Status::Gone);
     resp.body = "gone";

@@ -53,7 +53,6 @@ void Adversary::send_poison(const std::string& path,
       [this](http::Response) {
         if (--pending_poisons_ == 0) flush_probes();
       },
-      /*on_push=*/nullptr, /*on_promise=*/nullptr, /*on_hints=*/nullptr,
       // A faulted poison still releases its probes — they must never
       // stall on a lost response.
       [this]() {

@@ -26,7 +26,7 @@ TEST(BodyTest, CopiesShareOneBuffer) {
   assigned = copied;
   EXPECT_EQ(copied.body.str().data(), body.str().data());
   EXPECT_EQ(assigned.body.str().data(), body.str().data());
-  EXPECT_EQ(assigned.body_digest(), body.digest());
+  EXPECT_EQ(assigned.body.digest(), body.digest());
 }
 
 TEST(BodyTest, DigestIsFnv1aOfTheBytesEmptyIncluded) {
@@ -41,7 +41,7 @@ TEST(BodyTest, DigestIsFnv1aOfTheBytesEmptyIncluded) {
   const http::Body none;
   EXPECT_TRUE(none.str().empty());
   EXPECT_EQ(none.digest(), fnv1a64(""));
-  EXPECT_EQ(http::Response{}.body_digest(), fnv1a64(""));
+  EXPECT_EQ(http::Response{}.body.digest(), fnv1a64(""));
 }
 
 class OriginBodyTest : public ::testing::Test {
@@ -79,7 +79,7 @@ TEST_F(OriginBodyTest, StaticServesShareTheVersionBuffer) {
       handler.handle(http::Request::get("/a.css", "example.com"), t);
   EXPECT_EQ(first.body.str().data(), css.content_at(t).data());
   EXPECT_EQ(second.body.str().data(), css.content_at(t).data());
-  EXPECT_EQ(first.body_digest(), css.body_at(t).digest());
+  EXPECT_EQ(first.body.digest(), css.body_at(t).digest());
 }
 
 TEST_F(OriginBodyTest, ReflectedServesLeaveTheOriginVersionAlone) {
@@ -104,7 +104,7 @@ TEST_F(OriginBodyTest, ReflectedServesLeaveTheOriginVersionAlone) {
     const http::Response reflected = exchange(std::move(poisoned));
     EXPECT_NE(reflected.body.str().find("<!--reflect:evil.example-->"),
               std::string::npos);
-    EXPECT_EQ(reflected.body_digest(), fnv1a64(reflected.body.str()));
+    EXPECT_EQ(reflected.body.digest(), fnv1a64(reflected.body.str()));
     EXPECT_EQ(reflected.headers.get(http::kContentLength),
               std::to_string(reflected.body_wire_size()));
 
@@ -114,7 +114,7 @@ TEST_F(OriginBodyTest, ReflectedServesLeaveTheOriginVersionAlone) {
         exchange(http::Request::get(path, "example.com"));
     EXPECT_EQ(clean.body.str().find("<!--reflect:"), std::string::npos);
     EXPECT_EQ(clean.body.str(), clean_before.body.str());
-    EXPECT_EQ(clean.body_digest(), fnv1a64(clean.body.str()));
+    EXPECT_EQ(clean.body.digest(), fnv1a64(clean.body.str()));
   }
 }
 
@@ -134,7 +134,7 @@ TEST_F(OriginBodyTest, DecoratedServesInjectIntoACopy) {
   for (int i = 0; i < 2; ++i) {
     const http::Response served = serve();
     EXPECT_EQ(served.body.str(), expected);
-    EXPECT_EQ(served.body_digest(), fnv1a64(expected));
+    EXPECT_EQ(served.body.digest(), fnv1a64(expected));
     EXPECT_NE(served.body.str().data(), page.content_at(t).data());
   }
   // The origin's own version is untouched.
@@ -175,7 +175,7 @@ TEST(SwCacheBodyTest, CorruptingOneEntryLeavesTheSharedBufferServable) {
   ASSERT_NE(intact.response, nullptr);
   EXPECT_FALSE(intact.integrity_failure);
   EXPECT_EQ(intact.response->body.str().data(), response.body.str().data());
-  EXPECT_EQ(intact.response->body_digest(), fnv1a64(response.body.str()));
+  EXPECT_EQ(intact.response->body.digest(), fnv1a64(response.body.str()));
 }
 
 }  // namespace

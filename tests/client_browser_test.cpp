@@ -120,6 +120,40 @@ TEST_F(BrowserFixture, OracleValidatesWithoutNetwork) {
   EXPECT_EQ(changed.source, netsim::FetchSource::Network);
 }
 
+TEST_F(BrowserFixture, OracleRefetchesAnEntryFreshByTtlButChanged) {
+  Browser browser = make_browser();
+  auto site = site_;
+  netsim::EventLoop* loop = &loop_;
+  browser.set_oracle([site, loop](const Url& url, const http::Etag& etag) {
+    const server::Resource* r = site->find(url.path);
+    return r != nullptr && r->etag_at(loop->now()).weak_equals(etag);
+  });
+  // Record what reaches the origin, then let the server answer.
+  std::vector<bool> conditional;
+  netsim::RequestHandler serve = net_.host("origin.test").handler();
+  net_.host("origin.test")
+      .set_handler([&conditional, serve](const http::Request& request,
+                                         auto respond) {
+        conditional.push_back(request.headers.contains(http::kIfNoneMatch));
+        serve(request, std::move(respond));
+      });
+  // Stored five minutes before the content changes at +10h, with a
+  // ten-minute TTL: still fresh by its TTL two minutes after the change.
+  const auto v0 = fetch_now(browser, TimePoint{} + hours(10) - minutes(5));
+  browser.end_visit();
+  EXPECT_EQ(browser.http_cache()
+                .lookup("https://origin.test/r.css",
+                        TimePoint{} + hours(10) + minutes(2))
+                .decision,
+            cache::LookupDecision::FreshHit);
+  const auto changed =
+      fetch_now(browser, TimePoint{} + hours(10) + minutes(2));
+  EXPECT_EQ(changed.source, netsim::FetchSource::Network);
+  EXPECT_EQ(changed.response.status, http::Status::Ok);
+  EXPECT_NE(changed.response.body.str(), v0.response.body.str());
+  EXPECT_EQ(conditional, (std::vector<bool>{false, false}));
+}
+
 TEST_F(BrowserFixture, ConcurrentLoadsRejected) {
   Browser browser = make_browser();
   browser.load_page(*Url::parse("https://origin.test/r.css"),

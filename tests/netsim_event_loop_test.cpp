@@ -72,9 +72,8 @@ TEST(EventLoopTest, PendingCountsExcludeCancelled) {
   EXPECT_EQ(loop.pending(), 2u);
   loop.cancel(a);
   EXPECT_EQ(loop.pending(), 1u);
-  EXPECT_FALSE(loop.empty());
   loop.run();
-  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.pending(), 0u);
 }
 
 TEST(EventLoopTest, AdvanceToRequiresEmptyQueue) {
@@ -97,11 +96,11 @@ TEST(EventLoopTest, AdvanceToAllowedAfterCancellingAll) {
   EXPECT_EQ(loop.now(), TimePoint{} + seconds(1));
 }
 
-// Unbatched reference model: executes strictly one event at a time by
-// scanning for the minimum (when, seq) pair — the pre-batching dispatch
-// semantics. The batched EventLoop must produce exactly the same
-// execution order for any workload, including same-timestamp events
-// scheduled from inside callbacks and cancels of not-yet-run events.
+// Reference model: executes strictly one event at a time by scanning for
+// the minimum (when, seq) pair. The heap-based EventLoop must produce
+// exactly the same execution order for any workload, including
+// same-timestamp events scheduled from inside callbacks and cancels of
+// not-yet-run events.
 class RefLoop {
  public:
   std::uint64_t schedule_after(Duration delay, std::function<void()> fn) {
@@ -188,24 +187,24 @@ std::vector<int> drive_scenario(Loop& loop, std::uint64_t seed) {
   return log;
 }
 
-TEST(EventLoopTest, BatchedDispatchMatchesUnbatchedReference) {
+TEST(EventLoopTest, DispatchMatchesReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    EventLoop batched;
+    EventLoop loop;
     RefLoop reference;
-    const std::vector<int> got = drive_scenario(batched, seed);
+    const std::vector<int> got = drive_scenario(loop, seed);
     const std::vector<int> want = drive_scenario(reference, seed);
     ASSERT_FALSE(want.empty());
     EXPECT_EQ(got, want) << "seed " << seed;
   }
 }
 
-TEST(EventLoopTest, IntraBatchCancelSkipsSameTimestampEvent) {
+TEST(EventLoopTest, SameTimestampCancelSkipsQueuedEvent) {
   EventLoop loop;
   std::vector<int> order;
   EventId doomed = 0;
   loop.schedule_after(milliseconds(5), [&] {
     order.push_back(1);
-    loop.cancel(doomed);  // same timestamp, already in the ready batch
+    loop.cancel(doomed);  // same timestamp, already due
   });
   doomed = loop.schedule_after(milliseconds(5), [&] { order.push_back(2); });
   loop.schedule_after(milliseconds(5), [&] { order.push_back(3); });
@@ -213,12 +212,12 @@ TEST(EventLoopTest, IntraBatchCancelSkipsSameTimestampEvent) {
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
-TEST(EventLoopTest, ZeroDelayFromCallbackRunsAfterCurrentBatch) {
+TEST(EventLoopTest, ZeroDelayFromCallbackRunsAfterDueEvents) {
   EventLoop loop;
   std::vector<int> order;
   loop.schedule_after(milliseconds(5), [&] {
     order.push_back(1);
-    // Due now: must run after the rest of this batch, not before.
+    // Due now: must run after the events already due now, not before.
     loop.schedule_after(milliseconds(0), [&] { order.push_back(3); });
   });
   loop.schedule_after(milliseconds(5), [&] { order.push_back(2); });

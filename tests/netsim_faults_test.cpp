@@ -136,8 +136,8 @@ TEST_F(FaultTransportFixture, MidStreamDropErrorsAndBreaksH1) {
   bool got_response = false, got_error = false;
   conn.send_request(
       http::Request::get("/", "origin"),
-      [&](http::Response) { got_response = true; }, nullptr, nullptr,
-      nullptr, [&] { got_error = true; });
+      [&](http::Response) { got_response = true; },
+      [&] { got_error = true; });
   loop_.run();
   EXPECT_FALSE(got_response);
   EXPECT_TRUE(got_error);
@@ -156,8 +156,8 @@ TEST_F(FaultTransportFixture, MidStreamDropOnH2LosesOnlyTheStream) {
   Connection conn(net_, "client", "origin", false, Protocol::H2);
   bool got_error = false;
   conn.send_request(
-      http::Request::get("/", "origin"), [](http::Response) {}, nullptr,
-      nullptr, nullptr, [&] { got_error = true; });
+      http::Request::get("/", "origin"), [](http::Response) {},
+      [&] { got_error = true; });
   loop_.run();
   EXPECT_TRUE(got_error);
   // RST_STREAM, not a connection teardown.
@@ -172,13 +172,13 @@ TEST_F(FaultTransportFixture, StallDeliversNothingAndRaisesNoError) {
   bool got_response = false, got_error = false;
   conn.send_request(
       http::Request::get("/", "origin"),
-      [&](http::Response) { got_response = true; }, nullptr, nullptr,
-      nullptr, [&] { got_error = true; });
+      [&](http::Response) { got_response = true; },
+      [&] { got_error = true; });
   loop_.run();  // drains — a stall schedules nothing further
   EXPECT_FALSE(got_response);
   EXPECT_FALSE(got_error);
   // The exchange is wedged in flight; only a client deadline recovers it.
-  EXPECT_EQ(conn.inflight(), 1u);
+  EXPECT_EQ(conn.pending(), 1u);
   EXPECT_FALSE(conn.broken());
 }
 
@@ -190,14 +190,14 @@ TEST_F(FaultTransportFixture, DarkOriginBlackholesAtArrival) {
   bool got_response = false, got_error = false;
   conn.send_request(
       http::Request::get("/", "origin"),
-      [&](http::Response) { got_response = true; }, nullptr, nullptr,
-      nullptr, [&] { got_error = true; });
+      [&](http::Response) { got_response = true; },
+      [&] { got_error = true; });
   loop_.run();
   EXPECT_FALSE(got_response);
   EXPECT_FALSE(got_error);
   EXPECT_EQ(handler_calls_, 0);
   // The request is wedged in flight; only a client deadline recovers it.
-  EXPECT_EQ(conn.inflight(), 1u);
+  EXPECT_EQ(conn.pending(), 1u);
 }
 
 }  // namespace

@@ -150,12 +150,12 @@ TEST_F(CatalystModuleFixture, DecorateHtmlAddsHeaderAndSwSnippet) {
             std::to_string(resp.body.size()));
   // The digest is the decorated body's, also when a second serve
   // of the same version takes it from the memo.
-  EXPECT_EQ(resp.body_digest(), fnv1a64(resp.body.str()));
+  EXPECT_EQ(resp.body.digest(), fnv1a64(resp.body.str()));
   http::Response again = handler.handle(
       http::Request::get("/index.html", "example.com"), TimePoint{});
   mod.decorate_html(again, *site_->find("/index.html"), TimePoint{}, {});
   EXPECT_EQ(again.body.str(), resp.body.str());
-  EXPECT_EQ(again.body_digest(), fnv1a64(again.body.str()));
+  EXPECT_EQ(again.body.digest(), fnv1a64(again.body.str()));
 }
 
 TEST_F(CatalystModuleFixture, Decorate304CarriesMapWithoutBody) {

@@ -29,19 +29,20 @@ class ServerFixture : public ::testing::Test {
                           std::vector<netsim::PushedResponse>* pushes =
                               nullptr,
                           std::vector<std::string>* hints = nullptr) {
+    netsim::Connection::ServerEvents events;
+    events.on_push = [&](const std::string&, netsim::PushedResponse push) {
+      if (pushes) pushes->push_back(std::move(push));
+    };
+    events.on_hints = [&](const std::string&,
+                          const std::vector<std::string>& urls) {
+      if (hints) *hints = urls;
+    };
     netsim::Connection conn(net_, "client", "example.com", /*tls=*/false,
-                            protocol);
+                            protocol, /*resolve_dns=*/false,
+                            std::move(events));
     std::optional<http::Response> got;
-    conn.send_request(
-        std::move(request),
-        [&](http::Response resp) { got = std::move(resp); },
-        [&](netsim::PushedResponse push) {
-          if (pushes) pushes->push_back(std::move(push));
-        },
-        /*on_promise=*/nullptr,
-        [&](const std::vector<std::string>& urls) {
-          if (hints) *hints = urls;
-        });
+    conn.send_request(std::move(request),
+                      [&](http::Response resp) { got = std::move(resp); });
     loop_.run();
     EXPECT_TRUE(got.has_value());
     return std::move(*got);

@@ -17,7 +17,8 @@
 #   perf    — engine_hotpath --smoke gated against bench/baselines/
 #             hotpath.json (fails on >20% macro throughput regression)
 #             plus the edge_offload --smoke flash sweep and the
-#             --breakdown overhead gate (>=97% of off-throughput).
+#             --breakdown overhead gate (median one-thread CPU time off
+#             over on, nine interleaved runs each, >=0.97).
 #             Both BENCH_*.json artifacts are written before the gate
 #             verdict so a regression still uploads its numbers
 #   asan    — ASan+UBSan build, oracle/robustness/perf labels (the
@@ -250,8 +251,9 @@ stage_perf() {
   "./$BUILD_DIR/bench/edge_offload" --smoke > BENCH_edge_offload.json
 
   echo "== perf smoke: observability overhead gate =="
-  # The phase breakdown must stay near-free: the same macro fleet with
-  # --breakdown on must keep >=97% of breakdown-off throughput.
+  # The phase breakdown must stay near-free: over nine interleaved
+  # one-thread runs per side, the median process CPU time of the macro
+  # fleet with --breakdown off must be >=97% of the median with it on.
   "./$BUILD_DIR/bench/engine_hotpath" --smoke --overhead-gate
 
   if [ "$hotpath_rc" -ne 0 ]; then
