@@ -24,9 +24,9 @@
 // --self-profile  enable the obs wall-clock subsystem timers; adds a
 //               "self_profile" JSON section and a stderr table
 // --overhead-gate  run the macro fleet on one thread with the phase
-//               breakdown off and on, nine interleaved runs each, and exit
-//               1 when the median process CPU time off over the median on
-//               drops below overhead_ratio (default 0.97) — the
+//               breakdown off and on, nine back-to-back pairs, and exit 1
+//               when the median over pairs of process CPU time off over
+//               on drops below overhead_ratio (default 0.97) — the
 //               observability overhead gate
 //
 // Timing numbers are hardware-dependent; baselines only make sense
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
   std::uint64_t users = 0;
   double min_ratio = 0.8;
   double overhead_ratio = 0.97;  // breakdown-on must keep 97% throughput
-  // Runs per side of the overhead gate (odd, so the median is one run):
+  // Off/on pairs of the overhead gate (odd, so the median is one pair):
   // one run's CPU time moves by up to a quarter with what else the
   // machine runs, so the gate needs medians.
   constexpr int kGateRuns = 9;
@@ -283,27 +283,31 @@ int main(int argc, char** argv) {
   if (overhead_gate) {
     // Observability overhead gate: what the phase breakdown costs is CPU,
     // so it compares the process CPU time of the same one-thread macro
-    // fleet with the breakdown off and on. The runs interleave and
-    // alternate which side goes first, so drift in the machine's load
-    // falls on both sides alike.
-    std::vector<double> off, on;
+    // fleet with the breakdown off and on. Each rep runs both sides back
+    // to back, alternating which goes first, and yields one ratio: load
+    // that changes between reps then falls on both sides of its ratio,
+    // and the median ratio drops the reps a burst of load skewed.
+    std::vector<double> ratios;
     for (int rep = 0; rep < kGateRuns; ++rep) {
       const bool on_first = rep % 2 == 1;
+      double cpu_off = 0.0;
+      double cpu_on = 0.0;
       for (const bool breakdown : {on_first, !on_first}) {
         const double cpu = run_macro(users, /*threads=*/1, breakdown).cpu_s;
-        (breakdown ? on : off).push_back(cpu);
+        (breakdown ? cpu_on : cpu_off) = cpu;
         std::fprintf(stderr,
                      "engine_hotpath: run %d breakdown %s: %.3f s CPU\n",
                      rep + 1, breakdown ? "on " : "off", cpu);
       }
+      ratios.push_back(cpu_on > 0.0 ? cpu_off / cpu_on : 0.0);
+      std::fprintf(stderr, "engine_hotpath: pair %d off/on %.3f\n", rep + 1,
+                   ratios.back());
     }
-    const double median_off = median(off);
-    const double median_on = median(on);
-    const double ratio = median_on > 0.0 ? median_off / median_on : 0.0;
+    const double ratio = median(ratios);
     std::fprintf(stderr,
-                 "engine_hotpath: overhead gate: median CPU breakdown off "
-                 "%.3f s, on %.3f s over %d runs each (%.3fx, gate %.2fx)\n",
-                 median_off, median_on, kGateRuns, ratio, overhead_ratio);
+                 "engine_hotpath: overhead gate: median CPU off/on over %d "
+                 "pairs %.3fx (gate %.2fx)\n",
+                 kGateRuns, ratio, overhead_ratio);
     if (ratio < overhead_ratio) {
       std::fprintf(stderr,
                    "engine_hotpath: FAIL — --breakdown costs more than "

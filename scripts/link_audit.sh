@@ -22,8 +22,9 @@
 # handles. 91 since each hop kept one path: `EventLoop::empty()` and
 # `Connection::{server,protocol,established,busy,inflight}()`, which only
 # tests called or nothing did, went with the batched dispatch and the
-# per-request push handlers. A new function no binary calls ships with
-# the binary that calls it.
+# per-request push handlers. 90 since `Resource` sizes its version slots
+# with `ChangeProcess::total_changes()`, which only tests had called. A
+# new function no binary calls ships with the binary that calls it.
 #
 #   scripts/link_audit.sh [BUILD_DIR]    (default: build-audit)
 set -euo pipefail

@@ -51,6 +51,9 @@ FleetReport FleetRunner::run() {
     }
   }
   std::atomic<std::size_t> next{0};
+  // One catalog for the run: shards that run at the same time share the
+  // sites they both serve. Nothing is generated until a shard asks.
+  SiteCatalog catalog(params_.user_model);
 
   // Incremental canonical merge: shard reports fold into `merged` in
   // ascending shard index (== ascending user id) the moment the run
@@ -66,7 +69,7 @@ FleetReport FleetRunner::run() {
 
   auto worker = [&] {
     for (std::size_t s; (s = next.fetch_add(1)) < tasks.size();) {
-      FleetReport report = Shard(params_, tasks[s]).run();
+      FleetReport report = Shard(params_, tasks[s], catalog).run();
       std::lock_guard<std::mutex> lock(merge_mutex);
       pending.emplace(s, std::move(report));
       while (!pending.empty() && pending.begin()->first == next_merge) {

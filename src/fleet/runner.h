@@ -2,10 +2,11 @@
 // cursor.
 //
 // Sharding is a pure function of (num_users, shard_size) — never of the
-// thread count — and each shard's report lands in a slot indexed by shard
-// id, merged in ascending id order after the workers join. Combined with
-// per-user RNG keying (user_model) and shard-private state (shard), that
-// makes the merged FleetReport bit-identical for any --threads value.
+// thread count — and each shard's report merges in ascending shard id.
+// Combined with per-user RNG keying (user_model), shard-private mutable
+// state and a shared site catalog whose content is a pure function of the
+// catalog seed (shard), that makes the merged FleetReport bit-identical
+// for any --threads value.
 #pragma once
 
 #include <cstdint>

@@ -41,18 +41,28 @@ std::vector<client::PageLoadResult> replay_timeline(
 
 }  // namespace
 
-std::shared_ptr<server::Site> Shard::site_for(int site_index) {
-  auto it = sites_.find(site_index);
-  if (it != sites_.end()) return it->second;
+std::shared_ptr<server::Site> SiteCatalog::acquire(int site_index) {
+  // Generating under the lock keeps one Site per index while it lives. It
+  // builds only the resource tree (content versions are built when first
+  // served), about 0.1 ms a site, so other shards wait little for it.
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::weak_ptr<server::Site>& slot = sites_[site_index];
+  if (auto site = slot.lock()) return site;
   workload::SitegenParams sp;
-  sp.seed = params_.user_model.sitegen_seed;
+  sp.seed = params_.sitegen_seed;
   sp.site_index = site_index;
-  sp.clone_static_snapshot = params_.user_model.clone_static_snapshot;
-  sp.errors.dead_link_fraction = params_.user_model.dead_link_fraction;
-  sp.errors.gone_link_fraction = params_.user_model.gone_link_fraction;
-  sp.errors.soft404_fraction = params_.user_model.soft404_fraction;
+  sp.clone_static_snapshot = params_.clone_static_snapshot;
+  sp.errors.dead_link_fraction = params_.dead_link_fraction;
+  sp.errors.gone_link_fraction = params_.gone_link_fraction;
+  sp.errors.soft404_fraction = params_.soft404_fraction;
   auto site = workload::generate_site(sp);
-  sites_.emplace(site_index, site);
+  slot = site;
+  return site;
+}
+
+std::shared_ptr<server::Site> Shard::site_for(int site_index) {
+  std::shared_ptr<server::Site>& site = sites_[site_index];
+  if (!site) site = catalog_.acquire(site_index);
   return site;
 }
 
@@ -179,9 +189,9 @@ FleetReport Shard::run() {
   }
   report.prof = obs::tls_prof().delta(prof_before);
   // This thread's content-addressed scan memo holds entries for this
-  // shard's bodies, and the next shard it runs regenerates its own
-  // catalog: drop them, so a worker keeps one shard's worth (no page load
-  // is in flight).
+  // shard's bodies, and the next shard it runs may need other sites: drop
+  // them, so a worker keeps one shard's worth (no page load is in
+  // flight).
   html::clear_scan_memo();
   return report;
 }

@@ -1,21 +1,24 @@
 // A shard: one worker-sized batch of users replayed sequentially on
 // private state.
 //
-// Shards own everything they touch — site catalog, testbeds, event loops —
-// so two shards never share a mutable object and can run on different
-// threads without synchronization. Site content memoization (Resource's
-// lazy version cache) is the reason sharing is off the table. Regenerating
-// the catalog per shard is deterministic but not free: each shard builds
-// and hashes every content version it serves again (Resource::materialize,
-// 5-9% of CPU samples on perfbench's workloads, scripts/sample_profile.sh).
-// The thread-local scan memos (html/scan.h) are content-addressed, so which
-// shard filled an entry never shows in a report; run() clears them when its
-// users are done, so the catalogs a worker has replayed do not pile up.
+// Shards own every mutable object they touch — testbeds, event loops, edge
+// PoPs — so two shards never share one and can run on different threads
+// without synchronization. Sites are the exception, and are read-only: a
+// Resource builds each content version into a write-once slot, so a Site
+// serves any thread. The run's SiteCatalog hands a shard the Site another
+// running shard already holds, and a shard keeps each site it used until
+// it ends, so a site is generated again only after every shard holding it
+// has finished. Which shard generates a version never shows in a report:
+// the bytes are a pure function of (catalog seed, site, path, version).
+// The thread-local scan memos (html/scan.h) are content-addressed too;
+// run() clears them when its users are done, so the sites a worker has
+// replayed do not pile up in them.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 
 #include "core/experiment.h"
 #include "edge/pop.h"
@@ -45,9 +48,11 @@ struct FleetParams {
   /// function of (seed, user id) and independent of sharding/threading.
   netsim::FaultSpec faults;
 
-  /// Users per shard. Purely a scheduling granularity: results are
+  /// Users per shard. Purely a scheduling granularity: reports are
   /// bit-identical for any value because each user's replay is
-  /// self-contained and merging is canonicalized.
+  /// self-contained and merging is canonicalized. CPU time and memory are
+  /// not: a shard holds each site it used until it ends, and shards that
+  /// run at the same time share them.
   std::uint64_t shard_size = 256;
 
   /// Edge tier (pops == 0: no edge anywhere, identical to pre-edge runs).
@@ -78,11 +83,28 @@ struct ShardTask {
   int pop = -1;  // >= 0: replay only this PoP's users, sharing its cache
 };
 
+/// The sites of one fleet run, shared by the shards running at the same
+/// time. It keeps no site alive itself: a site lives while some shard
+/// holds it and is generated again when a later shard asks for it.
+class SiteCatalog {
+ public:
+  explicit SiteCatalog(const UserModelParams& params) : params_(params) {}
+
+  /// The site a running shard already holds at `site_index`, or a newly
+  /// generated one. Safe to call from any thread.
+  std::shared_ptr<server::Site> acquire(int site_index);
+
+ private:
+  const UserModelParams params_;
+  std::mutex mutex_;
+  std::map<int, std::weak_ptr<server::Site>> sites_;
+};
+
 /// Replays one batch of users and accumulates their FleetReport.
 class Shard {
  public:
-  Shard(const FleetParams& params, ShardTask task)
-      : params_(params), task_(task) {}
+  Shard(const FleetParams& params, ShardTask task, SiteCatalog& catalog)
+      : params_(params), task_(task), catalog_(catalog) {}
 
   /// Runs every user in the batch (ascending user id, so the report's
   /// Summary sample order is canonical) and returns the shard report.
@@ -94,8 +116,8 @@ class Shard {
 
   const FleetParams& params_;
   ShardTask task_;
-  // Lazily generated, shard-private site catalog. Users of one shard that
-  // share a site share memoized content (single-threaded, safe).
+  SiteCatalog& catalog_;
+  // Every site this shard's users visited, held until the shard ends.
   std::map<int, std::shared_ptr<server::Site>> sites_;
   // Edge mode: this shard's PoP, one cache per arm so the baseline replay
   // never warms (or is warmed by) the treatment's shared state. Only the

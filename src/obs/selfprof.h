@@ -4,9 +4,9 @@
 // state:
 //
 //  * op counters — always on. One thread-local increment per dispatched
-//    event / exchange / fetch / edge request / flash op; the cost is a
-//    TLS load and an add, which is what the <3% engine_hotpath overhead
-//    gate budgets for.
+//    event / exchange / fetch / edge request / flash op / generated content
+//    version; the cost is a TLS load and an add, which is what the <3%
+//    engine_hotpath overhead gate budgets for.
 //  * exclusive cycle timers — off by default, enabled process-wide with
 //    set_timing(true) (fleetsim --self-profile, engine_hotpath
 //    --self-profile). A ScopedTimer charges elapsed wall time to the
@@ -39,13 +39,14 @@ enum class Sub : std::uint8_t {
   kEdge,       // edge-PoP request handling
   kFlash,      // AioEngine flash ops
   kFleet,      // shard user replay
+  kContent,    // origin content versions generated and digested
 };
 
-inline constexpr std::size_t kSubCount = 7;
+inline constexpr std::size_t kSubCount = 8;
 
 inline constexpr std::array<Sub, kSubCount> kAllSubs = {
     Sub::kLoop, Sub::kTransport, Sub::kClient, Sub::kSw,
-    Sub::kEdge, Sub::kFlash,     Sub::kFleet,
+    Sub::kEdge, Sub::kFlash,     Sub::kFleet,  Sub::kContent,
 };
 
 constexpr std::size_t sub_index(Sub s) { return static_cast<std::size_t>(s); }
@@ -59,6 +60,7 @@ constexpr std::string_view to_string(Sub s) {
     case Sub::kEdge: return "edge";
     case Sub::kFlash: return "flash";
     case Sub::kFleet: return "fleet";
+    case Sub::kContent: return "content";
   }
   return "unknown";
 }

@@ -1,11 +1,15 @@
 // A versioned origin resource: content generator + change process +
 // cache-header policy.
+//
+// Each content version is published once into its own slot and never
+// changes after, so one Resource (and the Site that owns it) serves every
+// thread: a fleet run's shards share one catalog.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "http/cache_control.h"
 #include "http/etag.h"
@@ -17,7 +21,8 @@
 namespace catalyst::server {
 
 /// Produces the resource's body text for a given content version. Output
-/// must differ between versions (the version is typically salted in).
+/// must differ between versions (the version is typically salted in), and
+/// the generator must be safe to call from several threads at once.
 using ContentGenerator = std::function<std::string(std::uint64_t version)>;
 
 class Resource {
@@ -25,6 +30,12 @@ class Resource {
   Resource(std::string path, http::ResourceClass resource_class,
            ByteCount wire_size, ContentGenerator generator,
            ChangeProcess changes, http::CacheControl cache_policy);
+  ~Resource();
+
+  // Returned bodies and ETags point into the version slots, so a Resource
+  // stays where it was built.
+  Resource(const Resource&) = delete;
+  Resource& operator=(const Resource&) = delete;
 
   const std::string& path() const { return path_; }
   http::ResourceClass resource_class() const { return class_; }
@@ -42,8 +53,9 @@ class Resource {
     return changes_.version_at(t);
   }
 
-  /// Body at time t, memoized per version: every 200 that serves the
-  /// version shares this one buffer and its digest.
+  /// Body at time t, built once per version: every 200 that serves the
+  /// version, on any thread, shares this one buffer and its digest. The
+  /// reference stays valid for the life of the Resource.
   const http::Body& body_at(TimePoint t) const;
 
   /// Body content at time t: body_at(t).str().
@@ -52,7 +64,7 @@ class Resource {
   }
 
   /// Entity tag at time t: the hex rendering of body_at(t).digest()
-  /// (memoized per version).
+  /// (built with the body).
   const http::Etag& etag_at(TimePoint t) const;
 
   /// Last-Modified instant at time t.
@@ -74,7 +86,9 @@ class Resource {
   ContentGenerator generator_;
   ChangeProcess changes_;
   http::CacheControl cache_policy_;
-  mutable std::unordered_map<std::uint64_t, VersionData> versions_;
+  // One write-once slot per version 0 ... changes_.total_changes(): null
+  // until the version is first served, then owned here and never changed.
+  std::unique_ptr<std::atomic<const VersionData*>[]> versions_;
 };
 
 }  // namespace catalyst::server

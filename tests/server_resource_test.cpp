@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +56,83 @@ TEST(ResourceTest, MemoizationReturnsSameBuffer) {
   const std::string* p1 = &r->content_at(TimePoint{});
   const std::string* p2 = &r->content_at(TimePoint{} + minutes(1));
   EXPECT_EQ(p1, p2);
+}
+
+/// What one thread saw of one version: the body buffer and the ETag.
+struct VersionView {
+  const char* bytes = nullptr;
+  std::string etag;
+};
+
+/// Starts `threads` threads together; thread i reads `read(i)`.
+template <class Read>
+std::vector<std::vector<VersionView>> read_together(int threads, Read read) {
+  std::vector<std::vector<VersionView>> seen(
+      static_cast<std::size_t>(threads));
+  std::latch start(threads);
+  std::vector<std::thread> pool;
+  for (int i = 0; i < threads; ++i) {
+    pool.emplace_back([&, i] {
+      start.arrive_and_wait();
+      seen[static_cast<std::size_t>(i)] = read(i);
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  return seen;
+}
+
+TEST(ResourceTest, ThreadsRacingOnOneVersionShareItsBuffer) {
+  constexpr int kThreads = 8;
+  const auto r = versioned_resource("/a.css");
+  const TimePoint at = TimePoint{} + hours(5) + minutes(10);
+  const auto seen = read_together(kThreads, [&](int) {
+    return std::vector<VersionView>{
+        {r->body_at(at).str().data(), r->etag_at(at).value}};
+  });
+  for (const auto& views : seen) {
+    EXPECT_EQ(views[0].bytes, r->body_at(at).str().data());
+    EXPECT_EQ(views[0].etag, r->etag_at(at).value);
+  }
+  EXPECT_EQ(r->content_at(at), "/a.css content v5");
+}
+
+TEST(ResourceTest, ThreadsRacingOverEveryVersionShareEachBuffer) {
+  constexpr int kThreads = 4;
+  const auto r = versioned_resource("/a.css");
+  const std::size_t versions = r->changes().total_changes() + 1;
+  ASSERT_EQ(versions, 24u);  // changes at 1 h ... 23 h
+  const auto time_of = [](std::size_t version) {
+    return TimePoint{} + hours(static_cast<std::int64_t>(version)) +
+           minutes(30);
+  };
+  // Each thread walks every version from its own starting point, so most
+  // versions are first built by one thread while others race for them.
+  const auto seen = read_together(kThreads, [&](int i) {
+    std::vector<VersionView> views(versions);
+    for (std::size_t k = 0; k < versions; ++k) {
+      const std::size_t v = (k + static_cast<std::size_t>(i) * 7) % versions;
+      const TimePoint at = time_of(v);
+      views[v] = {r->body_at(at).str().data(), r->etag_at(at).value};
+    }
+    return views;
+  });
+  for (std::size_t v = 0; v < versions; ++v) {
+    const TimePoint at = time_of(v);
+    EXPECT_EQ(r->content_at(at), "/a.css content v" + std::to_string(v));
+    for (const auto& views : seen) {
+      EXPECT_EQ(views[v].bytes, r->body_at(at).str().data()) << v;
+      EXPECT_EQ(views[v].etag, r->etag_at(at).value) << v;
+    }
+    if (v > 0) {
+      EXPECT_NE(r->etag_at(at).value, r->etag_at(time_of(v - 1)).value);
+    }
+  }
+  // Past the last change, and past the change horizon, is the last slot.
+  const TimePoint last = time_of(versions - 1);
+  const TimePoint later = TimePoint{} + days(400);
+  EXPECT_EQ(r->version_at(later), versions - 1);
+  EXPECT_EQ(&r->body_at(later), &r->body_at(last));
+  EXPECT_EQ(&r->etag_at(later), &r->etag_at(last));
 }
 
 TEST(ResourceTest, LastModifiedTracksChanges) {

@@ -10,15 +10,17 @@
 #   diff    — differential harness sweep (clean + mutation self-tests;
 #             rounds draw the browser protocol at random plus a forced
 #             --h2 sweep), the oracle-off / flash-off / breakdown-off / h2
-#             / cross-thread byte-identity checks (feature-on runs
-#             compared across thread counts), fleetsim's and
-#             difftest's rejection of bad input (exit 2 with the usage
-#             text), and fleetsim's exit 1 when a write to /dev/full fails
+#             / shared-catalog cross-thread byte-identity checks
+#             (feature-on runs compared across thread counts), fleetsim's
+#             and difftest's rejection of bad input (exit 2 with the usage
+#             text), and fleetsim's exit 1 when a write to /dev/full fails.
+#             Its temporary files live in one mktemp -d directory, removed
+#             on exit, so concurrent checkouts never share them
 #   perf    — engine_hotpath --smoke gated against bench/baselines/
 #             hotpath.json (fails on >20% macro throughput regression)
 #             plus the edge_offload --smoke flash sweep and the
-#             --breakdown overhead gate (median one-thread CPU time off
-#             over on, nine interleaved runs each, >=0.97).
+#             --breakdown overhead gate (one-thread CPU time off over on
+#             in nine back-to-back pairs, median ratio >=0.97).
 #             Both BENCH_*.json artifacts are written before the gate
 #             verdict so a regression still uploads its numbers
 #   asan    — ASan+UBSan build, oracle/robustness/perf labels (the
@@ -82,6 +84,11 @@ stage_diff() {
   "./$BUILD_DIR/tools/difftest" --rounds 50 --seed 1 --mutate stale-serve
   "./$BUILD_DIR/tools/difftest" --rounds 10 --seed 1 --mutate unkeyed-header
 
+  # Every temporary file of this stage lives in one private directory, so
+  # two checkouts running it at once never compare each other's reports.
+  tmp=$(mktemp -d)
+  trap 'rm -rf "$tmp"' EXIT
+
   echo "== oracle-off byte-identity =="
   # With --oracle off the report must not grow an "oracle" section, and
   # must stay bit-identical across thread counts with it on.
@@ -91,10 +98,10 @@ stage_diff() {
     exit 1
   fi
   "./$BUILD_DIR/tools/fleetsim" --users 60 --oracle --trace-users 2 \
-      --threads 1 --json 2>/dev/null > /tmp/oracle_t1.json
+      --threads 1 --json 2>/dev/null > "$tmp/oracle_t1.json"
   "./$BUILD_DIR/tools/fleetsim" --users 60 --oracle --trace-users 2 \
-      --threads 8 --json 2>/dev/null > /tmp/oracle_t8.json
-  cmp /tmp/oracle_t1.json /tmp/oracle_t8.json
+      --threads 8 --json 2>/dev/null > "$tmp/oracle_t8.json"
+  cmp "$tmp/oracle_t1.json" "$tmp/oracle_t8.json"
 
   echo "== flash-tier byte-identity =="
   # Flash-off edge reports must not grow a "flash" section, and flash-on
@@ -107,11 +114,11 @@ stage_diff() {
   fi
   "./$BUILD_DIR/tools/fleetsim" --users 60 --edge-pops 2 \
       --edge-capacity-mb 1 --edge-flash-mb 16 --threads 1 --json \
-      2>/dev/null > /tmp/flash_t1.json
+      2>/dev/null > "$tmp/flash_t1.json"
   "./$BUILD_DIR/tools/fleetsim" --users 60 --edge-pops 2 \
       --edge-capacity-mb 1 --edge-flash-mb 16 --threads 8 --json \
-      2>/dev/null > /tmp/flash_t8.json
-  cmp /tmp/flash_t1.json /tmp/flash_t8.json
+      2>/dev/null > "$tmp/flash_t8.json"
+  cmp "$tmp/flash_t1.json" "$tmp/flash_t8.json"
 
   echo "== adversarial gate =="
   # Attack traffic against the default strict keying must audit clean,
@@ -120,19 +127,19 @@ stage_diff() {
   # bit-identical across thread counts like everything else.
   "./$BUILD_DIR/tools/fleetsim" --users 40 --seed 7 --edge-pops 2 \
       --adversary --oracle --threads 1 --json 2>/dev/null \
-      > /tmp/adv_strict_t1.json
+      > "$tmp/adv_strict_t1.json"
   "./$BUILD_DIR/tools/fleetsim" --users 40 --seed 7 --edge-pops 2 \
       --adversary --oracle --threads 4 --json 2>/dev/null \
-      > /tmp/adv_strict_t4.json
-  cmp /tmp/adv_strict_t1.json /tmp/adv_strict_t4.json
-  if grep -q '"poisoned_serves"' /tmp/adv_strict_t1.json; then
+      > "$tmp/adv_strict_t4.json"
+  cmp "$tmp/adv_strict_t1.json" "$tmp/adv_strict_t4.json"
+  if grep -q '"poisoned_serves"' "$tmp/adv_strict_t1.json"; then
     echo "FAIL: strict keying reported poisoned serves" >&2
     exit 1
   fi
   "./$BUILD_DIR/tools/fleetsim" --users 40 --seed 7 --edge-pops 2 \
       --adversary --vulnerable-keying --oracle --json 2>/dev/null \
-      > /tmp/adv_vuln.json
-  if ! grep -q '"poisoned_serves"' /tmp/adv_vuln.json; then
+      > "$tmp/adv_vuln.json"
+  if ! grep -q '"poisoned_serves"' "$tmp/adv_vuln.json"; then
     echo "FAIL: vulnerable keying escaped the oracle" >&2
     exit 1
   fi
@@ -148,12 +155,12 @@ stage_diff() {
   fi
   "./$BUILD_DIR/tools/fleetsim" --users 60 --edge-pops 2 \
       --edge-capacity-mb 1 --edge-flash-mb 16 --loss 0.01 --breakdown \
-      --threads 1 --json 2>/dev/null > /tmp/breakdown_t1.json
+      --threads 1 --json 2>/dev/null > "$tmp/breakdown_t1.json"
   "./$BUILD_DIR/tools/fleetsim" --users 60 --edge-pops 2 \
       --edge-capacity-mb 1 --edge-flash-mb 16 --loss 0.01 --breakdown \
-      --threads 8 --json 2>/dev/null > /tmp/breakdown_t8.json
-  cmp /tmp/breakdown_t1.json /tmp/breakdown_t8.json
-  grep -q '"phases"' /tmp/breakdown_t1.json
+      --threads 8 --json 2>/dev/null > "$tmp/breakdown_t8.json"
+  cmp "$tmp/breakdown_t1.json" "$tmp/breakdown_t8.json"
+  grep -q '"phases"' "$tmp/breakdown_t1.json"
 
   echo "== h2 byte-identity =="
   # The --h2 ablation axis forces HTTP/2 fleet-wide; it must uphold the
@@ -163,17 +170,27 @@ stage_diff() {
   # multiplexed transport specifically; the regular sweep above already
   # draws the protocol per round.
   "./$BUILD_DIR/tools/fleetsim" --users 60 --edge-pops 2 --h2 \
-      --threads 1 --json 2>/dev/null > /tmp/h2_t1.json
+      --threads 1 --json 2>/dev/null > "$tmp/h2_t1.json"
   "./$BUILD_DIR/tools/fleetsim" --users 60 --edge-pops 2 --h2 \
-      --threads 8 --json 2>/dev/null > /tmp/h2_t8.json
-  cmp /tmp/h2_t1.json /tmp/h2_t8.json
+      --threads 8 --json 2>/dev/null > "$tmp/h2_t8.json"
+  cmp "$tmp/h2_t1.json" "$tmp/h2_t8.json"
   "./$BUILD_DIR/tools/fleetsim" --users 60 --edge-pops 2 \
-      --threads 1 --json 2>/dev/null > /tmp/h1_ref.json
-  if cmp -s /tmp/h2_t1.json /tmp/h1_ref.json; then
+      --threads 1 --json 2>/dev/null > "$tmp/h1_ref.json"
+  if cmp -s "$tmp/h2_t1.json" "$tmp/h1_ref.json"; then
     echo "FAIL: --h2 produced a byte-identical report to H1" >&2
     exit 1
   fi
   "./$BUILD_DIR/tools/difftest" --rounds 10 --seed 1 --h2
+
+  echo "== shared site catalog byte-identity =="
+  # Edge shards that run at the same time share each site and content
+  # version. Which shard generates a version first depends on scheduling
+  # and must never show in a report.
+  "./$BUILD_DIR/tools/fleetsim" --users 200 --edge-pops 8 --loss 0.01 \
+      --oracle --threads 1 --json 2>/dev/null > "$tmp/catalog_t1.json"
+  "./$BUILD_DIR/tools/fleetsim" --users 200 --edge-pops 8 --loss 0.01 \
+      --oracle --threads 4 --json 2>/dev/null > "$tmp/catalog_t4.json"
+  cmp "$tmp/catalog_t1.json" "$tmp/catalog_t4.json"
 
   echo "== fleetsim rejects bad input =="
   # An unknown flag, a number outside its flag's range, or a flag whose
@@ -190,8 +207,9 @@ stage_diff() {
     rc=0
     # shellcheck disable=SC2086
     "./$BUILD_DIR/tools/fleetsim" --users 8 $bad --json \
-        >/dev/null 2>/tmp/bad_input.err || rc=$?
-    if [ "$rc" -ne 2 ] || ! grep -q '^usage: fleetsim' /tmp/bad_input.err; then
+        >/dev/null 2>"$tmp/bad_input.err" || rc=$?
+    if [ "$rc" -ne 2 ] ||
+        ! grep -q '^usage: fleetsim' "$tmp/bad_input.err"; then
       echo "FAIL: fleetsim $bad exited $rc without the usage text" >&2
       exit 1
     fi
@@ -202,15 +220,16 @@ stage_diff() {
   # write", never 0: the gates above compare fleetsim output with cmp.
   rc=0
   "./$BUILD_DIR/tools/fleetsim" --users 8 --trace-users 2 \
-      --trace-out /dev/full --json >/dev/null 2>/tmp/lost_output.err || rc=$?
-  if [ "$rc" -ne 1 ] || ! grep -q 'cannot write' /tmp/lost_output.err; then
+      --trace-out /dev/full --json >/dev/null 2>"$tmp/lost_output.err" \
+      || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q 'cannot write' "$tmp/lost_output.err"; then
     echo "FAIL: fleetsim --trace-out /dev/full exited $rc" >&2
     exit 1
   fi
   rc=0
   "./$BUILD_DIR/tools/fleetsim" --users 8 --json >/dev/full \
-      2>/tmp/lost_output.err || rc=$?
-  if [ "$rc" -ne 1 ] || ! grep -q 'cannot write' /tmp/lost_output.err; then
+      2>"$tmp/lost_output.err" || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q 'cannot write' "$tmp/lost_output.err"; then
     echo "FAIL: fleetsim --json >/dev/full exited $rc" >&2
     exit 1
   fi
@@ -223,9 +242,10 @@ stage_diff() {
       "--rounds 1 --visits -2" "--rounds 1 --seed -1" "--rounds 1 stray"; do
     rc=0
     # shellcheck disable=SC2086
-    "./$BUILD_DIR/tools/difftest" $bad >/dev/null 2>/tmp/bad_input.err \
+    "./$BUILD_DIR/tools/difftest" $bad >/dev/null 2>"$tmp/bad_input.err" \
         || rc=$?
-    if [ "$rc" -ne 2 ] || ! grep -q '^usage: difftest' /tmp/bad_input.err; then
+    if [ "$rc" -ne 2 ] ||
+        ! grep -q '^usage: difftest' "$tmp/bad_input.err"; then
       echo "FAIL: difftest $bad exited $rc without the usage text" >&2
       exit 1
     fi
@@ -251,9 +271,9 @@ stage_perf() {
   "./$BUILD_DIR/bench/edge_offload" --smoke > BENCH_edge_offload.json
 
   echo "== perf smoke: observability overhead gate =="
-  # The phase breakdown must stay near-free: over nine interleaved
-  # one-thread runs per side, the median process CPU time of the macro
-  # fleet with --breakdown off must be >=97% of the median with it on.
+  # The phase breakdown must stay near-free: over nine back-to-back
+  # one-thread pairs of the macro fleet, the median of each pair's process
+  # CPU time with --breakdown off over with it on must be >=0.97.
   "./$BUILD_DIR/bench/engine_hotpath" --smoke --overhead-gate
 
   if [ "$hotpath_rc" -ne 0 ]; then
