@@ -3,9 +3,8 @@
 //
 //   engine_hotpath [--smoke] [--out FILE] [--baseline FILE] [--users N]
 //
-// Micro section: ns/op for the structures the hot path runs on —
-// open-addressing map lookups, the pooled event loop, slab pool cycling
-// and batched Zipf draws.
+// Micro section: ns/op for the structures the hot path runs on — the
+// pooled event loop, slab pool cycling and batched Zipf draws.
 //
 // Macro section: a fleet replay through the full engine (faults + edge
 // tier on, catalyst vs baseline arms, the fleetsim reference shape) and
@@ -46,7 +45,6 @@
 #include "fleet/runner.h"
 #include "netsim/event_loop.h"
 #include "obs/selfprof.h"
-#include "util/flat_hash.h"
 #include "util/json.h"
 #include "util/pool.h"
 #include "util/strings.h"
@@ -96,14 +94,6 @@ double bench_ns(std::size_t iters, Fn&& op) {
   std::sort(reps.begin(), reps.end());
   best = reps[1];
   return best;
-}
-
-double bench_flat_hash_lookup(std::size_t iters) {
-  FlatHashMap<std::uint64_t, std::uint64_t> map;
-  for (std::uint64_t k = 0; k < 4096; ++k) map.insert_or_assign(k * 7, k);
-  return bench_ns(iters, [&](std::size_t i) {
-    keep(map.find((i & 4095) * 7));
-  });
 }
 
 double bench_event_loop(std::size_t iters) {
@@ -321,8 +311,6 @@ int main(int argc, char** argv) {
 
   const std::size_t iters = smoke ? 200'000 : 2'000'000;
   Json micro = Json::object();
-  micro.set("flat_hash_lookup_ns",
-            Json::number(bench_flat_hash_lookup(iters)));
   micro.set("event_loop_ns_per_event",
             Json::number(bench_event_loop(iters)));
   micro.set("pool_cycle_ns", Json::number(bench_pool_cycle(iters)));

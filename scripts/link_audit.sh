@@ -9,7 +9,11 @@
 # defined in the build's src/*/*.a that none of those binaries contains,
 # then the count. Left out: lambdas (and their helpers) and the default,
 # copy and move constructors the compiler generates. Tests are not
-# shipped binaries: a function only a test calls is listed.
+# shipped binaries: a function only a test calls is listed. The audit
+# cannot list a member of a class template that only tests instantiate:
+# it is never compiled into a library archive. `FlatHashMap`'s
+# `for_each`, `reserve`, `capacity`, `clear` and `empty` were members of
+# that kind.
 #
 # Count when -fkeep-inline-functions came in: 128 entries before that
 # change deleted the tallies no binary read, 116 after. 101 since the
@@ -23,8 +27,21 @@
 # `Connection::{server,protocol,established,busy,inflight}()`, which only
 # tests called or nothing did, went with the batched dispatch and the
 # per-request push handlers. 90 since `Resource` sizes its version slots
-# with `ChangeProcess::total_changes()`, which only tests had called. A
-# new function no binary calls ships with the binary that calls it.
+# with `ChangeProcess::total_changes()`, which only tests had called. 71
+# since the caches moved to standard containers: two `FlatHashMap`
+# instantiations went (the flash index's `size()` and the Zipf
+# memo's constructor), and so did the test-only accessors of the
+# rewritten stores, whose tests now read return values and
+# the reported tallies (`EdgePopStats`, `FlashStats`, `io::AioStats`)
+# instead: `LruStore::capacity`, `SlruStore::{promotions, entry_count,
+# contains, probation, protected_segment}`, `FlashTier::{entry_count,
+# live_bytes, capacity}`, `AioEngine::{queued, inflight}` and
+# `EdgePop::{store, size_bytes, entry_count, admission, flash_enabled,
+# pop_id}`. Kept on purpose: `FlashTier::log_bytes()`, the only observer
+# of the bytes on the flash log with its dead records (a superseded or
+# erased record keeps its bytes until GC reclaims its segment, and GC
+# keeps the log within its budget). A new function no binary calls ships
+# with the binary that calls it.
 #
 #   scripts/link_audit.sh [BUILD_DIR]    (default: build-audit)
 set -euo pipefail

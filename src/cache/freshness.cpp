@@ -82,4 +82,18 @@ bool is_negative_fresh(const CacheEntry& entry, TimePoint now,
          current_age(entry, now);
 }
 
+bool is_storable(const http::Response& response,
+                 const NegativePolicy& negative, bool shared) {
+  const http::CacheControl cc = response.cache_control();
+  if (cc.no_store || (shared && cc.is_private)) return false;
+  if (!http::is_cacheable_status(response.status)) return false;
+  if (is_negative_status(response.status)) {
+    return negative.enabled && !cc.no_cache;
+  }
+  return cc.max_age || cc.no_cache ||
+         response.headers.contains(http::kExpires) ||
+         response.headers.contains(http::kEtagHeader) ||
+         response.headers.contains(http::kLastModified);
+}
+
 }  // namespace catalyst::cache

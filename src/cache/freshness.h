@@ -51,4 +51,14 @@ Duration negative_freshness_lifetime(const http::Response& response,
 bool is_negative_fresh(const CacheEntry& entry, TimePoint now,
                        const NegativePolicy& policy);
 
+/// Whether a cache may store `response` (RFC 9111 §3): never no-store or
+/// an uncacheable status; a 404/410 only when `negative` is enabled and
+/// the response is not no-cache (the bounded negative TTL is its
+/// freshness info); anything else only with max-age, no-cache, Expires,
+/// ETag or Last-Modified, since without freshness info or a validator it
+/// could never be reused. A `shared` cache also refuses `private`
+/// responses (§3.5).
+bool is_storable(const http::Response& response,
+                 const NegativePolicy& negative, bool shared);
+
 }  // namespace catalyst::cache

@@ -40,20 +40,7 @@ LookupResult HttpCache::lookup(const std::string& url, TimePoint now) {
 
 bool HttpCache::store(const std::string& url, http::Response response,
                       TimePoint request_time, TimePoint response_time) {
-  const http::CacheControl cc = response.cache_control();
-  if (cc.no_store) return false;
-  if (!http::is_cacheable_status(response.status)) return false;
-  const bool negative = is_negative_status(response.status);
-  if (negative && (!negative_.enabled || cc.no_cache)) return false;
-  // A response with no freshness info and no validator can never be
-  // reused; storing it would only waste space. Negative responses are
-  // exempt: the policy's bounded default TTL is their freshness info.
-  if (!negative && !cc.max_age && !cc.no_cache &&
-      !response.headers.contains(http::kExpires) &&
-      !response.headers.contains(http::kEtagHeader) &&
-      !response.headers.contains(http::kLastModified)) {
-    return false;
-  }
+  if (!is_storable(response, negative_, /*shared=*/false)) return false;
   CacheEntry entry;
   entry.response = std::move(response);
   entry.request_time = request_time;

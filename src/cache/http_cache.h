@@ -21,8 +21,9 @@ enum class LookupDecision { Miss, FreshHit, NeedsRevalidation };
 
 struct LookupResult {
   LookupDecision decision = LookupDecision::Miss;
-  /// Stored entry for FreshHit / NeedsRevalidation; owned by the cache and
-  /// invalidated by subsequent mutations.
+  /// Stored entry for FreshHit / NeedsRevalidation; owned by the cache.
+  /// Valid until that entry is removed, replaced by a store() or evicted
+  /// (see LruStore::get).
   const CacheEntry* entry = nullptr;
 };
 
@@ -38,8 +39,8 @@ class HttpCache {
   /// Looks up `url` at time `now` and classifies the required action.
   LookupResult lookup(const std::string& url, TimePoint now);
 
-  /// Stores a response if policy allows (no-store and non-cacheable
-  /// statuses are rejected). Returns true when stored.
+  /// Stores a response if the private-cache storability rule
+  /// (is_storable) allows. Returns true when stored.
   bool store(const std::string& url, http::Response response,
              TimePoint request_time, TimePoint response_time);
 

@@ -1,109 +1,67 @@
 #include "cache/storage.h"
 
+#include <utility>
+
 namespace catalyst::cache {
 
 LruStore::LruStore(ByteCount capacity) : capacity_(capacity) {}
 
-void LruStore::unlink(std::uint32_t slot) {
-  Node& node = nodes_[slot];
-  if (node.prev != kNil) {
-    nodes_[node.prev].next = node.next;
-  } else {
-    head_ = node.next;
-  }
-  if (node.next != kNil) {
-    nodes_[node.next].prev = node.prev;
-  } else {
-    tail_ = node.prev;
-  }
-  node.prev = kNil;
-  node.next = kNil;
-}
-
-void LruStore::link_front(std::uint32_t slot) {
-  Node& node = nodes_[slot];
-  node.prev = kNil;
-  node.next = head_;
-  if (head_ != kNil) nodes_[head_].prev = slot;
-  head_ = slot;
-  if (tail_ == kNil) tail_ = slot;
-}
-
-void LruStore::release(std::uint32_t slot) {
-  nodes_[slot].entry = CacheEntry{};  // drop body bytes now, not later
-  nodes_[slot].key.clear();
-  free_.push_back(slot);
-}
-
 bool LruStore::put(const std::string& key, CacheEntry entry) {
   const ByteCount cost = entry.cost();
   if (cost > capacity_) return false;
-  if (const std::uint32_t* slot = index_.find(key)) {
-    size_bytes_ -= nodes_[*slot].cost;
-    unlink(*slot);
-    release(*slot);
-    index_.erase(key);
-  }
+  erase(key);
   evict_to_fit(cost);
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  Node& node = nodes_[slot];
-  node.entry = std::move(entry);
-  node.cost = cost;
-  node.key = key;
-  link_front(slot);
-  index_.insert_or_assign(key, slot);
+  entries_.push_front(Node{key, std::move(entry), cost});
+  index_.emplace(key, entries_.begin());
   size_bytes_ += cost;
   return true;
 }
 
 CacheEntry* LruStore::get(const std::string& key) {
-  const std::uint32_t* slot = index_.find(key);
-  if (slot == nullptr) return nullptr;
-  if (*slot != head_) {  // move to front
-    unlink(*slot);
-    link_front(*slot);
-  }
-  return &nodes_[*slot].entry;
+  const auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  entries_.splice(entries_.begin(), entries_, it->second);  // move to front
+  return &it->second->entry;
 }
 
 const CacheEntry* LruStore::peek(const std::string& key) const {
-  const std::uint32_t* slot = index_.find(key);
-  return slot == nullptr ? nullptr : &nodes_[*slot].entry;
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : &it->second->entry;
 }
 
 bool LruStore::erase(const std::string& key) {
-  const std::uint32_t* slot = index_.find(key);
-  if (slot == nullptr) return false;
-  size_bytes_ -= nodes_[*slot].cost;
-  unlink(*slot);
-  release(*slot);
-  index_.erase(key);
-  return true;
+  return take(key).has_value();
+}
+
+std::optional<CacheEntry> LruStore::take(const std::string& key) {
+  const auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
+  CacheEntry entry = std::move(it->second->entry);
+  remove(it);
+  return entry;
+}
+
+std::optional<std::string> LruStore::lru_key() const {
+  if (entries_.empty()) return std::nullopt;
+  return entries_.back().key;
+}
+
+void LruStore::remove(Index::iterator it) {
+  size_bytes_ -= it->second->cost;
+  entries_.erase(it->second);
+  index_.erase(it);
 }
 
 void LruStore::evict_to_fit(ByteCount incoming_cost) {
-  while (tail_ != kNil && size_bytes_ + incoming_cost > capacity_) {
-    const std::uint32_t victim = tail_;
-    size_bytes_ -= nodes_[victim].cost;
-    index_.erase(nodes_[victim].key);
-    unlink(victim);
-    release(victim);
+  while (!entries_.empty() && size_bytes_ + incoming_cost > capacity_) {
+    remove(index_.find(entries_.back().key));
   }
 }
 
 std::vector<std::string> LruStore::keys_mru_order() const {
   std::vector<std::string> out;
-  out.reserve(index_.size());
-  for (std::uint32_t slot = head_; slot != kNil; slot = nodes_[slot].next) {
-    out.push_back(nodes_[slot].key);
-  }
+  out.reserve(entries_.size());
+  for (const Node& node : entries_) out.push_back(node.key);
   return out;
 }
 

@@ -1,20 +1,22 @@
 // Keyed LRU store with byte-cost accounting — the storage engine under
-// both the browser HTTP cache and the Service Worker cache.
+// both the browser HTTP cache and the Service Worker cache, and under
+// both segments of an edge PoP's SLRU.
 //
-// The index is an open-addressing FlatHashMap from the key string to a
-// slot, and entries live in a slab whose slots form an intrusive
-// doubly-linked recency list; each node owns its key so lru_key() and
-// keys_mru_order() read it back. A get() is one string hash + one probe
-// + four index writes; no tree walk, no list node allocation.
+// Entries live in a std::list in recency order (front = most recently
+// used), indexed by a std::unordered_map from the key string to the
+// entry's list node; each node also holds its key so lru_key(),
+// keys_mru_order() and eviction read it back. A get() is one string hash
+// and one splice. Nothing iterates the index: every ordered read walks
+// the list.
 #pragma once
 
+#include <list>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/entry.h"
-#include "util/flat_hash.h"
 #include "util/types.h"
 
 namespace catalyst::cache {
@@ -29,53 +31,47 @@ class LruStore {
   /// capacity.
   bool put(const std::string& key, CacheEntry entry);
 
-  /// Lookup that refreshes recency. nullptr when absent. The pointer is
-  /// invalidated by any subsequent mutation of the store.
+  /// Lookup that refreshes recency. nullptr when absent. The pointer
+  /// stays valid until this key's entry is erased, taken, replaced by a
+  /// put() or evicted; other keys' mutations leave it alone.
   CacheEntry* get(const std::string& key);
 
-  /// Lookup without touching recency.
+  /// Lookup without touching recency; the pointer lives as get()'s does.
   const CacheEntry* peek(const std::string& key) const;
 
   bool erase(const std::string& key);
 
+  /// Removes the entry for `key` and moves it out (nullopt when absent),
+  /// so a layered store can move an entry between stores without a copy.
+  std::optional<CacheEntry> take(const std::string& key);
+
   /// Key of the least-recently-used entry (the next internal-eviction
   /// victim), or nullopt when empty. Lets layered stores (segmented LRU,
   /// admission filters) pick victims without paying keys_mru_order().
-  std::optional<std::string> lru_key() const {
-    if (tail_ == kNil) return std::nullopt;
-    return nodes_[tail_].key;
-  }
+  std::optional<std::string> lru_key() const;
 
   std::size_t entry_count() const { return index_.size(); }
   ByteCount size_bytes() const { return size_bytes_; }
-  ByteCount capacity() const { return capacity_; }
 
-  /// Keys in most-recently-used order (for inspection/tests).
+  /// Keys in most-recently-used order (cache digests, tests).
   std::vector<std::string> keys_mru_order() const;
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
   struct Node {
+    std::string key;
     CacheEntry entry;
     ByteCount cost = 0;
-    std::string key;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
   };
+  using List = std::list<Node>;
+  using Index = std::unordered_map<std::string, List::iterator>;
 
-  void unlink(std::uint32_t slot);
-  void link_front(std::uint32_t slot);
-  void release(std::uint32_t slot);
+  void remove(Index::iterator it);
   void evict_to_fit(ByteCount incoming_cost);
 
   ByteCount capacity_;
   ByteCount size_bytes_ = 0;
-  std::vector<Node> nodes_;           // slab; slots recycled via free_
-  std::vector<std::uint32_t> free_;
-  std::uint32_t head_ = kNil;  // most recently used
-  std::uint32_t tail_ = kNil;  // least recently used
-  FlatHashMap<std::string, std::uint32_t> index_;
+  List entries_;  // front = most recently used
+  Index index_;
 };
 
 }  // namespace catalyst::cache

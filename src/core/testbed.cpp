@@ -1,6 +1,7 @@
 #include "core/testbed.h"
 
 #include <algorithm>
+#include <map>
 
 #include "server/catalyst_module.h"
 
@@ -16,11 +17,13 @@ constexpr Duration kRdrOriginRtt = milliseconds(6);
 /// (multi-origin testbeds only).
 constexpr double kThirdPartyRttScale = 0.6;
 
-}  // namespace
-
-Testbed make_testbed(std::shared_ptr<server::Site> site,
-                     const netsim::NetworkConditions& conditions,
-                     StrategyKind kind, const StrategyOptions& options) {
+/// Both make_testbed overloads: the main site's testbed, then a stock
+/// origin server per third-party site (none for a single-site testbed).
+Testbed build_testbed(
+    std::shared_ptr<server::Site> site,
+    const std::vector<std::shared_ptr<server::Site>>& third_party,
+    const netsim::NetworkConditions& conditions, StrategyKind kind,
+    const StrategyOptions& options) {
   Testbed tb;
   tb.kind = kind;
   tb.conditions = conditions;
@@ -111,22 +114,6 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
       (options.edge_pop != nullptr && kind != StrategyKind::RdrProxy)
           ? options.edge_pop->host_name()
           : std::string();
-
-  // Measurement-only staleness audit: flags cache-served bytes that no
-  // longer match the origin. Never changes behaviour.
-  {
-    auto site_ref = tb.site;
-    netsim::EventLoop* loop = tb.loop.get();
-    tb.browser->set_staleness_audit(
-        [site_ref, loop, edge_host](const Url& url, const http::Etag& etag) {
-          if (url.host != site_ref->host() && url.host != edge_host) {
-            return true;  // unauditable
-          }
-          const server::Resource* r = site_ref->find(url.path);
-          return r == nullptr ||
-                 r->etag_at(loop->now()).weak_equals(etag);
-        });
-  }
 
   // Byte-equivalence oracle: audits every delivered body against the
   // site's ground-truth content at fetch time. Measurement-only.
@@ -222,16 +209,9 @@ Testbed make_testbed(std::shared_ptr<server::Site> site,
     }
   }
 
-  return tb;
-}
-
-Testbed make_testbed(const workload::SiteBundle& bundle,
-                     const netsim::NetworkConditions& conditions,
-                     StrategyKind kind, const StrategyOptions& options) {
-  Testbed tb = make_testbed(bundle.main, conditions, kind, options);
   const Duration tp_rtt =
       seconds_f(to_seconds(conditions.rtt) * kThirdPartyRttScale);
-  for (const auto& tp : bundle.third_party) {
+  for (const auto& tp : third_party) {
     tb.network->add_host(tp->host());
     tb.network->set_rtt("client", tp->host(), tp_rtt);
     if (tb.proxy) {
@@ -243,35 +223,41 @@ Testbed make_testbed(const workload::SiteBundle& bundle,
     tb.third_party_servers.push_back(std::make_unique<server::Server>(
         *tb.network, tp, server::ServerConfig{}));
     tb.third_party_sites.push_back(tp);
+    if (tb.byte_oracle) tb.byte_oracle->add_site(tp);
   }
 
-  // Extend the byte-equivalence oracle across every origin in the bundle.
-  if (tb.byte_oracle) {
-    for (const auto& tp : bundle.third_party) {
-      tb.byte_oracle->add_site(tp);
-    }
-  }
-
-  // Extend the staleness audit across all origins in the bundle.
-  {
-    std::map<std::string, std::shared_ptr<server::Site>> by_host;
-    by_host[bundle.main->host()] = bundle.main;
-    if (tb.edge_node) {
-      by_host[options.edge_pop->host_name()] = bundle.main;
-    }
-    for (const auto& tp : bundle.third_party) by_host[tp->host()] = tp;
-    netsim::EventLoop* loop = tb.loop.get();
-    tb.browser->set_staleness_audit(
-        [by_host = std::move(by_host), loop](const Url& url,
-                                             const http::Etag& etag) {
-          const auto it = by_host.find(url.host);
-          if (it == by_host.end()) return true;
-          const server::Resource* r = it->second->find(url.path);
-          return r == nullptr ||
-                 r->etag_at(loop->now()).weak_equals(etag);
-        });
-  }
+  // Measurement-only staleness audit: flags cache-served bytes that no
+  // longer match the origin of their host (main, edge or third-party);
+  // other hosts are unauditable. Never changes behaviour.
+  std::map<std::string, std::shared_ptr<server::Site>> by_host;
+  by_host[tb.site->host()] = tb.site;
+  if (!edge_host.empty()) by_host[edge_host] = tb.site;
+  for (const auto& tp : third_party) by_host[tp->host()] = tp;
+  netsim::EventLoop* loop = tb.loop.get();
+  tb.browser->set_staleness_audit(
+      [by_host = std::move(by_host), loop](const Url& url,
+                                           const http::Etag& etag) {
+        const auto it = by_host.find(url.host);
+        if (it == by_host.end()) return true;
+        const server::Resource* r = it->second->find(url.path);
+        return r == nullptr || r->etag_at(loop->now()).weak_equals(etag);
+      });
   return tb;
+}
+
+}  // namespace
+
+Testbed make_testbed(std::shared_ptr<server::Site> site,
+                     const netsim::NetworkConditions& conditions,
+                     StrategyKind kind, const StrategyOptions& options) {
+  return build_testbed(std::move(site), {}, conditions, kind, options);
+}
+
+Testbed make_testbed(const workload::SiteBundle& bundle,
+                     const netsim::NetworkConditions& conditions,
+                     StrategyKind kind, const StrategyOptions& options) {
+  return build_testbed(bundle.main, bundle.third_party, conditions, kind,
+                       options);
 }
 
 }  // namespace catalyst::core

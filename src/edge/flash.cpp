@@ -20,11 +20,11 @@ FlashTier::FlashTier(const FlashConfig& config)
           std::max<ByteCount>(1, std::min(kSegmentBytes, capacity_ / 4))) {}
 
 FlashTier::Record* FlashTier::locate(const std::string& key) {
-  Location* loc = index_.find(key);
-  if (loc == nullptr) return nullptr;
-  const std::uint64_t front_seq = segments_.front().seq;
-  Segment& seg = segments_[loc->segment_seq - front_seq];
-  return &seg.records[loc->record];
+  const auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  const Location& loc = it->second;
+  Segment& seg = segments_[loc.segment_seq - segments_.front().seq];
+  return &seg.records[loc.record];
 }
 
 const FlashTier::Record* FlashTier::locate(const std::string& key) const {
@@ -39,7 +39,6 @@ bool FlashTier::put(const std::string& key, cache::CacheEntry entry) {
     // Log caches never update in place: the old record goes dead where
     // it lies and its space comes back when its segment is reclaimed.
     old->live = false;
-    live_bytes_ -= old->cost;
     index_.erase(key);
   }
 
@@ -73,7 +72,6 @@ bool FlashTier::erase(const std::string& key) {
   Record* record = locate(key);
   if (record == nullptr) return false;
   record->live = false;
-  live_bytes_ -= record->cost;
   index_.erase(key);
   return true;
 }
@@ -93,7 +91,6 @@ void FlashTier::append(Record record, bool host_write) {
   seg.records.push_back(std::move(record));
   seg.bytes += cost;
   log_bytes_ += cost;
-  live_bytes_ += cost;
   index_.insert_or_assign(
       seg.records.back().key,
       Location{seg.seq, static_cast<std::uint32_t>(seg.records.size() - 1)});
@@ -107,7 +104,6 @@ void FlashTier::reclaim_oldest() {
   log_bytes_ -= victim.bytes;
   for (Record& record : victim.records) {
     if (!record.live) continue;  // dead space reclaims for free
-    live_bytes_ -= record.cost;
     index_.erase(record.key);
     if (record.referenced) {
       // CLOCK second chance: salvage to the log head, clearing the bit

@@ -29,10 +29,10 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <unordered_map>
 
 #include "cache/entry.h"
 #include "io/aio.h"
-#include "util/flat_hash.h"
 #include "util/types.h"
 
 namespace catalyst::edge {
@@ -77,10 +77,12 @@ class FlashTier {
   bool put(const std::string& key, cache::CacheEntry entry);
 
   /// Lookup that sets the record's reference bit (GC salvages referenced
-  /// records). The pointer is invalidated by any subsequent mutation.
+  /// records). The pointer stays valid until the next put(): an append
+  /// may reallocate the open segment, and GC moves or drops records.
   cache::CacheEntry* get(const std::string& key);
 
-  /// Lookup without touching the reference bit.
+  /// Lookup without touching the reference bit; the pointer lives as
+  /// get()'s does.
   const cache::CacheEntry* peek(const std::string& key) const;
 
   bool contains(const std::string& key) const { return index_.contains(key); }
@@ -89,10 +91,8 @@ class FlashTier {
   /// reclaimed when its segment is. Returns false when absent.
   bool erase(const std::string& key);
 
-  ByteCount live_bytes() const { return live_bytes_; }
+  /// Bytes on the log, dead records included.
   ByteCount log_bytes() const { return log_bytes_; }
-  ByteCount capacity() const { return capacity_; }
-  std::size_t entry_count() const { return index_.size(); }
   const FlashStats& stats() const { return stats_; }
 
  private:
@@ -124,11 +124,10 @@ class FlashTier {
   ByteCount capacity_;
   ByteCount segment_bytes_;  // kSegmentBytes, clamped to capacity_ / 4
   FlashStats stats_;
-  ByteCount live_bytes_ = 0;  // bytes of live records
-  ByteCount log_bytes_ = 0;   // bytes on the log (live + dead)
+  ByteCount log_bytes_ = 0;  // bytes on the log (live + dead)
   std::uint64_t next_seq_ = 0;
   std::deque<Segment> segments_;  // front = oldest, back = open
-  FlatHashMap<std::string, Location> index_;
+  std::unordered_map<std::string, Location> index_;  // live records only
 };
 
 }  // namespace catalyst::edge

@@ -70,13 +70,14 @@ void EdgeNode::handle(const http::Request& request,
   // Miss or stale: both need a fetch. Coalesce with any fill already in
   // flight for this key — that fetch's answer serves everyone, whether it
   // is coming from the origin or from the flash device.
-  if (Fill* pending = inflight_.find(key)) {
-    if (pending->flash_read) {
+  if (const auto pending = inflight_.find(key); pending != inflight_.end()) {
+    Fill& fill = pending->second;
+    if (fill.flash_read) {
       pop_.note_flash_coalesced();
     } else {
       pop_.note_coalesced();
     }
-    pending->waiters.push_back(Waiter{request, std::move(respond), now});
+    fill.waiters.push_back(Waiter{request, std::move(respond), now});
     return;
   }
 
@@ -115,8 +116,9 @@ void EdgeNode::handle(const http::Request& request,
 
 void EdgeNode::on_flash_read(const std::string& key) {
   const TimePoint now = network_.loop().now();
-  Fill* pending = inflight_.find(key);
-  if (pending == nullptr || !pending->flash_read) return;
+  const auto it = inflight_.find(key);
+  if (it == inflight_.end() || !it->second.flash_read) return;
+  Fill* pending = &it->second;
 
   const FlashReadResult rr = pop_.complete_flash_read(key, now, aio_.get());
   if (rr.outcome == FlashReadOutcome::Fresh) {
@@ -156,8 +158,9 @@ void EdgeNode::on_origin_response(const std::string& key,
                                   http::Response response) {
   const TimePoint now = network_.loop().now();
   pop_.note_origin_response(response.wire_size());
-  Fill* pending = inflight_.find(key);
-  if (pending == nullptr) return;
+  const auto it = inflight_.find(key);
+  if (it == inflight_.end()) return;
+  Fill* pending = &it->second;
 
   if (response.status == http::Status::NotModified) {
     pop_.note_origin_not_modified();
@@ -203,9 +206,9 @@ void EdgeNode::on_origin_response(const std::string& key,
 }
 
 void EdgeNode::on_origin_error(const std::string& key) {
-  Fill* pending = inflight_.find(key);
-  if (pending == nullptr) return;
-  Fill fill = std::move(*pending);
+  const auto it = inflight_.find(key);
+  if (it == inflight_.end()) return;
+  Fill fill = std::move(it->second);
   inflight_.erase(key);
   pop_.note_origin_error();
   for (const Waiter& w : fill.waiters) {

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "edge/pop.h"
@@ -100,7 +101,7 @@ class EdgeNode {
   netsim::Network& network_;
   std::string origin_host_;
   // Keyed by cache key; coalescing lookups happen per request.
-  FlatHashMap<std::string, Fill> inflight_;
+  std::unordered_map<std::string, Fill> inflight_;
   /// Device queue for this testbed's flash reads/writes (null when the
   /// PoP has no flash tier). Per-node because completions schedule on
   /// this testbed's loop; the RNG and telemetry it drives live in the

@@ -84,21 +84,10 @@ EdgeLookupResult EdgePop::lookup(const std::string& key, TimePoint now) {
 bool EdgePop::admit_and_store(const std::string& key, http::Response response,
                               TimePoint request_time, TimePoint response_time,
                               io::AioEngine* aio) {
-  const http::CacheControl cc = response.cache_control();
-  // Shared-cache storage rules (RFC 9111 §3): private responses are for
-  // the user's cache only, no-store is for nobody's.
-  if (cc.no_store || cc.is_private) return false;
-  if (!http::is_cacheable_status(response.status)) return false;
-  const bool negative = cache::is_negative_status(response.status);
-  if (negative && (!config_.negative.enabled || cc.no_cache)) return false;
-  // The bounded negative TTL is a 404/410's freshness info; everything
-  // else still needs explicit freshness or a validator to be reusable.
-  if (!negative && !cc.max_age && !cc.no_cache &&
-      !response.headers.contains(http::kExpires) &&
-      !response.headers.contains(http::kEtagHeader) &&
-      !response.headers.contains(http::kLastModified)) {
+  if (!cache::is_storable(response, config_.negative, /*shared=*/true)) {
     return false;
   }
+  const bool negative = cache::is_negative_status(response.status);
 
   cache::CacheEntry entry;
   entry.response = std::move(response);

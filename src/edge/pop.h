@@ -160,8 +160,9 @@ enum class EdgeLookupDecision {
 
 struct EdgeLookupResult {
   EdgeLookupDecision decision = EdgeLookupDecision::Miss;
-  /// Stored entry for Fresh/Stale; owned by the pop, invalidated by any
-  /// subsequent mutation.
+  /// Stored entry for Fresh/Stale; owned by the pop. Valid until the
+  /// entry is erased, replaced, evicted or moved between SLRU segments
+  /// (see SlruStore::get), so read it before mutating the pop.
   cache::CacheEntry* entry = nullptr;
 };
 
@@ -179,8 +180,9 @@ enum class FlashReadOutcome {
 struct FlashReadResult {
   FlashReadOutcome outcome = FlashReadOutcome::Gone;
   /// Entry for Fresh/Stale. Fresh entries promoted to RAM point into the
-  /// RAM store; everything else points into the flash log. Invalidated
-  /// by any subsequent mutation of either tier.
+  /// RAM store (valid as EdgeLookupResult::entry is); everything else
+  /// points into the flash log (valid as FlashTier::get's pointer is).
+  /// Read it before mutating either tier.
   cache::CacheEntry* entry = nullptr;
 };
 
@@ -190,7 +192,6 @@ class EdgePop {
 
   /// Host name this PoP registers on simulated networks: "edge.pop<id>".
   const std::string& host_name() const { return host_name_; }
-  int pop_id() const { return config_.pop_id; }
   const EdgeConfig& config() const { return config_; }
 
   /// Classifies a stored entry for `key` at `now`. Entries stored "in the
@@ -199,10 +200,11 @@ class EdgePop {
   /// they revalidate instead of serving content from the future.
   EdgeLookupResult lookup(const std::string& key, TimePoint now);
 
-  /// Stores an origin 200 if shared-cache policy and TinyLFU admission
-  /// allow. Returns true when stored. When the flash tier is enabled,
-  /// RAM victims demote to flash instead of evaporating; `aio` (when
-  /// given) accounts the resulting device writes.
+  /// Stores an origin response if the shared-cache storability rule
+  /// (cache::is_storable) and TinyLFU admission allow. Returns true when
+  /// stored. When the flash tier is enabled, RAM victims demote to flash
+  /// instead of evaporating; `aio` (when given) accounts the resulting
+  /// device writes.
   bool admit_and_store(const std::string& key, http::Response response,
                        TimePoint request_time, TimePoint response_time,
                        io::AioEngine* aio = nullptr);
@@ -218,7 +220,6 @@ class EdgePop {
 
   // ---- Flash tier (all no-ops / false / null when flash is disabled) ----
 
-  bool flash_enabled() const { return flash_ != nullptr; }
   FlashTier* flash() { return flash_.get(); }
   Rng& flash_rng() { return flash_rng_; }
   io::AioStats& aio_stats() { return aio_stats_; }
@@ -268,11 +269,6 @@ class EdgePop {
   /// Snapshot with the store's eviction count and — when the flash tier
   /// exists — the flash log's and device queue's counters folded in.
   EdgePopStats stats() const;
-
-  SlruStore& store() { return store_; }
-  const TinyLfuAdmission& admission() const { return admission_; }
-  ByteCount size_bytes() const { return store_.size_bytes(); }
-  std::size_t entry_count() const { return store_.entry_count(); }
 
  private:
   /// Shared freshness classification for stored entries in either tier:

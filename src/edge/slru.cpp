@@ -14,15 +14,10 @@ SlruStore::SlruStore(ByteCount capacity, double protected_fraction)
 
 cache::CacheEntry* SlruStore::get(const std::string& key) {
   if (cache::CacheEntry* entry = protected_.get(key)) return entry;
-  const cache::CacheEntry* probed = probation_.peek(key);
-  if (probed == nullptr) return nullptr;
-  // First re-reference: promote. LruStore has no extract, so move via a
-  // copy — entry bodies are site stand-in content, a one-time copy per
-  // promotion is noise next to the simulated transfer it saves.
-  cache::CacheEntry moved = *probed;
-  probation_.erase(key);
-  protected_.put(key, std::move(moved));
-  ++promotions_;
+  // First re-reference: promote.
+  std::optional<cache::CacheEntry> promoted = probation_.take(key);
+  if (!promoted) return nullptr;
+  protected_.put(key, std::move(*promoted));
   rebalance_protected();
   return protected_.get(key);
 }
@@ -66,9 +61,7 @@ void SlruStore::rebalance_protected() {
          protected_.entry_count() > 1) {
     const auto tail = protected_.lru_key();
     if (!tail) break;
-    cache::CacheEntry demoted = *protected_.peek(*tail);
-    protected_.erase(*tail);
-    probation_.put(*tail, std::move(demoted));
+    probation_.put(*tail, std::move(*protected_.take(*tail)));
   }
 }
 

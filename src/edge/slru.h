@@ -11,6 +11,10 @@
 // Unlike LruStore, SlruStore never evicts on its own: callers make room
 // explicitly (victim_key()/evict_victim()) so an admission policy can
 // veto the insertion instead of the eviction happening behind its back.
+//
+// Promotion and demotion move an entry between the segments
+// (LruStore::take), so they leave no copy behind; the moved entry lives
+// at a new address.
 #pragma once
 
 #include <optional>
@@ -27,10 +31,13 @@ class SlruStore {
   explicit SlruStore(ByteCount capacity, double protected_fraction = 0.8);
 
   /// Lookup that refreshes recency and applies the SLRU promotion rule.
-  /// The returned pointer is invalidated by any subsequent mutation.
+  /// The pointer stays valid until this key's entry is erased, replaced,
+  /// evicted, or moved to the other segment: a get() of this key that
+  /// promotes it, or a promotion of another key that demotes it.
   cache::CacheEntry* get(const std::string& key);
 
-  /// Lookup without touching recency or segments.
+  /// Lookup without touching recency or segments; the pointer lives as
+  /// get()'s does.
   const cache::CacheEntry* peek(const std::string& key) const;
 
   /// Inserts (or replaces) into probation. Requires the caller to have
@@ -52,22 +59,11 @@ class SlruStore {
     return size_bytes() + incoming_cost > capacity_;
   }
 
-  bool contains(const std::string& key) const {
-    return peek(key) != nullptr;
-  }
   ByteCount size_bytes() const {
     return probation_.size_bytes() + protected_.size_bytes();
   }
   ByteCount capacity() const { return capacity_; }
-  std::size_t entry_count() const {
-    return probation_.entry_count() + protected_.entry_count();
-  }
   std::size_t evictions() const { return evictions_; }
-  std::size_t promotions() const { return promotions_; }
-
-  // Segment introspection (tests / telemetry).
-  const cache::LruStore& probation() const { return probation_; }
-  const cache::LruStore& protected_segment() const { return protected_; }
 
  private:
   void rebalance_protected();
@@ -75,7 +71,6 @@ class SlruStore {
   ByteCount capacity_;
   ByteCount protected_capacity_;
   std::size_t evictions_ = 0;
-  std::size_t promotions_ = 0;
   // Both segments carry the full byte budget so they never auto-evict;
   // SlruStore enforces the real budgets itself (see header comment).
   cache::LruStore probation_;

@@ -21,7 +21,8 @@ struct BodyKeyHash {
   }
 };
 
-/// std::unordered_map, not FlatHashMap: callers keep references into it.
+/// Callers keep references into a memo: std::unordered_map never moves an
+/// element, so they stay valid until the memo is cleared.
 template <class Result>
 using ScanMemo = std::unordered_map<BodyKey, Result, BodyKeyHash>;
 

@@ -27,11 +27,12 @@ AioEngine::AioEngine(netsim::EventLoop& loop, const AioDeviceConfig& config,
 
 void AioEngine::submit_read(const std::string& key, ByteCount bytes,
                             Completion done) {
-  if (std::uint64_t* pending = read_by_key_.find(key)) {
+  if (const auto pending = read_by_key_.find(key);
+      pending != read_by_key_.end()) {
     // Merge: the device will read these bytes once; everyone interested
     // completes together.
     ++stats_.merged_reads;
-    ops_.find(*pending)->completions.push_back(std::move(done));
+    ops_.at(pending->second).completions.push_back(std::move(done));
     return;
   }
   Op op;
@@ -40,7 +41,7 @@ void AioEngine::submit_read(const std::string& key, ByteCount bytes,
   op.bytes = bytes;
   op.completions.push_back(std::move(done));
   const std::uint64_t id = enqueue(std::move(op));
-  read_by_key_.insert_or_assign(key, id);
+  read_by_key_.emplace(key, id);
 }
 
 void AioEngine::submit_write(ByteCount bytes, Completion done) {
@@ -53,7 +54,7 @@ void AioEngine::submit_write(ByteCount bytes, Completion done) {
 std::uint64_t AioEngine::enqueue(Op op) {
   const std::uint64_t id = next_id_++;
   op.submitted = loop_.now();
-  ops_.insert_or_assign(id, std::move(op));
+  ops_.emplace(id, std::move(op));
   if (inflight_ < config_.queue_depth) {
     start_op(id);
   } else {
@@ -68,13 +69,12 @@ void AioEngine::start_op(std::uint64_t id) {
   if (static_cast<std::uint64_t>(inflight_) > stats_.peak_inflight) {
     stats_.peak_inflight = static_cast<std::uint64_t>(inflight_);
   }
-  const Duration service = service_time(*ops_.find(id));
+  const Duration service = service_time(ops_.at(id));
   loop_.schedule_after(service, [this, id]() { finish_op(id); });
 }
 
 void AioEngine::finish_op(std::uint64_t id) {
-  Op op = std::move(*ops_.find(id));
-  ops_.erase(id);
+  Op op = std::move(ops_.extract(id).mapped());
   obs::count(obs::Sub::kFlash);
   if (auto* rec = loop_.recorder()) {
     // Device-level decomposition: queue wait + service per op (merged

@@ -30,10 +30,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "netsim/event_loop.h"
-#include "util/flat_hash.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -88,9 +88,6 @@ class AioEngine {
   /// empty when the caller only wants the queue-pressure side effect.
   void submit_write(ByteCount bytes, Completion done = nullptr);
 
-  int inflight() const { return inflight_; }
-  std::size_t queued() const { return waiting_.size() - waiting_head_; }
-
  private:
   struct Op {
     bool read = false;
@@ -112,12 +109,12 @@ class AioEngine {
 
   std::uint64_t next_id_ = 1;
   int inflight_ = 0;
-  FlatHashMap<std::uint64_t, Op> ops_;
+  std::unordered_map<std::uint64_t, Op> ops_;
   // FIFO of ops waiting for a device slot (drained from waiting_head_).
   std::vector<std::uint64_t> waiting_;
   std::size_t waiting_head_ = 0;
   // Pending (queued or in-service) read per key, for merging.
-  FlatHashMap<std::string, std::uint64_t> read_by_key_;
+  std::unordered_map<std::string, std::uint64_t> read_by_key_;
 };
 
 }  // namespace catalyst::io

@@ -17,12 +17,14 @@ Host& Network::add_host(const std::string& name, const HostSpec& spec) {
   }
   auto host = std::make_unique<Host>(loop_, name, spec);
   Host& ref = *host;
-  hosts_.insert_or_assign(name, std::move(host));
+  hosts_.emplace(name, std::move(host));
   return ref;
 }
 
 Host& Network::host(const std::string& name) {
-  if (auto* host = hosts_.find(name)) return **host;
+  if (const auto it = hosts_.find(name); it != hosts_.end()) {
+    return *it->second;
+  }
   throw std::out_of_range("Network: unknown host " + name);
 }
 

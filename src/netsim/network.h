@@ -11,12 +11,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "http/message.h"
 #include "netsim/event_loop.h"
 #include "netsim/link.h"
-#include "util/flat_hash.h"
 #include "util/types.h"
 
 namespace catalyst::netsim {
@@ -118,7 +118,7 @@ class Network {
   };
 
   EventLoop& loop_;
-  FlatHashMap<std::string, std::unique_ptr<Host>> hosts_;
+  std::unordered_map<std::string, std::unique_ptr<Host>> hosts_;
   // A testbed links a handful of hosts, so rtt() scans.
   std::vector<RttPair> rtts_;
   Duration dns_lookup_ = Duration::zero();

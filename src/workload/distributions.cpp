@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
 #include <stdexcept>
+#include <utility>
 #include <vector>
-
-#include "util/flat_hash.h"
 
 namespace catalyst::workload {
 
@@ -28,14 +28,15 @@ struct ZipfTable {
 };
 
 const ZipfTable& zipf_table(std::size_t n, double s) {
-  // Keyed by (n, exact bits of s). Thread-local like every other engine
-  // cache: sharded fleet replay never shares workload state across
-  // threads, and the table contents are a pure function of (n, s) so
-  // per-thread duplicates cannot diverge.
-  thread_local FlatHashMap<std::uint64_t, ZipfTable> tables;
-  const std::uint64_t key =
-      mix_u64(static_cast<std::uint64_t>(n)) ^ std::bit_cast<std::uint64_t>(s);
-  ZipfTable& table = tables[key];
+  // Keyed by (n, exact bits of s) themselves, never a hash of them: two
+  // pairs sharing a table would draw ranks from the wrong weights. A run
+  // draws from one pair, so the map stays tiny. Thread-local like every
+  // other engine cache: sharded fleet replay never shares workload state
+  // across threads, and the table contents are a pure function of (n, s)
+  // so per-thread duplicates cannot diverge.
+  thread_local std::map<std::pair<std::size_t, std::uint64_t>, ZipfTable>
+      tables;
+  ZipfTable& table = tables[{n, std::bit_cast<std::uint64_t>(s)}];
   if (table.weights.empty()) {
     table.weights.resize(n);
     for (std::size_t k = 0; k < n; ++k) {

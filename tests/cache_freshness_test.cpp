@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "http/date.h"
 
 namespace catalyst::cache {
@@ -228,6 +231,87 @@ TEST(NegativeFreshnessTest, TightMaxTtlBoundsDefault) {
   const auto entry = negative_entry(Status::NotFound, "", TimePoint{});
   EXPECT_EQ(negative_freshness_lifetime(entry.response, policy),
             seconds(15));
+}
+
+// ---- Storability (RFC 9111 §3), private and shared caches ----
+
+struct Storable {
+  bool private_cache = false;
+  bool shared_cache = false;
+  bool operator==(const Storable&) const = default;
+};
+
+/// is_storable for a private and for a shared cache.
+Storable storable(const Response& response, bool negative_caching = false) {
+  NegativePolicy policy;
+  policy.enabled = negative_caching;
+  return {is_storable(response, policy, /*shared=*/false),
+          is_storable(response, policy, /*shared=*/true)};
+}
+
+Response response_with(Status status, const std::string& cache_control,
+                       std::string_view extra_header = {}) {
+  Response resp = Response::make(status);
+  if (!cache_control.empty()) {
+    resp.headers.set(http::kCacheControl, cache_control);
+  }
+  if (!extra_header.empty()) resp.headers.set(extra_header, "x");
+  return resp;
+}
+
+constexpr Storable kBoth{true, true};
+constexpr Storable kNeither{false, false};
+
+TEST(StorabilityTest, NoStoreIsRefusedByBoth) {
+  EXPECT_EQ(storable(response_with(Status::Ok, "no-store, max-age=60",
+                                   http::kEtagHeader)),
+            kNeither);
+}
+
+TEST(StorabilityTest, PrivateIsRefusedOnlyBySharedCache) {
+  EXPECT_EQ(storable(response_with(Status::Ok, "private, max-age=60")),
+            (Storable{true, false}));
+  EXPECT_EQ(storable(response_with(Status::NotFound, "private"),
+                     /*negative_caching=*/true),
+            (Storable{true, false}));
+}
+
+TEST(StorabilityTest, UncacheableStatusIsRefusedByBoth) {
+  for (const Status status :
+       {Status::Found, Status::InternalServerError, Status::BadGateway}) {
+    EXPECT_EQ(storable(response_with(status, "max-age=60",
+                                     http::kEtagHeader),
+                       /*negative_caching=*/true),
+              kNeither)
+        << http::code(status);
+  }
+}
+
+TEST(StorabilityTest, ErrorsNeedNegativeCachingAndNoNoCache) {
+  for (const Status status : {Status::NotFound, Status::Gone}) {
+    // No freshness info or validator needed: the bounded negative TTL is
+    // the error's freshness info.
+    EXPECT_EQ(storable(response_with(status, "")), kNeither);
+    EXPECT_EQ(storable(response_with(status, ""), /*negative_caching=*/true),
+              kBoth);
+    EXPECT_EQ(storable(response_with(status, "no-cache"),
+                       /*negative_caching=*/true),
+              kNeither);
+  }
+}
+
+TEST(StorabilityTest, OthersNeedFreshnessInfoOrAValidator) {
+  EXPECT_EQ(storable(response_with(Status::Ok, "")), kNeither);
+  EXPECT_EQ(storable(response_with(Status::Ok, "public")), kNeither);
+  EXPECT_EQ(storable(response_with(Status::Ok, "max-age=60")), kBoth);
+  EXPECT_EQ(storable(response_with(Status::Ok, "no-cache")), kBoth);
+  for (const std::string_view header :
+       {http::kExpires, http::kEtagHeader, http::kLastModified}) {
+    EXPECT_EQ(storable(response_with(Status::Ok, "", header)), kBoth)
+        << header;
+  }
+  EXPECT_EQ(storable(response_with(Status::MovedPermanently, "max-age=60")),
+            kBoth);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace catalyst::cache {
@@ -120,19 +122,55 @@ TEST(LruStoreTest, KeysStayRightAfterReplaceAndEviction) {
   store.put("c", entry_of_size(700));
   EXPECT_EQ(store.lru_key(), "a");
 
-  // Replacing "a" frees its slot, reuses it and moves "a" to the front.
+  // Replacing "a" drops the old entry and puts the new one in front.
   store.put("a", entry_of_size(600));
   EXPECT_EQ(store.lru_key(), "b");
   EXPECT_EQ(store.keys_mru_order(),
             (std::vector<std::string>{"a", "c", "b"}));
 
-  // "d" evicts the LRU "b" and takes its slot.
+  // "d" evicts the LRU "b".
   store.put("d", entry_of_size(700));
   EXPECT_EQ(store.get("b"), nullptr);
   EXPECT_EQ(store.lru_key(), "c");
   EXPECT_EQ(store.keys_mru_order(),
             (std::vector<std::string>{"d", "a", "c"}));
   EXPECT_EQ(store.entry_count(), 3u);
+}
+
+TEST(LruStoreTest, TakeMovesTheEntryOut) {
+  LruStore store(KiB(64));
+  store.put("a", entry_of_size(100));
+  store.put("b", entry_of_size(200));
+  const ByteCount with_both = store.size_bytes();
+
+  std::optional<CacheEntry> taken = store.take("a");
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->response.body.size(), 100u);
+  EXPECT_EQ(store.size_bytes(), with_both - taken->cost());
+  EXPECT_EQ(store.peek("a"), nullptr);
+  EXPECT_EQ(store.keys_mru_order(), (std::vector<std::string>{"b"}));
+  EXPECT_FALSE(store.take("a").has_value());
+
+  // The taken entry goes back in like any other.
+  ASSERT_TRUE(store.put("a", std::move(*taken)));
+  EXPECT_EQ(store.size_bytes(), with_both);
+  EXPECT_EQ(store.lru_key(), "b");
+}
+
+TEST(LruStoreTest, EntryPointerOutlivesOtherKeysMutations) {
+  LruStore store(3000);  // room for three 700-byte entries
+  store.put("a", entry_of_size(700));
+  const CacheEntry* a = store.peek("a");
+  ASSERT_NE(a, nullptr);
+  store.put("b", entry_of_size(700));
+  ASSERT_NE(store.get("b"), nullptr);
+  store.erase("b");
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(store.get("a"), a);  // keeps "a" out of the eviction path
+    store.put("k" + std::to_string(i), entry_of_size(700));
+  }
+  EXPECT_EQ(store.peek("a"), a);
+  EXPECT_EQ(a->response.body.size(), 700u);
 }
 
 }  // namespace

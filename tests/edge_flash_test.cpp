@@ -44,21 +44,22 @@ TEST(FlashTierTest, PutGetEraseAccountLiveAndLogBytes) {
   FlashTier tier(small_flash(MiB(1)));
   ASSERT_TRUE(tier.put("a", entry_with(1000)));
   ASSERT_TRUE(tier.put("b", entry_with(1000)));
-  EXPECT_EQ(tier.entry_count(), 2u);
   EXPECT_TRUE(tier.contains("a"));
+  EXPECT_TRUE(tier.contains("b"));
   ASSERT_NE(tier.get("a"), nullptr);
   EXPECT_EQ(tier.peek("a")->response.body.size(), 1000u);
-  EXPECT_EQ(tier.live_bytes(), tier.log_bytes());
+  EXPECT_EQ(tier.log_bytes(), tier.stats().host_bytes_written);
 
   // Erase marks the record dead in place: the index forgets it but the
-  // log keeps its bytes until GC reclaims the segment.
+  // log keeps its bytes until GC reclaims the segment, so the one live
+  // record ("b") holds less than the log.
   const ByteCount log_before = tier.log_bytes();
   EXPECT_TRUE(tier.erase("a"));
   EXPECT_FALSE(tier.contains("a"));
   EXPECT_EQ(tier.get("a"), nullptr);
-  EXPECT_EQ(tier.entry_count(), 1u);
-  EXPECT_LT(tier.live_bytes(), log_before);
+  ASSERT_TRUE(tier.contains("b"));
   EXPECT_EQ(tier.log_bytes(), log_before);
+  EXPECT_LT(tier.peek("b")->cost(), tier.log_bytes());
   EXPECT_FALSE(tier.erase("a"));  // already dead
 }
 
@@ -67,23 +68,24 @@ TEST(FlashTierTest, PutSupersedesDeadInPlace) {
   ASSERT_TRUE(tier.put("k", entry_with(1000)));
   const ByteCount log_one = tier.log_bytes();
   ASSERT_TRUE(tier.put("k", entry_with(2000)));
-  EXPECT_EQ(tier.entry_count(), 1u);
   EXPECT_EQ(tier.peek("k")->response.body.size(), 2000u);
   // Log caches never update in place: the old record's bytes stay on the
-  // log, only the new record counts as live.
-  EXPECT_GT(tier.log_bytes(), log_one);
-  EXPECT_LT(tier.live_bytes(), tier.log_bytes());
+  // log next to the new record's.
+  EXPECT_EQ(tier.log_bytes(), log_one + tier.peek("k")->cost());
+  EXPECT_EQ(tier.stats().stores, 2u);
 }
 
 TEST(FlashTierTest, RejectsEntryLargerThanCapacity) {
   FlashTier tier(small_flash(KiB(16)));
   EXPECT_FALSE(tier.put("huge", entry_with(64 * 1024)));
-  EXPECT_EQ(tier.entry_count(), 0u);
+  EXPECT_FALSE(tier.contains("huge"));
+  EXPECT_EQ(tier.log_bytes(), 0u);
   EXPECT_EQ(tier.stats().stores, 0u);
 }
 
 TEST(FlashTierTest, GcSalvagesReferencedRecordsAndAmplifiesWrites) {
-  FlashTier tier(small_flash(KiB(16)));
+  const FlashConfig config = small_flash(KiB(16));
+  FlashTier tier(config);
   ASSERT_TRUE(tier.put("hot", entry_with(1000)));
   // Fill past capacity with one-touch records, re-referencing "hot" so
   // every GC round salvages it instead of evicting it.
@@ -91,7 +93,7 @@ TEST(FlashTierTest, GcSalvagesReferencedRecordsAndAmplifiesWrites) {
     ASSERT_NE(tier.get("hot"), nullptr) << "lost at record " << i;
     ASSERT_TRUE(tier.put("cold-" + std::to_string(i), entry_with(1000)));
   }
-  EXPECT_LE(tier.log_bytes(), tier.capacity());
+  EXPECT_LE(tier.log_bytes(), config.capacity);
   EXPECT_TRUE(tier.contains("hot"));
 
   const FlashStats& stats = tier.stats();
@@ -115,7 +117,7 @@ EdgeConfig two_tier_config(bool tinylfu = false) {
 TEST(EdgePopFlashTest, RamEvictionDemotesVictimToFlash) {
   EdgePop pop(two_tier_config());
   const TimePoint t0{};
-  ASSERT_TRUE(pop.flash_enabled());
+  ASSERT_NE(pop.flash(), nullptr);
 
   for (int i = 0; i < 6; ++i) {
     const std::string key = "origin/asset-" + std::to_string(i);
@@ -131,11 +133,15 @@ TEST(EdgePopFlashTest, RamEvictionDemotesVictimToFlash) {
 
   // The early victims now live in flash — and ONLY in flash (tier
   // exclusivity): anything still in RAM must be absent from the log.
+  // Every entry is fresh, so a RAM lookup finds it exactly when RAM
+  // holds it.
   EXPECT_TRUE(pop.flash_has("origin/asset-0"));
   EXPECT_GT(pop.flash_entry_cost("origin/asset-0"), 0u);
   for (int i = 0; i < 6; ++i) {
     const std::string key = "origin/asset-" + std::to_string(i);
-    EXPECT_NE(pop.store().contains(key), pop.flash_has(key)) << key;
+    const bool in_ram =
+        pop.lookup(key, t0).decision == EdgeLookupDecision::Fresh;
+    EXPECT_NE(in_ram, pop.flash_has(key)) << key;
   }
 }
 
@@ -183,7 +189,8 @@ TEST(EdgePopFlashTest, TinyLfuVetoServesFromFlashWithoutPromoting) {
   EXPECT_EQ(stats.flash_promotion_rejects, 1u);
   // The RAM residents survived the attempted promotion.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(pop.store().contains("origin/hot-" + std::to_string(i)));
+    EXPECT_EQ(pop.lookup("origin/hot-" + std::to_string(i), t0).decision,
+              EdgeLookupDecision::Fresh);
   }
 }
 
@@ -242,7 +249,6 @@ TEST(EdgePopFlashTest, RefreshNotModifiedReachesFlashRecords) {
 
 TEST(EdgePopFlashTest, DisabledFlashKeepsPopInert) {
   EdgePop pop(EdgeConfig{});  // flash.capacity == 0
-  EXPECT_FALSE(pop.flash_enabled());
   EXPECT_EQ(pop.flash(), nullptr);
   EXPECT_FALSE(pop.flash_has("anything"));
   EXPECT_EQ(pop.flash_entry_cost("anything"), 0u);

@@ -32,24 +32,65 @@ cache::CacheEntry entry_of(std::size_t body_bytes) {
   return entry;
 }
 
+/// Evicts every entry and returns the keys in eviction order.
+std::vector<std::string> drain(SlruStore& store) {
+  std::vector<std::string> order;
+  while (const auto key = store.victim_key()) {
+    order.push_back(*key);
+    EXPECT_TRUE(store.evict_victim());
+  }
+  return order;
+}
+
 TEST(SlruStoreTest, PromotesOnSecondReferenceAndEvictsColdTail) {
   SlruStore store(10 * 1024, /*protected_fraction=*/0.8);
   ASSERT_TRUE(store.put("a", entry_of(2000)));
   ASSERT_TRUE(store.put("b", entry_of(2000)));
-  EXPECT_EQ(store.probation().entry_count(), 2u);
+  EXPECT_EQ(store.victim_key(), "a");  // probation's LRU tail
 
-  // First re-reference moves "a" to the protected segment.
+  // First re-reference moves "a" to the protected segment, so entries
+  // that enter probation after it are still evicted before it: plain LRU
+  // would evict b, a, c.
   ASSERT_NE(store.get("a"), nullptr);
-  EXPECT_EQ(store.protected_segment().entry_count(), 1u);
-  EXPECT_EQ(store.promotions(), 1u);
-
-  // The eviction victim is probation's tail ("b"), never the promoted "a".
-  ASSERT_TRUE(store.victim_key().has_value());
-  EXPECT_EQ(*store.victim_key(), "b");
+  ASSERT_TRUE(store.put("c", entry_of(2000)));
+  EXPECT_EQ(store.victim_key(), "b");
   EXPECT_TRUE(store.evict_victim());
-  EXPECT_TRUE(store.contains("a"));
-  EXPECT_FALSE(store.contains("b"));
+  EXPECT_EQ(store.peek("b"), nullptr);
+  ASSERT_NE(store.peek("a"), nullptr);
+  EXPECT_EQ(store.peek("a")->response.body.size(), 2000u);
   EXPECT_EQ(store.evictions(), 1u);
+  // Probation drains first; the protected tail goes last.
+  EXPECT_EQ(drain(store), (std::vector<std::string>{"c", "a"}));
+  EXPECT_EQ(store.size_bytes(), 0u);
+}
+
+TEST(SlruStoreTest, OverflowingProtectedDemotesItsTailToProbation) {
+  // The protected budget (a quarter of 10 KiB) holds one ~2 KiB entry.
+  SlruStore store(10 * 1024, /*protected_fraction=*/0.25);
+  ASSERT_TRUE(store.put("a", entry_of(2000)));
+  ASSERT_TRUE(store.put("b", entry_of(2000)));
+  ASSERT_TRUE(store.put("c", entry_of(2000)));
+  const ByteCount stored = store.size_bytes();
+  ASSERT_NE(store.get("a"), nullptr);  // promotes "a"
+  // Promoting "b" overflows the protected budget: its tail "a" moves
+  // back to probation's MRU end, behind "c".
+  ASSERT_NE(store.get("b"), nullptr);
+  EXPECT_EQ(store.size_bytes(), stored);  // moved, never copied or lost
+  ASSERT_NE(store.peek("a"), nullptr);
+  EXPECT_EQ(store.peek("a")->response.body.size(), 2000u);
+  EXPECT_EQ(drain(store), (std::vector<std::string>{"c", "a", "b"}));
+  EXPECT_EQ(store.evictions(), 3u);
+}
+
+TEST(SlruStoreTest, DemotedEntryEarnsPromotionAgain) {
+  SlruStore store(10 * 1024, /*protected_fraction=*/0.25);
+  ASSERT_TRUE(store.put("a", entry_of(2000)));
+  ASSERT_TRUE(store.put("b", entry_of(2000)));
+  ASSERT_TRUE(store.put("c", entry_of(2000)));
+  ASSERT_NE(store.get("a"), nullptr);
+  ASSERT_NE(store.get("b"), nullptr);  // demotes "a"
+  ASSERT_NE(store.get("a"), nullptr);  // promotes "a", demotes "b"
+  EXPECT_EQ(drain(store), (std::vector<std::string>{"c", "b", "a"}));
 }
 
 TEST(SlruStoreTest, PutRequiresRoomAndRejectsOversized) {
@@ -119,7 +160,9 @@ TEST(EdgePopTest, SharedCacheRefusesPrivateAndNoStore) {
       "k1", cacheable_response("\"a\"", 100, "private, max-age=60"), t0, t0));
   EXPECT_FALSE(pop.admit_and_store(
       "k2", cacheable_response("\"b\"", 100, "no-store"), t0, t0));
-  EXPECT_EQ(pop.entry_count(), 0u);
+  EXPECT_EQ(pop.stats().stores, 0u);
+  EXPECT_EQ(pop.lookup("k1", t0).decision, EdgeLookupDecision::Miss);
+  EXPECT_EQ(pop.lookup("k2", t0).decision, EdgeLookupDecision::Miss);
 }
 
 TEST(EdgePopTest, FutureEntriesRevalidateInsteadOfServingFresh) {
@@ -297,10 +340,11 @@ TEST_F(EdgeNodeTest, StaleEntryRevalidatesUpstreamAndRefreshesMap) {
   const EdgePopStats stats = pop_->stats();
   EXPECT_EQ(stats.revalidated_hits, 1u);
   EXPECT_EQ(stats.origin_not_modified, 1u);
-  const cache::CacheEntry* entry =
-      pop_->store().peek("origin.example/index.html");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->response.headers.get(http::kXEtagConfig), "{\"v\":2}");
+  const EdgeLookupResult stored =
+      pop_->lookup("origin.example/index.html", loop_.now());
+  ASSERT_NE(stored.entry, nullptr);
+  EXPECT_EQ(stored.entry->response.headers.get(http::kXEtagConfig),
+            "{\"v\":2}");
 }
 
 TEST_F(EdgeNodeTest, EveryRequestResolvesExactlyOnce) {
@@ -345,7 +389,6 @@ TEST_F(EdgeNodeTest, ServerErrorReachesCoalescedWaitersButIsNeverAdmitted) {
   const EdgePopStats after_error = pop_->stats();
   EXPECT_EQ(after_error.coalesced, static_cast<std::uint64_t>(kClients - 1));
   EXPECT_EQ(after_error.stores, 0u);
-  EXPECT_EQ(pop_->entry_count(), 0u);
 
   // Origin recovers: the next request must go upstream and succeed.
   install_origin("\"v2\"");
@@ -397,7 +440,10 @@ TEST(EdgePopTest, NegativeEntriesStoreAndExpireUnderPolicy) {
   EXPECT_EQ(pop.stats().negative_hits, 1u);
   EXPECT_EQ(pop.lookup("origin/gone.css", t0 + seconds(90)).decision,
             EdgeLookupDecision::Miss);
-  EXPECT_FALSE(pop.store().contains("origin/gone.css"));
+  // The expired error was erased, not kept: even a lookup back inside its
+  // lifetime misses.
+  EXPECT_EQ(pop.lookup("origin/gone.css", t0 + seconds(30)).decision,
+            EdgeLookupDecision::Miss);
 }
 
 TEST(EdgePopTest, NegativeCachingOffRefusesErrorResponses) {
@@ -408,7 +454,7 @@ TEST(EdgePopTest, NegativeCachingOffRefusesErrorResponses) {
   miss.finalize(t0);
   EXPECT_FALSE(pop.admit_and_store("origin/gone.css", miss, t0, t0));
   EXPECT_EQ(pop.stats().negative_stores, 0u);
-  EXPECT_EQ(pop.entry_count(), 0u);
+  EXPECT_EQ(pop.stats().stores, 0u);
 }
 
 /// Every counter EdgePopStats::merge sums: all fields but

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "util/rng.h"
 #include "workload/distributions.h"
@@ -100,6 +102,34 @@ TEST(DistributionsTest, ZipfRankBoundsAndDeterminism) {
   }
   EXPECT_THROW(workload::draw_zipf_rank(0, 0.9, rng),
                std::invalid_argument);
+}
+
+TEST(DistributionsTest, ZipfDrawsNeverReuseAnotherPairsTable) {
+  // (40, 1.0) and (284, 1.9913792895582298) collide under a memo keyed by
+  // a SplitMix64 hash of n xor the bits of s: after one draw at the first
+  // pair, draws at the second read the first pair's 40-entry table. Each
+  // side runs on its own thread so it starts from an empty thread-local
+  // memo.
+  constexpr std::size_t kN = 284;
+  constexpr double kS = 1.9913792895582298;
+  const auto draw = [](bool prime_colliding_pair) {
+    if (prime_colliding_pair) {
+      Rng prime(1);
+      workload::draw_zipf_rank(40, 1.0, prime);
+    }
+    Rng rng(2024);
+    std::vector<std::size_t> ranks;
+    for (int i = 0; i < 20000; ++i) {
+      ranks.push_back(workload::draw_zipf_rank(kN, kS, rng));
+    }
+    return ranks;
+  };
+  std::vector<std::size_t> primed;
+  std::vector<std::size_t> fresh;
+  std::thread([&] { primed = draw(true); }).join();
+  std::thread([&] { fresh = draw(false); }).join();
+  EXPECT_EQ(primed, fresh);
+  EXPECT_GE(*std::max_element(primed.begin(), primed.end()), 40u);
 }
 
 TEST(DistributionsTest, VisitGapFlooredAndMeanRoughlyRight) {

@@ -68,17 +68,17 @@ TEST(AioEngineTest, QueueDepthBoundsInflightAndExcessWaits) {
   Rng rng(1);
   AioStats stats;
   AioEngine engine(loop, no_jitter(/*queue_depth=*/4), rng, stats);
+  int completed = 0;
   for (int i = 0; i < 10; ++i) {
-    engine.submit_read("k" + std::to_string(i), 1024, []() {});
+    engine.submit_read("k" + std::to_string(i), 1024,
+                       [&completed]() { ++completed; });
   }
-  EXPECT_EQ(engine.inflight(), 4);
-  EXPECT_EQ(engine.queued(), 6u);
+  EXPECT_EQ(stats.peak_inflight, 4u);  // the device is full...
+  EXPECT_EQ(stats.queue_waits, 6u);    // ...and the rest wait for it
   loop.run();
-  EXPECT_EQ(engine.inflight(), 0);
-  EXPECT_EQ(engine.queued(), 0u);
+  EXPECT_EQ(completed, 10);
   EXPECT_EQ(stats.reads, 10u);
-  EXPECT_EQ(stats.queue_waits, 6u);
-  EXPECT_EQ(stats.peak_inflight, 4u);
+  EXPECT_EQ(stats.peak_inflight, 4u);  // draining never ran more than four
 }
 
 TEST(AioEngineTest, WaitingOpsStartInSubmissionOrder) {

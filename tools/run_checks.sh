@@ -24,8 +24,8 @@
 #             Both BENCH_*.json artifacts are written before the gate
 #             verdict so a regression still uploads its numbers
 #   asan    — ASan+UBSan build, oracle/robustness/perf labels (the
-#             fault, pooling and shared-body paths are where lifetime
-#             bugs hide)
+#             fault, pooling, shared-body and cache-store paths are
+#             where lifetime bugs hide)
 #   tsan    — TSan build, oracle/fleet/edge labels (trace recording and
 #             oracle counters ride the fleet's shard merge; prove they
 #             stay race-free)
