@@ -40,8 +40,17 @@
 # pop_id}`. Kept on purpose: `FlashTier::log_bytes()`, the only observer
 # of the bytes on the flash log with its dead records (a superseded or
 # erased record keeps its bytes until GC reclaims its segment, and GC
-# keeps the log within its budget). A new function no binary calls ships
-# with the binary that calls it.
+# keeps the log within its budget). 58 since the event loop schedules
+# `std::function`: `SmallFn::fits_inline<std::function<void()>>` went
+# with `SmallFn`, and so did the twelve functions nothing called
+# (`Json::type`, `Adversary::params`, `StaticHandler::site`,
+# `Server::{site,config}`, `CatalystModule::config`, `PushModule::policy`,
+# `html::Node::attributes`, `BinAxis::{lo,hi}`, `ByteOracle::clear`,
+# `TraceLog::clear`) and `http::is_success`, which only a test called.
+# `LruStore::peek` joined the list when flash demotion began to take its
+# victim out of the SLRU instead of peeking it: only the test-only
+# `contains` and `stored_etag` reach it now. A new function no binary
+# calls ships with the binary that calls it.
 #
 #   scripts/link_audit.sh [BUILD_DIR]    (default: build-audit)
 set -euo pipefail

@@ -82,6 +82,21 @@ bool is_negative_fresh(const CacheEntry& entry, TimePoint now,
          current_age(entry, now);
 }
 
+bool may_serve(const CacheEntry& entry, TimePoint now,
+               const NegativePolicy& negative, bool allow_heuristic) {
+  if (is_negative_status(entry.response.status)) {
+    return negative.enabled && is_negative_fresh(entry, now, negative);
+  }
+  const http::CacheControl cc = entry.response.cache_control();
+  return !cc.must_revalidate && !cc.no_cache &&
+         is_fresh(entry, now, allow_heuristic);
+}
+
+bool has_validator(const CacheEntry& entry) {
+  return entry.etag() ||
+         entry.response.headers.contains(http::kLastModified);
+}
+
 bool is_storable(const http::Response& response,
                  const NegativePolicy& negative, bool shared) {
   const http::CacheControl cc = response.cache_control();

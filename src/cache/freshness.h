@@ -51,6 +51,17 @@ Duration negative_freshness_lifetime(const http::Response& response,
 bool is_negative_fresh(const CacheEntry& entry, TimePoint now,
                        const NegativePolicy& policy);
 
+/// Whether a stored entry may answer now without the origin (RFC 9111
+/// §4.2): a 404/410 only while `negative` is enabled and its bounded
+/// lifetime lasts; anything else while it is fresh and neither no-cache
+/// nor must-revalidate.
+bool may_serve(const CacheEntry& entry, TimePoint now,
+               const NegativePolicy& negative, bool allow_heuristic);
+
+/// Whether a stored entry can be revalidated: it carries an ETag or a
+/// Last-Modified date (RFC 9111 §4.3.1).
+bool has_validator(const CacheEntry& entry);
+
 /// Whether a cache may store `response` (RFC 9111 §3): never no-store or
 /// an uncacheable status; a 404/410 only when `negative` is enabled and
 /// the response is not no-cache (the bounded negative TTL is its

@@ -14,25 +14,18 @@ HttpCache::HttpCache(ByteCount capacity, bool allow_heuristic,
 LookupResult HttpCache::lookup(const std::string& url, TimePoint now) {
   CacheEntry* entry = store_.get(url);
   if (entry == nullptr) return LookupResult{LookupDecision::Miss, nullptr};
-  // Negative entries (stored 404/410s) answer under the bounded negative
-  // lifetime or not at all: once expired they are erased — revalidating an
+  if (may_serve(*entry, now, negative_, allow_heuristic_)) {
+    return LookupResult{LookupDecision::FreshHit, entry};
+  }
+  // An expired negative entry (stored 404/410) is erased: revalidating an
   // error body is pointless, the next reference pays the origin again.
   if (is_negative_status(entry->response.status)) {
-    if (negative_.enabled && is_negative_fresh(*entry, now, negative_)) {
-      return LookupResult{LookupDecision::FreshHit, entry};
-    }
     store_.erase(url);
     return LookupResult{LookupDecision::Miss, nullptr};
   }
-  const http::CacheControl cc = entry->response.cache_control();
-  if (!cc.must_revalidate && !cc.no_cache &&
-      is_fresh(*entry, now, allow_heuristic_)) {
-    return LookupResult{LookupDecision::FreshHit, entry};
-  }
   // Stale (or always-revalidate): usable only after validation — but only
   // if we hold a validator; otherwise it is as good as a miss.
-  if (entry->etag() ||
-      entry->response.headers.contains(http::kLastModified)) {
+  if (has_validator(*entry)) {
     return LookupResult{LookupDecision::NeedsRevalidation, entry};
   }
   return LookupResult{LookupDecision::Miss, nullptr};

@@ -150,6 +150,4 @@ netsim::ServeClass ByteOracle::classify(const Url& url,
   return violation(netsim::ServeClass::Violation);
 }
 
-void ByteOracle::clear() { violations_.clear(); }
-
 }  // namespace catalyst::check

@@ -90,8 +90,6 @@ class ByteOracle {
   /// full count).
   const std::vector<Violation>& violations() const { return violations_; }
 
-  void clear();
-
  private:
   static constexpr std::size_t kMaxRecordedViolations = 64;
 

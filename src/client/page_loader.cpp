@@ -209,8 +209,24 @@ void PageLoader::handle_discovered(const std::string& raw_url,
   const auto ref = Url::parse(raw_url);
   if (!ref) return;
   const Url url = page_url_.resolve(*ref);
+  if (!ordered_script) {
+    fetch_by_class(url, rc);
+    return;
+  }
+  ordered_scripts_.push_back(ScriptSlot{url});
+  const std::size_t index = ordered_scripts_.size() - 1;
   auto self = shared_from_this();
+  fetch_subresource(url, rc, [self, index](const FetchOutcome& outcome) {
+    ScriptSlot& slot = self->ordered_scripts_[index];
+    slot.arrived = true;
+    slot.fetches = &js_fetches(outcome.response);
+    slot.bytes = outcome.response.body.size();
+    self->try_execute_scripts();
+  });
+}
 
+void PageLoader::fetch_by_class(const Url& url, http::ResourceClass rc) {
+  auto self = shared_from_this();
   if (rc == http::ResourceClass::Css) {
     if (fetch_subresource(url, rc,
                           [self, url](const FetchOutcome& outcome) {
@@ -218,30 +234,15 @@ void PageLoader::handle_discovered(const std::string& raw_url,
                           })) {
       ++pending_css_;
     }
-    return;
+  } else if (rc == http::ResourceClass::Script) {
+    // async/defer-like: execute on arrival, out of order.
+    fetch_subresource(url, rc, [self, url](const FetchOutcome& outcome) {
+      self->execute_script_content(url, js_fetches(outcome.response),
+                                   outcome.response.body.size());
+    });
+  } else {
+    fetch_subresource(url, rc, nullptr);
   }
-  if (rc == http::ResourceClass::Script) {
-    if (ordered_script) {
-      ordered_scripts_.push_back(ScriptSlot{url});
-      const std::size_t index = ordered_scripts_.size() - 1;
-      fetch_subresource(url, rc,
-                        [self, index](const FetchOutcome& outcome) {
-                          ScriptSlot& slot = self->ordered_scripts_[index];
-                          slot.arrived = true;
-                          slot.fetches = &js_fetches(outcome.response);
-                          slot.bytes = outcome.response.body.size();
-                          self->try_execute_scripts();
-                        });
-    } else {
-      // async/defer-like: execute on arrival, out of order.
-      fetch_subresource(url, rc, [self, url](const FetchOutcome& outcome) {
-        self->execute_script_content(url, js_fetches(outcome.response),
-                                     outcome.response.body.size());
-      });
-    }
-    return;
-  }
-  fetch_subresource(url, rc, nullptr);
 }
 
 void PageLoader::handle_css_arrival(const Url& url,
@@ -258,13 +259,7 @@ void PageLoader::handle_css_arrival(const Url& url,
           if (!parsed) continue;
           const Url sub = url.resolve(*parsed);
           if (ref.is_import) {
-            if (self->fetch_subresource(
-                    sub, http::ResourceClass::Css,
-                    [self, sub](const FetchOutcome& outcome) {
-                      self->handle_css_arrival(sub, outcome.response);
-                    })) {
-              ++self->pending_css_;
-            }
+            self->fetch_by_class(sub, http::ResourceClass::Css);
           } else {
             self->fetch_subresource(sub,
                                     http::classify_path(sub.path),
@@ -283,23 +278,7 @@ void PageLoader::handle_dynamic_fetch(const Url& base,
   const auto parsed = Url::parse(raw_url);
   if (!parsed) return;
   const Url url = base.resolve(*parsed);
-  const http::ResourceClass rc = http::classify_path(url.path);
-  auto self = shared_from_this();
-  if (rc == http::ResourceClass::Script) {
-    fetch_subresource(url, rc, [self, url](const FetchOutcome& outcome) {
-      self->execute_script_content(url, js_fetches(outcome.response),
-                                   outcome.response.body.size());
-    });
-  } else if (rc == http::ResourceClass::Css) {
-    if (fetch_subresource(url, rc,
-                          [self, url](const FetchOutcome& outcome) {
-                            self->handle_css_arrival(url, outcome.response);
-                          })) {
-      ++pending_css_;
-    }
-  } else {
-    fetch_subresource(url, rc, nullptr);
-  }
+  fetch_by_class(url, http::classify_path(url.path));
 }
 
 void PageLoader::try_execute_scripts() {

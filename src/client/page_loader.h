@@ -64,6 +64,10 @@ class PageLoader : public std::enable_shared_from_this<PageLoader> {
   void on_html(const FetchOutcome& outcome);
   void handle_discovered(const std::string& raw_url,
                          http::ResourceClass rc, bool ordered_script);
+  /// Fetches `url` and acts on it by class: a stylesheet parses on
+  /// arrival (and holds first paint and scripts until then), a script
+  /// runs on arrival, anything else is only recorded.
+  void fetch_by_class(const Url& url, http::ResourceClass rc);
   void handle_css_arrival(const Url& url, const http::Response& stylesheet);
   void handle_dynamic_fetch(const Url& base, const std::string& raw_url);
   void try_execute_scripts();

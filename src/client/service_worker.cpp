@@ -33,8 +33,8 @@ CatalystServiceWorker::InterceptResult CatalystServiceWorker::try_serve(
   // only vouches for resources that exist.
   if (const auto it = negative_entries_.find(path);
       it != negative_entries_.end()) {
-    if (negative_.enabled &&
-        cache::is_negative_fresh(it->second, now, negative_)) {
+    if (cache::may_serve(it->second, now, negative_,
+                         /*allow_heuristic=*/false)) {
       return {Decision::ServeFromCache, &it->second.response, false};
     }
     negative_entries_.erase(it);

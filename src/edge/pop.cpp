@@ -49,14 +49,9 @@ bool EdgePop::entry_is_fresh(const cache::CacheEntry& entry,
   // clock. Serving it fresh would leak the future; demote to stale so it
   // revalidates like any expired entry.
   if (entry.response_time > now) return false;
-  if (cache::is_negative_status(entry.response.status)) {
-    return config_.negative.enabled &&
-           cache::is_negative_fresh(entry, now, config_.negative);
-  }
   // Heuristic freshness (RFC 9111 §4.2.2) applies to shared caches too.
-  const http::CacheControl cc = entry.response.cache_control();
-  return !cc.must_revalidate && !cc.no_cache &&
-         cache::is_fresh(entry, now, /*allow_heuristic=*/true);
+  return cache::may_serve(entry, now, config_.negative,
+                          /*allow_heuristic=*/true);
 }
 
 EdgeLookupResult EdgePop::lookup(const std::string& key, TimePoint now) {
@@ -74,8 +69,7 @@ EdgeLookupResult EdgePop::lookup(const std::string& key, TimePoint now) {
     if (entry->response_time <= now) store_.erase(key);
     return EdgeLookupResult{EdgeLookupDecision::Miss};
   }
-  if (entry->etag() ||
-      entry->response.headers.contains(http::kLastModified)) {
+  if (cache::has_validator(*entry)) {
     return EdgeLookupResult{EdgeLookupDecision::Stale, entry};
   }
   return EdgeLookupResult{EdgeLookupDecision::Miss};
@@ -119,22 +113,16 @@ bool EdgePop::make_room(const std::string& key, ByteCount cost,
     if (config_.tinylfu_admission && !admission_.admit(key, *victim)) {
       return false;
     }
-    demote_to_flash(*victim, aio);
-    store_.evict_victim();
+    demote_to_flash(std::move(*store_.evict_victim()), aio);
   }
   return true;
 }
 
-void EdgePop::demote_to_flash(const std::string& victim_key,
+void EdgePop::demote_to_flash(SlruStore::Evicted victim,
                               io::AioEngine* aio) {
   if (flash_ == nullptr) return;
-  // peek, not get: a get would promote the victim within the SLRU and
-  // make evict_victim() take out an innocent bystander instead.
-  const cache::CacheEntry* entry = store_.peek(victim_key);
-  if (entry == nullptr) return;
-  cache::CacheEntry copy = *entry;
-  const ByteCount cost = copy.cost();
-  if (flash_->put(victim_key, std::move(copy))) {
+  const ByteCount cost = victim.entry.cost();
+  if (flash_->put(victim.key, std::move(victim.entry))) {
     ++stats_.flash_demotions;
     // The demotion is a real device write: it occupies a queue slot for
     // its service time, delaying reads behind it.
@@ -159,8 +147,7 @@ FlashReadResult EdgePop::complete_flash_read(const std::string& key,
 
   const bool fresh = entry_is_fresh(*entry, now);
   if (!fresh) {
-    if (entry->etag() ||
-        entry->response.headers.contains(http::kLastModified)) {
+    if (cache::has_validator(*entry)) {
       return FlashReadResult{FlashReadOutcome::Stale, entry};
     }
     // Expired and unvalidatable: dead weight in any tier.
@@ -175,7 +162,7 @@ FlashReadResult EdgePop::complete_flash_read(const std::string& key,
   cache::CacheEntry copy = *entry;
   const ByteCount cost = copy.cost();
   const bool admit = cost <= store_.capacity() && make_room(key, cost, aio);
-  if (admit && !store_.needs_room(cost) && store_.put(key, copy)) {
+  if (admit && !store_.needs_room(cost) && store_.put(key, std::move(copy))) {
     flash_->erase(key);
     ++stats_.flash_promotions;
     return FlashReadResult{FlashReadOutcome::Fresh, store_.get(key)};

@@ -284,7 +284,7 @@ class EdgePop {
 
   /// Hands a RAM eviction victim to the flash log (admission-by-demotion)
   /// and accounts the device write on `aio` when given.
-  void demote_to_flash(const std::string& victim_key, io::AioEngine* aio);
+  void demote_to_flash(SlruStore::Evicted victim, io::AioEngine* aio);
 
   EdgeConfig config_;
   std::string host_name_;

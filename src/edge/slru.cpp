@@ -22,11 +22,6 @@ cache::CacheEntry* SlruStore::get(const std::string& key) {
   return protected_.get(key);
 }
 
-const cache::CacheEntry* SlruStore::peek(const std::string& key) const {
-  if (const cache::CacheEntry* entry = protected_.peek(key)) return entry;
-  return probation_.peek(key);
-}
-
 bool SlruStore::put(const std::string& key, cache::CacheEntry entry) {
   const ByteCount cost = entry.cost();
   if (cost > capacity_) return false;
@@ -44,12 +39,13 @@ std::optional<std::string> SlruStore::victim_key() const {
   return protected_.lru_key();
 }
 
-bool SlruStore::evict_victim() {
-  const auto key = victim_key();
-  if (!key) return false;
-  erase(*key);
+std::optional<SlruStore::Evicted> SlruStore::evict_victim() {
+  std::optional<std::string> key = victim_key();
+  if (!key) return std::nullopt;
+  std::optional<cache::CacheEntry> entry = probation_.take(*key);
+  if (!entry) entry = protected_.take(*key);
   ++evictions_;
-  return true;
+  return Evicted{std::move(*key), std::move(*entry)};
 }
 
 void SlruStore::rebalance_protected() {

@@ -36,10 +36,6 @@ class SlruStore {
   /// promotes it, or a promotion of another key that demotes it.
   cache::CacheEntry* get(const std::string& key);
 
-  /// Lookup without touching recency or segments; the pointer lives as
-  /// get()'s does.
-  const cache::CacheEntry* peek(const std::string& key) const;
-
   /// Inserts (or replaces) into probation. Requires the caller to have
   /// made room: returns false when the entry alone exceeds capacity or
   /// when inserting would overflow the total budget.
@@ -51,8 +47,15 @@ class SlruStore {
   /// protected tail when probation is empty. nullopt when empty.
   std::optional<std::string> victim_key() const;
 
-  /// Evicts the current victim; returns false when empty.
-  bool evict_victim();
+  /// A victim taken out by evict_victim().
+  struct Evicted {
+    std::string key;
+    cache::CacheEntry entry;
+  };
+
+  /// Evicts the current victim and moves it out (nullopt when empty), so
+  /// the caller can keep it in another tier without a copy.
+  std::optional<Evicted> evict_victim();
 
   /// True when storing `incoming_cost` more bytes requires eviction.
   bool needs_room(ByteCount incoming_cost) const {

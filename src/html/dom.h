@@ -27,7 +27,6 @@ class Node {
   Kind kind() const { return kind_; }
   /// Tag name (elements), or text/comment content.
   const std::string& data() const { return data_; }
-  const std::vector<Attribute>& attributes() const { return attributes_; }
   const std::vector<std::unique_ptr<Node>>& children() const {
     return children_;
   }

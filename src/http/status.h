@@ -26,11 +26,6 @@ constexpr int code(Status s) { return static_cast<int>(s); }
 
 std::string_view reason_phrase(Status s);
 
-/// True for 2xx.
-constexpr bool is_success(Status s) {
-  return code(s) >= 200 && code(s) < 300;
-}
-
 /// Heuristically cacheable status codes per RFC 9111 §3.
 constexpr bool is_cacheable_status(Status s) {
   switch (s) {

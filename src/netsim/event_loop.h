@@ -5,29 +5,32 @@
 // paper does for its revisit delays.
 //
 // Engine layout: callbacks live in a SlabPool (one recycled slot per
-// in-flight event, zero steady-state allocation) and every event, due-now
-// ones included, sits in one flat binary heap of {when, seq, handle}
-// triples. run() pops one event at a time in (when, seq) order, so events
-// at equal times run in scheduling order. The pool's generation check
-// gives O(1) cancel: a cancelled event's handle goes stale, and run()
-// skips stale entries when they surface at the top.
+// in-flight event) and every event, due-now ones included, sits in one
+// flat binary heap of {when, seq, handle} triples. run() pops one event at
+// a time in (when, seq) order, so events at equal times run in scheduling
+// order. The pool's generation check gives O(1) cancel: a cancelled
+// event's handle goes stale, and run() skips stale entries when they
+// surface at the top. Replacing the pool with a map keyed by seq, or pool
+// and heap with one ordered map, cost 1.1-3.1% CPU per user in
+// interleaved A/B runs (DESIGN.md §12).
 //
 // Events are not batched by timestamp: a FIFO of due-now events beside
 // the heap is a second ordering path that must match this one, and in
 // interleaved A/B runs removing it moved no end-to-end metric beyond the
 // runs' own spread (BENCHMARKS.md, 2026-10-18).
 //
-// Callbacks are SmallFn, not std::function: the 48-byte inline buffer
-// keeps the fetch path's capturing closures out of the heap (libstdc++'s
-// std::function spills anything over 16 bytes), which is where most of
-// the dispatch overhead lived.
+// Callbacks are std::function, the type the browser's typed callbacks
+// use too. libstdc++ allocates every closure over 16 bytes (or not
+// trivially copyable), 69-72% of the engine's. A 48-byte inline buffer
+// allocated 54-59% of them all the same, and the 10-18% it alone kept
+// off the heap moved no end-to-end metric (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "util/pool.h"
-#include "util/smallfn.h"
 #include "util/types.h"
 
 namespace catalyst::obs {
@@ -40,9 +43,8 @@ namespace catalyst::netsim {
 /// never reused, so holding one past execution is safe.
 using EventId = std::uint64_t;
 
-/// The scheduled-callback type. Move-only; captures up to the inline
-/// budget stay allocation-free (see util/smallfn.h).
-using EventFn = SmallFn<void()>;
+/// The scheduled-callback type. A scheduled closure must be copyable.
+using EventFn = std::function<void()>;
 
 /// Virtual-time event loop. Events at equal times run in scheduling order
 /// (stable), which keeps simulations reproducible.

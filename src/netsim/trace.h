@@ -64,7 +64,6 @@ class TraceLog {
   /// fill — the hot-path form: no intermediate FetchTrace, no string
   /// moves (write `url` directly into the slot).
   FetchTrace& append() { return traces_.emplace_back(); }
-  void clear() { traces_.clear(); }
 
   const std::vector<FetchTrace>& traces() const { return traces_; }
 

@@ -77,8 +77,6 @@ class CatalystModule {
   /// origin's transform on ground-truth content.
   static void inject_registration(std::string& body);
 
-  const CatalystConfig& config() const { return config_; }
-
  private:
   /// Extraction of one resource's same-origin links, memoized by version.
   const std::vector<std::string>& extract_links(const Resource& resource,

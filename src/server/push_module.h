@@ -36,8 +36,6 @@ class PushModule {
       CatalystModule& linker, const std::vector<std::string>& learned_urls,
       StaticHandler& handler);
 
-  PushPolicy policy() const { return policy_; }
-
  private:
   const Site& site_;
   PushPolicy policy_;

@@ -48,8 +48,6 @@ class Server {
   Server(netsim::Network& network, std::shared_ptr<Site> site,
          ServerConfig config);
 
-  const Site& site() const { return *site_; }
-  const ServerConfig& config() const { return config_; }
   const ServerStats& stats() const { return stats_; }
   SessionStore& sessions() { return sessions_; }
 

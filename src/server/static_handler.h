@@ -17,8 +17,6 @@ class StaticHandler {
   /// matches, 404 for unknown paths.
   http::Response handle(const http::Request& request, TimePoint now);
 
-  const Site& site() const { return site_; }
-
  private:
   const Site& site_;
 };

@@ -30,7 +30,6 @@ class Json {
   static Json array();
   static Json object();
 
-  Type type() const { return type_; }
   bool is_object() const { return type_ == Type::Object; }
   bool is_string() const { return type_ == Type::String; }
   bool is_number() const { return type_ == Type::Number; }

@@ -1,11 +1,11 @@
 // Generation-checked slab pool for short-lived simulation objects.
 //
-// The event loop and fetch pipeline used to heap-allocate one small
-// object per scheduled event / in-flight request and free it moments
-// later — malloc traffic that dominates cache-miss profiles at
-// population scale. SlabPool keeps all objects in one growable slab and
-// recycles slots through a free list, so steady-state acquire/release
-// does zero allocation.
+// The event loop keeps one slot per scheduled event here. SlabPool keeps
+// all objects in one growable slab and recycles slots through a free
+// list, so acquire/release allocates nothing once the slab has grown to
+// the peak number of live objects. The objects themselves may still
+// allocate: the loop's std::function callbacks put every closure over 16
+// bytes, most of the engine's, on the heap (DESIGN.md §12).
 //
 // Handles are (slot index, generation) pairs packed into a uint64_t. A
 // slot's generation bumps on every release, so a stale handle — one held

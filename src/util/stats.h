@@ -53,9 +53,6 @@ class BinAxis {
   /// Throws std::invalid_argument on zero bins or hi <= lo.
   BinAxis(double lo, double hi, std::size_t bins);
 
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-
   /// Bin holding `x`; out-of-range samples clamp to the first/last bin.
   std::size_t index(double x) const;
 

@@ -56,8 +56,6 @@ class Adversary {
   /// and probe hits (EdgePopStats::adversary_*).
   void strike();
 
-  const AdversaryParams& params() const { return params_; }
-
  private:
   void send_poison(const std::string& path, const std::string& payload);
   void send_probe(const std::string& path);

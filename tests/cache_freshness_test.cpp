@@ -233,6 +233,72 @@ TEST(NegativeFreshnessTest, TightMaxTtlBoundsDefault) {
             seconds(15));
 }
 
+// ---- Serving a stored entry (RFC 9111 §4.2) and revalidating it ----
+
+TEST(MayServeTest, ErrorsNeedNegativeCachingAndTheirBoundedLifetime) {
+  NegativePolicy off;
+  NegativePolicy on;
+  on.enabled = true;
+  for (const Status status : {Status::NotFound, Status::Gone}) {
+    // max-age=3600 would make a 200 fresh for an hour: an error gets the
+    // policy's bound (10 minutes) and nothing while negative caching is
+    // off, heuristic or not.
+    const auto entry = negative_entry(status, "max-age=3600", TimePoint{});
+    const TimePoint soon = TimePoint{} + seconds(1);
+    EXPECT_FALSE(may_serve(entry, soon, off, /*allow_heuristic=*/true))
+        << http::code(status);
+    EXPECT_TRUE(may_serve(entry, soon, on, /*allow_heuristic=*/false))
+        << http::code(status);
+    EXPECT_FALSE(may_serve(entry, TimePoint{} + on.max_ttl, on,
+                           /*allow_heuristic=*/true))
+        << http::code(status);
+  }
+}
+
+TEST(MayServeTest, OthersWhileFreshAndNeitherNoCacheNorMustRevalidate) {
+  NegativePolicy on;
+  on.enabled = true;  // ignored for a 200
+  const TimePoint within = TimePoint{} + seconds(59);
+  const TimePoint expired = TimePoint{} + seconds(60);
+  const auto fresh = entry_with("max-age=60", TimePoint{});
+  EXPECT_TRUE(may_serve(fresh, within, on, /*allow_heuristic=*/false));
+  EXPECT_FALSE(may_serve(fresh, expired, on, /*allow_heuristic=*/false));
+  // Fresh by max-age, but the origin asked for a check on every use.
+  EXPECT_FALSE(may_serve(entry_with("max-age=60, must-revalidate",
+                                    TimePoint{}),
+                         within, on, /*allow_heuristic=*/false));
+  // no-cache zeroes the lifetime, and it holds on its own too: on a clock
+  // behind the response time the age is negative and the entry "fresh".
+  const auto no_cache = entry_with("no-cache", TimePoint{} + seconds(10));
+  ASSERT_TRUE(is_fresh(no_cache, TimePoint{}, /*allow_heuristic=*/false));
+  EXPECT_FALSE(may_serve(no_cache, TimePoint{}, on,
+                         /*allow_heuristic=*/false));
+}
+
+TEST(MayServeTest, HeuristicLifetimeOnlyWhenAllowed) {
+  // Last-Modified 10 days before Date: heuristic lifetime of one day.
+  CacheEntry entry = entry_with("", TimePoint{} + days(10));
+  entry.response.headers.set(http::kLastModified,
+                             http::format_http_date(TimePoint{}));
+  const TimePoint later = TimePoint{} + days(10) + hours(1);
+  EXPECT_TRUE(may_serve(entry, later, NegativePolicy{},
+                        /*allow_heuristic=*/true));
+  EXPECT_FALSE(may_serve(entry, later, NegativePolicy{},
+                         /*allow_heuristic=*/false));
+}
+
+TEST(HasValidatorTest, AnEtagOrALastModifiedDate) {
+  CacheEntry entry = entry_with("max-age=60", TimePoint{});
+  EXPECT_FALSE(has_validator(entry));  // freshness info is not a validator
+  entry.response.headers.set(http::kEtagHeader, "\"v1\"");
+  EXPECT_TRUE(has_validator(entry));
+  entry.response.headers.set(http::kEtagHeader, "unquoted");  // unparseable
+  EXPECT_FALSE(has_validator(entry));
+  entry.response.headers.set(http::kLastModified,
+                             http::format_http_date(TimePoint{}));
+  EXPECT_TRUE(has_validator(entry));
+}
+
 // ---- Storability (RFC 9111 §3), private and shared caches ----
 
 struct Storable {

@@ -78,8 +78,6 @@ TEST(RequestTest, IfNoneMatchAccessor) {
 }
 
 TEST(StatusTest, Properties) {
-  EXPECT_TRUE(is_success(Status::Ok));
-  EXPECT_FALSE(is_success(Status::NotModified));
   EXPECT_TRUE(is_cacheable_status(Status::Ok));
   EXPECT_TRUE(is_cacheable_status(Status::NotFound));
   EXPECT_FALSE(is_cacheable_status(Status::NotModified));

@@ -65,6 +65,49 @@ TEST(EventLoopTest, CancelPreventsExecution) {
   loop.cancel(9999999);  // unknown id is a no-op
 }
 
+// A closure's captures go when its event is done with: a cancelled
+// event's at cancel(), a run event's right after it runs (before the next
+// event at the same time). The counting deleter shows each goes once.
+TEST(EventLoopTest, CapturesReleasedAtCancelAndAfterRunning) {
+  EventLoop loop;
+  int released = 0;
+  const auto counted = [&released] {
+    return std::shared_ptr<int>(new int(0), [&released](int* p) {
+      ++released;
+      delete p;
+    });
+  };
+  std::shared_ptr<int> cancelled = counted();
+  std::shared_ptr<int> ran = counted();
+  const std::weak_ptr<int> cancelled_watch = cancelled;
+  const std::weak_ptr<int> ran_watch = ran;
+
+  const EventId doomed =
+      loop.schedule_after(milliseconds(1), [held = std::move(cancelled)] {});
+  bool alive_while_running = false;
+  loop.schedule_after(milliseconds(2), [held = std::move(ran), &ran_watch,
+                                        &alive_while_running] {
+    alive_while_running = !ran_watch.expired();
+  });
+  bool gone_after_running = false;
+  loop.schedule_after(milliseconds(2), [&ran_watch, &gone_after_running] {
+    gone_after_running = ran_watch.expired();
+  });
+
+  EXPECT_FALSE(cancelled_watch.expired());
+  loop.cancel(doomed);
+  EXPECT_TRUE(cancelled_watch.expired());
+  EXPECT_EQ(released, 1);
+  loop.cancel(doomed);  // stale: releases nothing more
+  EXPECT_EQ(released, 1);
+
+  EXPECT_FALSE(ran_watch.expired());
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_TRUE(alive_while_running);
+  EXPECT_TRUE(gone_after_running);
+  EXPECT_EQ(released, 2);
+}
+
 TEST(EventLoopTest, PendingCountsExcludeCancelled) {
   EventLoop loop;
   const EventId a = loop.schedule_after(milliseconds(1), [] {});
